@@ -43,12 +43,12 @@ def measure(m, sweeps):
     return inst, history, ratio
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, nargs="*", default=[1, 2, 4, 8, 16])
     ap.add_argument("--sweeps", type=int, default=40)
     ap.add_argument("--out-svg", help="write the error curves as an SVG plot")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'m':>3} {'measured/sweep':>15} {'exponent':>9} {'cos^2m':>11} "
           f"{'cos^4m':>11} {'bound cyclic':>13} {'bound shuffled':>14}")

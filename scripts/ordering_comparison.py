@@ -20,8 +20,9 @@ from sorlab import (
     derived_rng,
     empirical_rate,
     evaluate_rate_bounds,
+    mean_error_curve,
+    preshuffled,
     random_factor_problem,
-    random_permutation,
     run_solver,
 )
 from sorlab.svgplot import write_semilog
@@ -32,23 +33,19 @@ STRATEGIES = ("cyclic", "shuffled", "preshuffled", "single_step_random")
 def run_strategy(inst, kind, omega, trials, sweeps, base_seed):
     n = inst.n
     y0 = np.zeros(n, dtype=inst.B.dtype)
-    curves = np.empty((trials, sweeps + 1))
+    curves = []
     for t in range(trials):
         if kind == "preshuffled":
-            sigma = random_permutation(n, derived_rng(base_seed, 1, t))
-            strategy = OrderingStrategy("preshuffled", sigma)
+            strategy = preshuffled(n, derived_rng(base_seed, 1, t))
         else:
             strategy = OrderingStrategy(kind)
         cfg = SolverConfig(omega=omega, max_sweeps=sweeps, target_error_sq=0.0,
                            seed=derive_seed(base_seed, 0, t))
-        h = run_solver(inst.B, inst.b, y0, inst.ybar, cfg, strategy)
-        errs = h.errors_sq
-        curves[t, :len(errs)] = errs
-        curves[t, len(errs):] = errs[-1]
-    return curves.mean(axis=0)
+        curves.append(run_solver(inst.B, inst.b, y0, inst.ybar, cfg, strategy).errors_sq)
+    return mean_error_curve(curves)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=24)
     ap.add_argument("--cols", type=int, default=24, help="factor columns (rank bound)")
@@ -58,7 +55,7 @@ def main():
     ap.add_argument("--sweeps", type=int, default=60)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-svg")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     inst = random_factor_problem(args.n, args.cols, args.complex,
                                  derived_rng(args.seed, 99))

@@ -24,14 +24,14 @@ from sorlab import (
 from sorlab.analysis import EXHAUSTIVE_LIMIT
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="*", default=[4, 6, 8, 12, 16])
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--restarts", type=int, default=20)
     ap.add_argument("--complex", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'n':>4} {'identity':>9} {'min':>9} {'method':>10} {'mean':>9} "
           f"{'se':>8} {'log bound':>9} {'|E|/|B|^2':>10}")

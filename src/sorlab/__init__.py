@@ -69,6 +69,7 @@ from .solvers import (
     empirical_rate,
     error_iteration_matrix,
     kaczmarz_sweep,
+    mean_error_curve,
     run_kaczmarz,
     run_solver,
     sor_sweep,

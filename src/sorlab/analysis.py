@@ -60,21 +60,37 @@ def _square_hermitian_input(B):
     return B
 
 
-def _iter_perm_chunks(n):
-    """Yield (chunk, total) arrays of permutations in lexicographic order."""
-    total = math.factorial(n)
-    it = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.intp), total
+def _nonzero_norm(B) -> float:
+    norm_b = spectral_norm(B)
+    if norm_b == 0:
+        raise ValueError("zero matrix has no truncation ratio")
+    return norm_b
+
+
+def _perm_batches(n, trials=None, rng=None):
+    """Yield (k, n) permutation arrays, k <= _CHUNK.
+
+    Without an rng: all n! permutations in lexicographic order. With one:
+    ``trials`` uniform permutations drawn from it.
+    """
+    if rng is None:
+        it = itertools.permutations(range(n))
+        while chunk := list(itertools.islice(it, _CHUNK)):
+            yield np.array(chunk, dtype=np.intp)
+        return
+    for done in range(0, trials, _CHUNK):
+        k = min(_CHUNK, trials - done)
+        yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
+
+
+def _reordered_lower(B, perms):
+    """Stack of the strict lower parts L_s of B reordered by each row of perms."""
+    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
 
 
 def _lower_gram_terms(B, perms):
     """Stack of P* L_s L_s* P over the given permutations (original indexing)."""
-    Bs = B[perms[:, :, None], perms[:, None, :]]
-    Ls = np.tril(Bs, -1)
+    Ls = _reordered_lower(B, perms)
     T = Ls @ np.conj(np.transpose(Ls, (0, 2, 1)))
     inv = np.argsort(perms, axis=1)
     T = np.take_along_axis(T, inv[:, :, None], axis=1)
@@ -89,10 +105,9 @@ def expected_lower_gram_bruteforce(B) -> np.ndarray:
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive averaging; use montecarlo")
     acc = np.zeros((n, n), dtype=np.complex128 if np.iscomplexobj(B) else np.float64)
-    total = math.factorial(n)
-    for perms, _ in _iter_perm_chunks(n):
+    for perms in _perm_batches(n):
         acc += _lower_gram_terms(B, perms).sum(axis=0)
-    return acc / total
+    return acc / math.factorial(n)
 
 
 def expected_lower_gram_closed(B) -> np.ndarray:
@@ -139,14 +154,10 @@ def expected_lower_gram_montecarlo(B, trials: int, rng) -> tuple[np.ndarray, np.
     dtype = np.complex128 if np.iscomplexobj(B) else np.float64
     acc = np.zeros((n, n), dtype=dtype)
     acc_sq = np.zeros((n, n))
-    done = 0
-    while done < trials:
-        k = min(_CHUNK, trials - done)
-        perms = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
+    for perms in _perm_batches(n, trials, rng):
         T = _lower_gram_terms(B, perms)
         acc += T.sum(axis=0)
         acc_sq += (np.abs(T) ** 2).sum(axis=0)
-        done += k
     mean = acc / trials
     var = np.maximum(acc_sq / trials - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var / trials)
@@ -207,9 +218,7 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
 def truncation_ratio(B, sigma) -> float:
     """||L_sigma|| / ||B||: relative norm of the reordered lower truncation."""
     B = _square_hermitian_input(B)
-    norm_b = spectral_norm(B)
-    if norm_b == 0:
-        raise ValueError("zero matrix has no truncation ratio")
+    norm_b = _nonzero_norm(B)
     return spectral_norm(strict_lower(permute_conjugate(B, sigma))) / norm_b
 
 
@@ -233,9 +242,7 @@ class TruncationStats:
 
 
 def _batched_truncation_norms(B, perms):
-    Bs = B[perms[:, :, None], perms[:, None, :]]
-    Ls = np.tril(Bs, -1)
-    return np.linalg.svd(Ls, compute_uv=False)[:, 0]
+    return np.linalg.svd(_reordered_lower(B, perms), compute_uv=False)[:, 0]
 
 
 def min_truncation_exhaustive(B) -> TruncationStats:
@@ -244,16 +251,14 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
-    norm_b = spectral_norm(B)
-    if norm_b == 0:
-        raise ValueError("zero matrix has no truncation ratio")
+    norm_b = _nonzero_norm(B)
     best = np.inf
     best_sigma = None
     total_sum = 0.0
     worst = 0.0
     identity_ratio = None
     count = 0
-    for perms, total in _iter_perm_chunks(n):
+    for perms in _perm_batches(n):
         norms = _batched_truncation_norms(B, perms)
         if count == 0:
             identity_ratio = float(norms[0]) / norm_b  # lexicographic first = identity
@@ -279,44 +284,33 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     """Adjacent-transposition steepest descent from random starts.
 
     From each uniformly drawn starting permutation, repeatedly applies the
-    best norm-decreasing swap of neighboring positions until none improves.
-    Deterministic given the rng seed. The result is an upper bound on the
-    exhaustive minimum.
+    best norm-decreasing swap of neighboring positions until none improves;
+    ties go to the leftmost swap. The n - 1 neighbors of an ordering are
+    scored as one batch. Deterministic given the rng seed. The result is an
+    upper bound on the exhaustive minimum.
     """
     B = _square_hermitian_input(B)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n = B.shape[0]
-    norm_b = spectral_norm(B)
-    if norm_b == 0:
-        raise ValueError("zero matrix has no truncation ratio")
-
-    def lower_norm(sig):
-        return spectral_norm(np.tril(B[np.ix_(sig, sig)], -1))
+    norm_b = _nonzero_norm(B)
+    k = np.arange(n - 1)
 
     best = np.inf
     best_sigma = None
     start_norms = []
     for _ in range(restarts):
         sigma = rng.permutation(n).astype(np.intp)
-        cur = lower_norm(sigma)
+        cur = float(_batched_truncation_norms(B, sigma[None, :])[0])
         start_norms.append(cur)
-        improved = True
-        while improved:
-            improved = False
-            cand_norm = cur
-            cand_k = -1
-            for k in range(n - 1):
-                sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-                v = lower_norm(sigma)
-                sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-                if v < cand_norm:
-                    cand_norm = v
-                    cand_k = k
-            if cand_k >= 0:
-                sigma[cand_k], sigma[cand_k + 1] = sigma[cand_k + 1], sigma[cand_k]
-                cur = cand_norm
-                improved = True
+        while n > 1:
+            swapped = np.tile(sigma, (n - 1, 1))  # row k swaps positions k, k + 1
+            swapped[k, k], swapped[k, k + 1] = sigma[k + 1], sigma[k]
+            norms = _batched_truncation_norms(B, swapped)
+            i = int(np.argmin(norms))
+            if not norms[i] < cur:
+                break
+            sigma, cur = swapped[i], float(norms[i])
         if cur < best:
             best = cur
             best_sigma = sigma.copy()
@@ -342,16 +336,9 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = B.shape[0]
-    norm_b = spectral_norm(B)
-    if norm_b == 0:
-        raise ValueError("zero matrix has no truncation ratio")
-    vals = np.empty(trials)
-    done = 0
-    while done < trials:
-        k = min(_CHUNK, trials - done)
-        perms = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
-        vals[done:done + k] = _batched_truncation_norms(B, perms)
-        done += k
+    norm_b = _nonzero_norm(B)
+    vals = np.concatenate([_batched_truncation_norms(B, perms)
+                           for perms in _perm_batches(n, trials, rng)])
     ratios = vals / norm_b
     se = float(ratios.std(ddof=0) / np.sqrt(trials))
     return float(ratios.mean()), se
@@ -454,8 +441,7 @@ def _contraction_operator(B, omega, perms):
     n = B.shape[0]
     dtype = np.complex128 if np.iscomplexobj(B) else np.float64
     eye = np.eye(n, dtype=dtype)
-    Bs = B[perms[:, :, None], perms[:, None, :]]
-    Ms = eye + omega * np.tril(Bs, -1)
+    Ms = eye + omega * _reordered_lower(B, perms)
     X = np.linalg.solve(Ms, B[perms])          # (I + w L_s)^{-1} P B
     inv = np.argsort(perms, axis=1)
     X = np.take_along_axis(X, inv[:, :, None], axis=1)
@@ -478,22 +464,19 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
         raise ValueError("unit diagonal required; call rescale_unit_diagonal first")
     n = B.shape[0]
 
-    acc = np.zeros((n, n), dtype=np.complex128 if np.iscomplexobj(B) else np.float64)
-    count = 0
     if n <= EXHAUSTIVE_LIMIT:
-        for perms, _ in _iter_perm_chunks(n):
-            acc += _contraction_operator(B, omega, perms)
-            count += len(perms)
+        batches = _perm_batches(n)
     else:
         if trials < 1:
             raise ValueError("trials must be >= 1")
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
-        while count < trials:
-            k = min(_CHUNK, trials - count)
-            perms = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
-            acc += _contraction_operator(B, omega, perms)
-            count += k
+        batches = _perm_batches(n, trials, rng)
+    acc = np.zeros((n, n), dtype=np.complex128 if np.iscomplexobj(B) else np.float64)
+    count = 0
+    for perms in batches:
+        acc += _contraction_operator(B, omega, perms)
+        count += len(perms)
     M = acc / count
     M = (M + M.conj().T) / 2
 

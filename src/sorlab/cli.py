@@ -19,13 +19,13 @@ from . import analysis, mmio, svgplot
 from .linalg import eigen_hermitian, hermitian, spectral_summary
 from .orderings import (
     GENERATOR_NAME,
-    KINDS,
     OrderingStrategy,
     derive_seed,
     derived_rng,
+    fixed,
     format_permutation,
     parse_permutation,
-    random_permutation,
+    preshuffled,
 )
 from .problems import (
     ProblemInstance,
@@ -35,7 +35,7 @@ from .problems import (
     low_rank_problem,
     random_factor_problem,
 )
-from .solvers import IterationHistory, SolverConfig, empirical_rate, run_solver
+from .solvers import IterationHistory, SolverConfig, empirical_rate, mean_error_curve, run_solver
 
 CSV_HEADER = "strategy,trial,sweep,error_sq,residual"
 
@@ -49,7 +49,9 @@ _STRATEGY_ALIASES = {
     "fixed": "fixed",
 }
 
-# namespaces for derived seeds: (base, strategy_index, trial, namespace)
+# derived seeds are (base, strategy_index, trial, namespace); the index is
+# the strategy's position in this tuple, frozen so that seeds never change
+_SEED_INDEX = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
 _NS_RUN = 0
 _NS_PRESHUFFLE = 1
 
@@ -98,15 +100,6 @@ def _group_curves(rows):
             raise ValueError("CSV rows out of order; sweeps must be contiguous per trial")
         curve.append(err)
     return curves
-
-
-def _mean_curve(trial_curves):
-    length = max(len(c) for c in trial_curves.values())
-    acc = np.zeros(length)
-    for curve in trial_curves.values():
-        padded = np.array(curve + [curve[-1]] * (length - len(curve)))
-        acc += padded
-    return acc / len(trial_curves)
 
 
 # ---------------------------------------------------------------- generate
@@ -180,29 +173,27 @@ def _parse_strategies(text, parser):
 def _trial_strategy(kind, n, sigma, base_seed, trial, parser, seed_given):
     """Ordering strategy for one trial; preshuffled draws its one-time
     permutation from a derived stream unless --sigma pinned it."""
-    si = KINDS.index(kind)
     if kind == "fixed":
         if sigma is None:
             parser.error("strategy 'fixed' requires --sigma")
-        return OrderingStrategy("fixed", sigma)
+        return fixed(sigma)
     if kind == "preshuffled":
         if sigma is not None:
-            return OrderingStrategy("preshuffled", sigma)
+            return fixed(sigma)
         if not seed_given:
             parser.error("strategy 'preshuffled' requires --sigma or an explicit --seed")
-        rng = derived_rng(base_seed, si, trial, _NS_PRESHUFFLE)
-        return OrderingStrategy("preshuffled", random_permutation(n, rng))
+        return preshuffled(n, derived_rng(base_seed, _SEED_INDEX.index(kind), trial,
+                                          _NS_PRESHUFFLE))
     return OrderingStrategy(kind)
 
 
 def _run_one(B, b, ybar, y0, kind, sigma, base_seed, trial, args, parser, seed_given):
     strategy = _trial_strategy(kind, B.shape[0], sigma, base_seed, trial, parser, seed_given)
-    si = KINDS.index(kind)
     config = SolverConfig(
         omega=args.omega,
         max_sweeps=args.sweeps,
         target_error_sq=args.target_error_sq,
-        seed=derive_seed(base_seed, si, trial, _NS_RUN),
+        seed=derive_seed(base_seed, _SEED_INDEX.index(kind), trial, _NS_RUN),
     )
     return run_solver(B, b, y0, ybar, config, strategy)
 
@@ -277,8 +268,7 @@ def cmd_compare(args, parser) -> int:
 
     mean_curves = []
     for kind in kinds:
-        curves = {t: list(h.errors_sq) for t, h in enumerate(histories[kind])}
-        mean = _mean_curve(curves)
+        mean = mean_error_curve(h.errors_sq for h in histories[kind])
         mean_curves.append((kind, mean))
         window = min(args.rate_window, len(mean) - 2)
         rate = empirical_rate(mean, window) if window >= 1 else 0.0
@@ -393,7 +383,7 @@ def cmd_plot(args, parser) -> int:
     if not rows:
         raise ValueError(f"no data rows in {args.csv}")
     curves = _group_curves(rows)
-    series = [(kind, _mean_curve(trials)) for kind, trials in curves.items()]
+    series = [(kind, mean_error_curve(trials.values())) for kind, trials in curves.items()]
     per_trial = None
     if args.per_trial:
         per_trial = {kind: list(trials.values()) for kind, trials in curves.items()}

@@ -167,16 +167,9 @@ def eigen_hermitian(B, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def spectral_norm(M, tol: float = 1e-12) -> float:
-    """Largest singular value of M (exact SVD, machine accuracy).
-
-    ``tol`` is the accepted relative accuracy; the LAPACK-backed
-    computation is deterministic and accurate to rounding, which
-    satisfies any tol down to machine epsilon.
-    """
+def spectral_norm(M) -> float:
+    """Largest singular value of M (exact LAPACK SVD, accurate to rounding)."""
     M = _as_matrix(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not M.any():
         return 0.0
     return float(np.linalg.norm(M, ord=2))

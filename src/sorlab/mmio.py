@@ -73,12 +73,17 @@ def read_matrix(path):
         M = np.zeros((rows, cols), dtype=dtype)
         if symmetry == "general":
             entries = ((i, j) for j in range(cols) for i in range(rows))
+            expected = rows * cols
         else:
             if rows != cols:
                 raise ValueError("symmetric/hermitian matrices must be square")
             entries = ((i, j) for j in range(cols) for i in range(j, rows))
-        for i, j in entries:
+            expected = rows * (rows + 1) // 2
+        for k, (i, j) in enumerate(entries):
             parts = fh.readline().split()
+            if len(parts) < (2 if complex_field else 1):
+                raise ValueError(f"{path}: read {k} of {expected} expected entries; "
+                                 f"entry {k + 1} is missing or incomplete")
             if complex_field:
                 M[i, j] = float(parts[0]) + 1j * float(parts[1])
             else:

@@ -16,8 +16,7 @@ import numpy as np
 
 GENERATOR_NAME = "PCG64"
 
-KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
-_NEEDS_SIGMA = ("preshuffled", "fixed")
+KINDS = ("cyclic", "shuffled", "single_step_random", "fixed")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -59,9 +58,11 @@ class OrderingStrategy:
 
     cyclic             -- fixed natural order 1..n every sweep
     shuffled           -- fresh uniform permutation every sweep
-    preshuffled        -- one randomly drawn permutation, reused forever
     single_step_random -- n independent uniform picks (repeats allowed)
-    fixed              -- a caller-specified permutation, reused forever
+    fixed              -- one stored permutation, reused every sweep
+
+    The preshuffled iteration is the fixed kind with a uniformly drawn
+    permutation; :func:`preshuffled` draws it.
     """
 
     kind: str
@@ -70,7 +71,7 @@ class OrderingStrategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ordering kind {self.kind!r}")
-        if self.kind in _NEEDS_SIGMA:
+        if self.kind == "fixed":
             if self.sigma is None:
                 raise ValueError(f"{self.kind} ordering requires a permutation")
             object.__setattr__(self, "sigma", check_permutation(self.sigma))
@@ -86,8 +87,9 @@ def shuffled() -> OrderingStrategy:
     return OrderingStrategy("shuffled")
 
 
-def preshuffled(sigma) -> OrderingStrategy:
-    return OrderingStrategy("preshuffled", sigma)
+def preshuffled(n: int, rng: np.random.Generator) -> OrderingStrategy:
+    """Fixed order drawn uniformly once, before the first sweep; advances rng."""
+    return fixed(random_permutation(n, rng))
 
 
 def single_step_random() -> OrderingStrategy:
@@ -103,7 +105,7 @@ def sweep_order(strategy: OrderingStrategy, n: int,
     """Index sequence (length n) for one sweep under the given strategy."""
     if strategy.kind == "cyclic":
         return np.arange(n, dtype=np.intp)
-    if strategy.kind in _NEEDS_SIGMA:
+    if strategy.kind == "fixed":
         if len(strategy.sigma) != n:
             raise ValueError("stored permutation length does not match n")
         return strategy.sigma.copy()

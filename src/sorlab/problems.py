@@ -98,11 +98,7 @@ def random_factor_problem(n: int, m: int, complex_entries: bool = False,
         raise ValueError("an rng is required")
     A = _draw_factor(n, m, complex_entries, rng)
     B = hermitian_from_factor(A, normalize_rows=True)
-    if complex_entries:
-        ybar = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        ybar = rng.standard_normal(n)
-    b = B @ ybar
+    b, ybar = plant_solution(B, rng)
     return ProblemInstance(
         B=B,
         b=b,

@@ -70,6 +70,27 @@ def _check_order(order, n):
     return order
 
 
+def _check_unit_rows(A):
+    A = np.asarray(A)
+    norms = np.linalg.norm(A, axis=1)
+    if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
+        raise ValueError("rows of A must have unit norm")
+    return A
+
+
+def _sor_pass(B, b, y, omega, order):
+    """Relax the coordinates of y in place, in the given order."""
+    for i in order:
+        y[i] += omega * (b[i] - B[i] @ y)
+
+
+def _kaczmarz_pass(A, b, x, omega, order):
+    """Project x in place onto the row hyperplanes of A, in the given order."""
+    for i in order:
+        a = A[i]
+        x += omega * (b[i] - a @ x) * a.conj()
+
+
 def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
     """One relaxation sweep of By = b over the given coordinate order.
 
@@ -78,12 +99,10 @@ def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
     """
     B = np.asarray(B)
     _require_unit_diagonal(B)
-    n = B.shape[0]
-    order = _check_order(order, n)
+    order = _check_order(order, B.shape[0])
     b = np.asarray(b)
     y = np.array(y, dtype=np.result_type(B, b, y), copy=True)
-    for i in order:
-        y[i] += omega * (b[i] - B[i] @ y)
+    _sor_pass(B, b, y, omega, order)
     return y
 
 
@@ -93,17 +112,36 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     For each row index i in order: x += omega * (b[i] - <a_i, x>) * conj(a_i).
     Rows of A must have unit Euclidean norm.
     """
-    A = np.asarray(A)
-    norms = np.linalg.norm(A, axis=1)
-    if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
-        raise ValueError("rows of A must have unit norm")
+    A = _check_unit_rows(A)
     order = _check_order(order, A.shape[0])
     b = np.asarray(b)
     x = np.array(x, dtype=np.result_type(A, b, x), copy=True)
-    for i in order:
-        a = A[i]
-        x += omega * (b[i] - a @ x) * a.conj()
+    _kaczmarz_pass(A, b, x, omega, order)
     return x
+
+
+def _iterate(M, b, v, error, sweep, config: SolverConfig, strategy: OrderingStrategy,
+             record_orders: bool) -> IterationHistory:
+    """Sweep v in place until max_sweeps or until error(v) reaches the target.
+
+    Each sweep draws its order from the strategy (PCG64 stream seeded with
+    ``config.seed``) and runs ``sweep(M, b, v, omega, order)``; the error and
+    the residual ||b - M v|| are recorded before the first and after every sweep.
+    """
+    rng = make_rng(config.seed)
+    errors = [error(v)]
+    residuals = [float(np.linalg.norm(b - M @ v))]
+    orders: list[np.ndarray] | None = [] if record_orders else None
+    for _ in range(config.max_sweeps):
+        order = sweep_order(strategy, M.shape[0], rng)
+        sweep(M, b, v, config.omega, order)
+        if record_orders:
+            orders.append(order)
+        errors.append(error(v))
+        residuals.append(float(np.linalg.norm(b - M @ v)))
+        if errors[-1] <= config.target_error_sq:
+            break
+    return IterationHistory(np.array(errors), np.array(residuals), v, orders)
 
 
 def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
@@ -119,26 +157,11 @@ def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
     n = B.shape[0]
     b = np.asarray(b)
     ybar = np.asarray(ybar)
-    rng = make_rng(config.seed)
-    omega = config.omega
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
     if y.shape != (n,) or b.shape != (n,) or ybar.shape != (n,):
         raise ValueError("vector lengths must match the matrix size")
-
-    errors = [energy_seminorm_sq(B, ybar - y)]
-    residuals = [float(np.linalg.norm(b - B @ y))]
-    orders: list[np.ndarray] | None = [] if record_orders else None
-    for _ in range(config.max_sweeps):
-        order = sweep_order(strategy, n, rng)
-        for i in order:
-            y[i] += omega * (b[i] - B[i] @ y)
-        if record_orders:
-            orders.append(order)
-        errors.append(energy_seminorm_sq(B, ybar - y))
-        residuals.append(float(np.linalg.norm(b - B @ y)))
-        if errors[-1] <= config.target_error_sq:
-            break
-    return IterationHistory(np.array(errors), np.array(residuals), y, orders)
+    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
+                    config, strategy, record_orders)
 
 
 def run_kaczmarz(A, b, x0, xbar, config: SolverConfig, strategy: OrderingStrategy,
@@ -148,32 +171,27 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig, strategy: OrderingStrateg
     Mirrors :func:`run_solver`; with matched seeds and strategies the two
     histories coincide through x = A* y.
     """
-    A = np.asarray(A)
-    norms = np.linalg.norm(A, axis=1)
-    if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
-        raise ValueError("rows of A must have unit norm")
-    nrows = A.shape[0]
+    A = _check_unit_rows(A)
     b = np.asarray(b)
     xbar = np.asarray(xbar)
-    rng = make_rng(config.seed)
-    omega = config.omega
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
+    return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_pass,
+                    config, strategy, record_orders)
 
-    errors = [float(np.linalg.norm(xbar - x) ** 2)]
-    residuals = [float(np.linalg.norm(b - A @ x))]
-    orders: list[np.ndarray] | None = [] if record_orders else None
-    for _ in range(config.max_sweeps):
-        order = sweep_order(strategy, nrows, rng)
-        for i in order:
-            a = A[i]
-            x += omega * (b[i] - a @ x) * a.conj()
-        if record_orders:
-            orders.append(order)
-        errors.append(float(np.linalg.norm(xbar - x) ** 2))
-        residuals.append(float(np.linalg.norm(b - A @ x)))
-        if errors[-1] <= config.target_error_sq:
-            break
-    return IterationHistory(np.array(errors), np.array(residuals), x, orders)
+
+def mean_error_curve(curves) -> np.ndarray:
+    """Mean of error curves of unequal length, each padded with its last value.
+
+    A trial that stopped early keeps its final error for the remaining
+    sweeps. Curves are added one at a time in the given order (not
+    pairwise, as ``np.mean`` may), which pins the bits of the result.
+    """
+    curves = [np.asarray(c, dtype=np.float64) for c in curves]
+    acc = np.zeros(max(len(c) for c in curves))
+    for c in curves:
+        acc[:len(c)] += c
+        acc[len(c):] += c[-1]
+    return acc / len(curves)
 
 
 def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:

@@ -207,6 +207,43 @@ def test_heuristic_deterministic():
     assert np.array_equal(a.argmin_sigma, b.argmin_sigma)
 
 
+def _heuristic_reference(B, restarts, rng):
+    """Neighbor-by-neighbor loop: one spectral_norm per adjacent swap."""
+    n = B.shape[0]
+    best, best_sigma, starts = np.inf, None, []
+    for _ in range(restarts):
+        sigma = rng.permutation(n).astype(np.intp)
+        cur = spectral_norm(np.tril(permute_conjugate(B, sigma), -1))
+        starts.append(cur)
+        while True:
+            cand_norm, cand_k = cur, -1
+            for k in range(n - 1):
+                sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
+                v = spectral_norm(np.tril(permute_conjugate(B, sigma), -1))
+                sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
+                if v < cand_norm:
+                    cand_norm, cand_k = v, k
+            if cand_k < 0:
+                break
+            sigma[cand_k], sigma[cand_k + 1] = sigma[cand_k + 1], sigma[cand_k]
+            cur = cand_norm
+        if cur < best:
+            best, best_sigma = cur, sigma.copy()
+    return best, best_sigma, starts
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_heuristic_batch_matches_neighbor_loop_bit_for_bit(complex_entries):
+    B = random_psd_unit(11, make_rng(8), complex_entries=complex_entries, m=4)
+    norm_b = spectral_norm(B)
+    best, best_sigma, starts = _heuristic_reference(B, 3, make_rng(9))
+    stats = min_truncation_heuristic(B, 3, make_rng(9))
+    assert stats.min_ratio == best / norm_b
+    assert np.array_equal(stats.argmin_sigma, best_sigma)
+    assert stats.max_ratio == max(starts) / norm_b
+    assert stats.mean_ratio == float((np.array(starts) / norm_b).mean())
+
+
 def test_expected_truncation_norm_basics():
     with pytest.raises(ValueError, match="zero matrix"):
         expected_truncation_norm(np.zeros((2, 2)), 5, make_rng(0))

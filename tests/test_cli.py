@@ -212,6 +212,14 @@ def test_analyze_identity(tmp_path, capsys):
     assert "avg_lower_gram_norm: 0.0" in out
 
 
+def test_analyze_truncated_matrix_exits_1(fan_dir, capsys):
+    path = fan_dir / "B.mtx"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:12]))
+    assert run_cli("analyze", "--matrix", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "B.mtx: read" in err
+
+
 def test_analyze_large_uses_heuristic(tmp_path, capsys):
     from helpers import random_psd_unit
     from sorlab import make_rng

@@ -84,3 +84,20 @@ def test_read_supports_symmetric_tag(tmp_path):
                     "2 2\n1.0\n0.5\n1.0\n")
     M, _ = read_matrix(path)
     assert np.array_equal(M, [[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_read_truncated_file_names_file_and_count(tmp_path):
+    path = tmp_path / "B.mtx"
+    write_matrix(path, random_psd_unit(8, make_rng(3)))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:12]))  # banner, size line, 10 of 64 entries
+    with pytest.raises(ValueError, match=r"B\.mtx: read 10 of 64 expected entries"):
+        read_matrix(path)
+
+
+def test_read_complex_entry_without_imaginary_part(tmp_path):
+    path = tmp_path / "v.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n"
+                    "2 1\n1.0 0.0\n2.0\n")
+    with pytest.raises(ValueError, match=r"v\.mtx: read 1 of 2 expected entries"):
+        read_matrix(path)

@@ -61,8 +61,8 @@ def test_uniformity_chi_squared_n4():
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError, match="requires a permutation"):
-        OrderingStrategy("preshuffled")
+    with pytest.raises(ValueError, match="unknown ordering kind"):
+        OrderingStrategy("preshuffled", np.arange(3))
     with pytest.raises(ValueError, match="requires a permutation"):
         OrderingStrategy("fixed")
     with pytest.raises(ValueError, match="takes no permutation"):
@@ -78,8 +78,8 @@ def test_sweep_order_cyclic():
 
 
 def test_sweep_order_preshuffled_constant():
-    sigma = np.array([2, 0, 1])
-    strat = preshuffled(sigma)
+    strat = preshuffled(3, make_rng(7))
+    sigma = strat.sigma.copy()
     rng = make_rng(7)
     for _ in range(5):
         assert np.array_equal(sweep_order(strat, 3, rng), sigma)
@@ -90,6 +90,12 @@ def test_sweep_order_preshuffled_constant():
 def test_sweep_order_fixed_equals_preshuffled_behavior():
     sigma = np.array([1, 2, 0])
     assert np.array_equal(sweep_order(fixed(sigma), 3), sigma)
+    # preshuffled is the fixed kind with the order drawn once from the rng
+    rng = make_rng(11)
+    strat = preshuffled(6, rng)
+    assert strat.kind == "fixed"
+    assert np.array_equal(strat.sigma, random_permutation(6, make_rng(11)))
+    assert not np.array_equal(preshuffled(6, rng).sigma, strat.sigma)  # rng advanced
 
 
 def test_sweep_order_shuffled_uses_each_index_once():

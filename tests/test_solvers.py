@@ -14,6 +14,7 @@ from sorlab import (
     fixed,
     kaczmarz_sweep,
     make_rng,
+    mean_error_curve,
     permute_conjugate,
     random_factor_problem,
     run_kaczmarz,
@@ -139,6 +140,64 @@ def test_run_solver_records_orders():
     assert len(h.orders) == 3
     for order in h.orders:
         assert np.array_equal(np.sort(order), np.arange(4))
+
+
+def _replay_strategies(n):
+    return [cyclic(), shuffled(), single_step_random(), fixed(make_rng(4).permutation(n))]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_run_solver_replays_sor_sweep_bit_for_bit(complex_entries):
+    inst = random_factor_problem(7, 5, complex_entries, make_rng(31))
+    B, b, ybar = inst.B, inst.b, inst.ybar
+    cfg = SolverConfig(omega=1.3, max_sweeps=12, target_error_sq=0.0, seed=17)
+    for strategy in _replay_strategies(7):
+        h = run_solver(B, b, np.zeros(7), ybar, cfg, strategy, record_orders=True)
+        y = np.zeros(7, dtype=B.dtype)
+        errors = [energy_seminorm_sq(B, ybar - y)]
+        residuals = [float(np.linalg.norm(b - B @ y))]
+        for order in h.orders:
+            y = sor_sweep(B, b, y, cfg.omega, order)
+            errors.append(energy_seminorm_sq(B, ybar - y))
+            residuals.append(float(np.linalg.norm(b - B @ y)))
+        assert np.array_equal(h.errors_sq, errors)
+        assert np.array_equal(h.residuals, residuals)
+        assert np.array_equal(h.final_iterate, y)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_run_kaczmarz_replays_kaczmarz_sweep_bit_for_bit(complex_entries):
+    inst = random_factor_problem(7, 5, complex_entries, make_rng(32))
+    A, xbar = inst.A, inst.xbar
+    b = A @ xbar
+    cfg = SolverConfig(omega=0.8, max_sweeps=12, target_error_sq=0.0, seed=18)
+    for strategy in _replay_strategies(7):
+        h = run_kaczmarz(A, b, np.zeros(5), xbar, cfg, strategy, record_orders=True)
+        x = np.zeros(5, dtype=A.dtype)
+        errors = [float(np.linalg.norm(xbar - x) ** 2)]
+        residuals = [float(np.linalg.norm(b - A @ x))]
+        for order in h.orders:
+            x = kaczmarz_sweep(A, b, x, cfg.omega, order)
+            errors.append(float(np.linalg.norm(xbar - x) ** 2))
+            residuals.append(float(np.linalg.norm(b - A @ x)))
+        assert np.array_equal(h.errors_sq, errors)
+        assert np.array_equal(h.residuals, residuals)
+        assert np.array_equal(h.final_iterate, x)
+
+
+def test_mean_error_curve_pads_with_last_value():
+    mean = mean_error_curve([[4.0, 2.0, 1.0], [8.0], [2.0, 0.5]])
+    assert np.array_equal(mean, np.array([14.0, 10.5, 9.5]) / 3)
+
+
+def test_mean_error_curve_sums_sequentially():
+    # row by row accumulation, unlike the pairwise sums np.mean may use
+    rng = make_rng(9)
+    curves = [10.0 ** rng.uniform(-20, 0, size=rng.integers(1, 40)) for _ in range(30)]
+    acc = np.zeros(max(len(c) for c in curves))
+    for c in curves:
+        acc += np.concatenate([c, np.full(len(acc) - len(c), c[-1])])
+    assert np.array_equal(mean_error_curve(curves), acc / len(curves))
 
 
 @given(seed=st.integers(0, 10**6), omega=st.floats(0.05, 1.95),
