@@ -210,6 +210,7 @@ def cmd_solve(args, parser) -> int:
     kind = _parse_strategies(args.strategy, parser)[0]
     seed = args.seed if args.seed is not None else 0
     B, b, ybar, y0 = _load_system(args, parser)
+    spectral_summary(B)  # raises "matrix not PSD" before the trial runs
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     history = _run_one(B, b, ybar, y0, kind, sigma, seed, 0, args, parser,
                        seed_given=args.seed is not None)
@@ -251,6 +252,8 @@ def cmd_compare(args, parser) -> int:
     seed = args.seed if args.seed is not None else 0
     B, b, ybar, y0 = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
+    # raises "matrix not PSD" (or on bad c0/c1) before any trial runs
+    report = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
 
     rows = []
     histories: dict[str, list[IterationHistory]] = {k: [] for k in kinds}
@@ -262,7 +265,6 @@ def cmd_compare(args, parser) -> int:
             rows.extend(_history_rows(kind, trial, history))
     write_history_csv(args.out_csv, rows)
 
-    report = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
     _print_bounds(report)
     print(f"trials: {args.trials}")
 

@@ -46,7 +46,7 @@ def _as_matrix(M, name="matrix"):
         raise ValueError(f"{name} must be 2-d, got shape {M.shape}")
     dtype = np.complex128 if np.iscomplexobj(M) else np.float64
     M = M.astype(dtype, copy=False)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return M
 

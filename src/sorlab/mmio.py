@@ -88,6 +88,8 @@ def read_matrix(path):
                 M[i, j] = float(parts[0]) + 1j * float(parts[1])
             else:
                 M[i, j] = float(parts[0])
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: found more than {expected} expected entries")
     if symmetry == "symmetric":
         iu = np.triu_indices(rows, 1)
         M[iu] = M.T[iu]

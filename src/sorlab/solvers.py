@@ -1,10 +1,20 @@
-"""Relaxation sweeps and iteration drivers.
+"""Relaxation sweeps and the sweep driver.
 
 The sweep is implemented in projection (coordinate) form: for each index i
 in the sweep order, the i-th coordinate is relaxed against the current
-residual. For the natural order this is algebraically the classical
-forward-substitution form of one SOR step; the matrix form exists only in
+residual. A pass does not loop over the coordinates in Python: the
+sequential increments of SWEEP_BLOCK consecutive steps solve one unit lower
+triangular system (the strictly lower part of the reordered block), so a
+block is one gather of rows, one matrix-vector product, one LAPACK forward
+substitution and one scatter-add, and the pass gives the
+coordinate-by-coordinate result up to rounding. For the natural order this
+is the classical forward-substitution form of one SOR step; the full error
+propagation matrix exists only in
 :func:`error_iteration_matrix` for analysis.
+
+:func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
+trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
+same passes once.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -13,15 +23,25 @@ chosen (kernel components cancel).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs, ztrtrs
 
-from .linalg import energy_seminorm_sq, has_unit_diagonal, permute_conjugate, strict_lower
+from .linalg import (
+    _as_matrix,
+    energy_seminorm_sq,
+    has_unit_diagonal,
+    permute_conjugate,
+    strict_lower,
+)
 from .orderings import OrderingStrategy, make_rng, sweep_order
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
+# steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,6 +83,15 @@ def _require_unit_diagonal(B):
         raise ValueError("matrix must have unit diagonal; call rescale_unit_diagonal first")
 
 
+def _check_vector(v, n, name):
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return v
+
+
 def _check_order(order, n):
     order = np.asarray(order, dtype=np.intp)
     if order.shape != (n,) or order.min(initial=0) < 0 or order.max(initial=0) >= n:
@@ -71,24 +100,47 @@ def _check_order(order, n):
 
 
 def _check_unit_rows(A):
-    A = np.asarray(A)
+    A = _as_matrix(A, "A")
     norms = np.linalg.norm(A, axis=1)
     if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
         raise ValueError("rows of A must have unit norm")
     return A
 
 
+def _forward_substitute(L, r):
+    """Solve (I + strict_lower(L)) z = r; the diagonal and upper part of L are ignored."""
+    trtrs = ztrtrs if np.iscomplexobj(L) or np.iscomplexobj(r) else dtrtrs
+    return trtrs(L, r, lower=1, unitdiag=1)[0]
+
+
 def _sor_pass(B, b, y, omega, order):
-    """Relax the coordinates of y in place, in the given order."""
-    for i in order:
-        y[i] += omega * (b[i] - B[i] @ y)
+    """Relax the coordinates of y in place, in the given order.
+
+    Step k sets y[i_k] += omega * (b[i_k] - B[i_k] @ y) with the latest y.
+    For a block of SWEEP_BLOCK consecutive steps the increments d solve
+    (I + omega L) d = omega (b - B y)[idx], where L is the strictly lower
+    part of B[idx][:, idx] (indices may repeat): one gather of rows, one
+    product, one forward substitution and one scatter-add per block.
+    """
+    for start in range(0, len(order), SWEEP_BLOCK):
+        idx = order[start:start + SWEEP_BLOCK]
+        rows = B[idx]
+        d = _forward_substitute(omega * rows[:, idx], omega * (b[idx] - rows @ y))
+        np.add.at(y, idx, d)
 
 
 def _kaczmarz_pass(A, b, x, omega, order):
-    """Project x in place onto the row hyperplanes of A, in the given order."""
-    for i in order:
-        a = A[i]
-        x += omega * (b[i] - a @ x) * a.conj()
+    """Project x in place onto the row hyperplanes of A, in the given order.
+
+    Step k adds omega * (b[i_k] - a_k @ x) * conj(a_k) with the latest x;
+    as in :func:`_sor_pass` each block of steps is one forward
+    substitution, here with the Gram matrix of its rows a_k.
+    """
+    for start in range(0, len(order), SWEEP_BLOCK):
+        idx = order[start:start + SWEEP_BLOCK]
+        rows = A[idx]
+        d = _forward_substitute(omega * (rows @ rows.conj().T), omega * (b[idx] - rows @ x))
+        x += rows.conj().T @ d
 
 
 def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
@@ -126,19 +178,28 @@ def _iterate(M, b, v, error, sweep, config: SolverConfig, strategy: OrderingStra
 
     Each sweep draws its order from the strategy (PCG64 stream seeded with
     ``config.seed``) and runs ``sweep(M, b, v, omega, order)``; the error and
-    the residual ||b - M v|| are recorded before the first and after every sweep.
+    the residual ||b - M v|| are recorded before the first and after every
+    sweep. Raises ValueError once either is NaN or Inf.
     """
     rng = make_rng(config.seed)
-    errors = [error(v)]
-    residuals = [float(np.linalg.norm(b - M @ v))]
+    errors: list[float] = []
+    residuals: list[float] = []
     orders: list[np.ndarray] | None = [] if record_orders else None
-    for _ in range(config.max_sweeps):
+
+    def record(sweep_no):
+        errors.append(error(v))
+        residuals.append(float(np.linalg.norm(b - M @ v)))
+        if not (math.isfinite(errors[-1]) and math.isfinite(residuals[-1])):
+            raise ValueError(f"error is not finite after sweep {sweep_no} "
+                             f"(seed {config.seed})")
+
+    record(0)
+    for sweep_no in range(1, config.max_sweeps + 1):
         order = sweep_order(strategy, M.shape[0], rng)
         sweep(M, b, v, config.omega, order)
         if record_orders:
             orders.append(order)
-        errors.append(error(v))
-        residuals.append(float(np.linalg.norm(b - M @ v)))
+        record(sweep_no)
         if errors[-1] <= config.target_error_sq:
             break
     return IterationHistory(np.array(errors), np.array(residuals), v, orders)
@@ -150,16 +211,18 @@ def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
 
     Stops after ``config.max_sweeps`` sweeps or once the squared energy
     error drops to ``config.target_error_sq``. Sweep orders come from the
-    strategy, fed by a PCG64 stream seeded with ``config.seed``.
+    strategy, fed by a PCG64 stream seeded with ``config.seed``. Raises
+    ValueError on non-finite input or once the error becomes NaN or Inf.
     """
-    B = np.asarray(B)
-    _require_unit_diagonal(B)
+    B = _as_matrix(B)
     n = B.shape[0]
-    b = np.asarray(b)
-    ybar = np.asarray(ybar)
+    if B.shape != (n, n):
+        raise ValueError(f"square matrix expected, got shape {B.shape}")
+    _require_unit_diagonal(B)
+    b = _check_vector(b, n, "b")
+    ybar = _check_vector(ybar, n, "ybar")
+    y0 = _check_vector(y0, n, "y0")
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
-    if y.shape != (n,) or b.shape != (n,) or ybar.shape != (n,):
-        raise ValueError("vector lengths must match the matrix size")
     return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
                     config, strategy, record_orders)
 
@@ -172,8 +235,10 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig, strategy: OrderingStrateg
     histories coincide through x = A* y.
     """
     A = _check_unit_rows(A)
-    b = np.asarray(b)
-    xbar = np.asarray(xbar)
+    m, n = A.shape
+    b = _check_vector(b, m, "b")
+    xbar = _check_vector(xbar, n, "xbar")
+    x0 = _check_vector(x0, n, "x0")
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
     return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_pass,
                     config, strategy, record_orders)

@@ -153,6 +153,51 @@ def test_solve_missing_file_is_runtime_error(tmp_path):
                    "--strategy", "cyclic", "--out", tmp_path / "h.csv") == 1
 
 
+@pytest.fixture()
+def indefinite_dir(tmp_path):
+    """Symmetric, unit diagonal, lowest eigenvalue -0.10; b = ybar = 0."""
+    rng = np.random.default_rng(0)
+    M = rng.uniform(-0.6, 0.6, (6, 6))
+    B = (M + M.T) / 2
+    np.fill_diagonal(B, 1.0)
+    assert np.linalg.eigvalsh(B)[0] < -0.1
+    d = tmp_path / "indef"
+    d.mkdir()
+    write_matrix(d / "B.mtx", B)
+    write_vector(d / "b.mtx", np.zeros(6))
+    write_vector(d / "ybar.mtx", np.zeros(6))
+    write_vector(d / "y0.mtx", rng.standard_normal(6))
+    return d
+
+
+def _system_args(d):
+    return ("--matrix", d / "B.mtx", "--rhs", d / "b.mtx", "--ybar", d / "ybar.mtx")
+
+
+def test_solve_indefinite_matrix_exits_1(indefinite_dir, tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert run_cli("solve", *_system_args(indefinite_dir), "--y0", indefinite_dir / "y0.mtx",
+                   "--strategy", "cyclic", "--out", out) == 1
+    assert "matrix not PSD" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_indefinite_matrix_exits_1(indefinite_dir, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run_cli("compare", *_system_args(indefinite_dir), "--y0", indefinite_dir / "y0.mtx",
+                   "--strategies", "cyclic,shuffled", "--trials", "3", "--out-csv", out) == 1
+    assert "matrix not PSD" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_extra_vector_entries_exit_1(fan_dir, tmp_path, capsys):
+    with open(fan_dir / "b.mtx", "a", encoding="ascii") as fh:
+        fh.write("1.0\n")
+    assert run_cli("solve", *_system_args(fan_dir), "--strategy", "cyclic",
+                   "--out", tmp_path / "h.csv") == 1
+    assert "b.mtx: found more than 8 expected entries" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- compare
 
 def test_compare_summary_and_trial0_matches_solve(fan_dir, tmp_path, capsys):

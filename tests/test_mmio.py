@@ -95,6 +95,16 @@ def test_read_truncated_file_names_file_and_count(tmp_path):
         read_matrix(path)
 
 
+def test_read_extra_entries_names_file_and_count(tmp_path):
+    path = tmp_path / "B.mtx"
+    write_matrix(path, random_psd_unit(3, make_rng(3)))
+    path.write_text(path.read_text() + "0.5\n")
+    with pytest.raises(ValueError, match=r"B\.mtx: found more than 9 expected entries"):
+        read_matrix(path)
+    path.write_text(path.read_text()[:-len("0.5\n")] + "\n  \n")  # blank lines are fine
+    assert read_matrix(path)[0].shape == (3, 3)
+
+
 def test_read_complex_entry_without_imaginary_part(tmp_path):
     path = tmp_path / "v.mtx"
     path.write_text("%%MatrixMarket matrix array complex general\n"

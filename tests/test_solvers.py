@@ -185,6 +185,81 @@ def test_run_kaczmarz_replays_kaczmarz_sweep_bit_for_bit(complex_entries):
         assert np.array_equal(h.final_iterate, x)
 
 
+def _coordinate_sor_sweep(B, b, y, omega, order):
+    """Reference: one scalar coordinate update per index."""
+    y = y.astype(np.result_type(B, b, y))
+    for i in order:
+        y[i] += omega * (b[i] - B[i] @ y)
+    return y
+
+
+def _row_kaczmarz_sweep(A, b, x, omega, order):
+    """Reference: one scalar hyperplane projection per row index."""
+    x = x.astype(np.result_type(A, b, x))
+    for i in order:
+        x += omega * (b[i] - A[i] @ x) * A[i].conj()
+    return x
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_sweeps_match_coordinate_loops(complex_entries):
+    # orders with repeated and missing indices (single-step random) included;
+    # n = 150 spans three blocks of SWEEP_BLOCK = 64 steps
+    rng = make_rng(41)
+    for n in (1, 5, 16, 150):
+        inst = random_factor_problem(n, max(n // 2, 1), complex_entries, rng)
+        y = rng.standard_normal(n)
+        x = inst.A.conj().T @ y
+        for order in (np.arange(n), rng.permutation(n), rng.integers(0, n, size=n)):
+            for omega in (0.4, 1.0, 1.7):
+                ref = _coordinate_sor_sweep(inst.B, inst.b, y, omega, order)
+                assert np.allclose(sor_sweep(inst.B, inst.b, y, omega, order), ref,
+                                   rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
+                ref = _row_kaczmarz_sweep(inst.A, inst.b, x, omega, order)
+                assert np.allclose(kaczmarz_sweep(inst.A, inst.b, x, omega, order), ref,
+                                   rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
+
+
+def test_run_solver_matches_coordinate_loop_over_many_sweeps():
+    inst = random_factor_problem(12, 9, True, make_rng(33))
+    cfg = SolverConfig(omega=1.1, max_sweeps=40, target_error_sq=0.0, seed=7)
+    for strategy in _replay_strategies(12):
+        h = run_solver(inst.B, inst.b, np.zeros(12), inst.ybar, cfg, strategy,
+                       record_orders=True)
+        y = np.zeros(12, dtype=complex)
+        for k, order in enumerate(h.orders, start=1):
+            y = _coordinate_sor_sweep(inst.B, inst.b, y, cfg.omega, order)
+            err = energy_seminorm_sq(inst.B, inst.ybar - y)
+            assert h.errors_sq[k] == pytest.approx(err, rel=1e-9, abs=1e-13 * h.errors_sq[0])
+
+
+def test_run_solver_rejects_non_finite_input():
+    inst = random_factor_problem(4, 4, False, make_rng(2))
+    bad = np.array([0.0, np.nan, 0.0, 0.0])
+    cfg = SolverConfig()
+    for name, args in (("b", (inst.B, bad, np.zeros(4), inst.ybar)),
+                       ("ybar", (inst.B, inst.b, np.zeros(4), bad)),
+                       ("y0", (inst.B, inst.b, np.array([0.0, 0.0, np.inf, 0.0]), inst.ybar))):
+        with pytest.raises(ValueError, match=f"{name} contains NaN or Inf"):
+            run_solver(*args, cfg, cyclic())
+    B = inst.B.copy()
+    B[0, 1] = np.inf
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+        run_solver(B, inst.b, np.zeros(4), inst.ybar, cfg, cyclic())
+    with pytest.raises(ValueError, match=r"b has shape \(3,\), expected \(4,\)"):
+        run_solver(inst.B, inst.b[:3], np.zeros(4), inst.ybar, cfg, cyclic())
+
+
+def test_run_solver_stops_on_non_finite_error():
+    # the natural order converges in one sweep; the reverse order overflows
+    B = np.array([[1.0, 1e150], [1e150, 1.0]])
+    args = (B, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), SolverConfig(max_sweeps=5, seed=3))
+    assert run_solver(*args, cyclic()).errors_sq[-1] == 0.0
+    with pytest.raises(ValueError, match=r"error is not finite after sweep 1 \(seed 3\)"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_solver(*args, fixed([1, 0]))
+
+
 def test_mean_error_curve_pads_with_last_value():
     mean = mean_error_curve([[4.0, 2.0, 1.0], [8.0], [2.0, 0.5]])
     assert np.array_equal(mean, np.array([14.0, 10.5, 9.5]) / 3)
