@@ -29,16 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    eigen_hermitian,
+    _as_square,
+    _reordered_lower,
     hadamard,
     has_unit_diagonal,
     min_index_matrix,
     permute_conjugate,
-    RANK_TOLERANCE,
     spectral_norm,
     spectral_summary,
     strict_lower,
 )
+from .solvers import _error_operators
 
 # Largest n for which all n! permutations are enumerated (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
@@ -51,13 +52,6 @@ _CHUNK = 5040  # enumeration batch size, keeps peak memory modest
 # quantitative paving-partition estimates and are considered pessimistic.
 C1_DEFAULT = 32.42
 C2_DEFAULT = 2907.0
-
-
-def _square_hermitian_input(B):
-    B = np.asarray(B)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("square matrix expected")
-    return B
 
 
 def _nonzero_norm(B) -> float:
@@ -83,11 +77,6 @@ def _perm_batches(n, trials=None, rng=None):
         yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
 
 
-def _reordered_lower(B, perms):
-    """Stack of the strict lower parts L_s of B reordered by each row of perms."""
-    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
-
-
 def _lower_gram_terms(B, perms):
     """Stack of P* L_s L_s* P over the given permutations (original indexing)."""
     Ls = _reordered_lower(B, perms)
@@ -100,11 +89,11 @@ def _lower_gram_terms(B, perms):
 
 def expected_lower_gram_bruteforce(B) -> np.ndarray:
     """Exact average of P* L_s L_s* P over all n! reorderings (n <= 8)."""
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive averaging; use montecarlo")
-    acc = np.zeros((n, n), dtype=np.complex128 if np.iscomplexobj(B) else np.float64)
+    acc = np.zeros((n, n), dtype=B.dtype)
     for perms in _perm_batches(n):
         acc += _lower_gram_terms(B, perms).sum(axis=0)
     return acc / math.factorial(n)
@@ -119,7 +108,7 @@ def expected_lower_gram_closed(B) -> np.ndarray:
     l in {s, t} vanish because diag(H) = 0). Agrees with the exhaustive
     oracle to rounding.
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     H = B - np.diag(np.diag(B))
     H2 = H @ H
     out = H2 / 3.0
@@ -135,7 +124,7 @@ def expected_lower_gram_weighted(B) -> np.ndarray:
     n = 2 the oracle gives diag(0.125, 0.125) for off-diagonal 0.5 while
     this form gives diag(0, 0.125). Provided for comparison reports only.
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     n = B.shape[0]
     H = B - np.diag(np.diag(B))
     return hadamard(min_index_matrix(n), H @ H) / n
@@ -147,12 +136,11 @@ def expected_lower_gram_montecarlo(B, trials: int, rng) -> tuple[np.ndarray, np.
     Returns (mean, standard_error) where the per-entry standard error is
     sample_std / sqrt(trials).
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = B.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(B) else np.float64
-    acc = np.zeros((n, n), dtype=dtype)
+    acc = np.zeros((n, n), dtype=B.dtype)
     acc_sq = np.zeros((n, n))
     for perms in _perm_batches(n, trials, rng):
         T = _lower_gram_terms(B, perms)
@@ -177,12 +165,14 @@ class LowerGramReport:
     h_psd_ok: bool | None     # ||H|| <= max(||B|| - 1, 1) <= ||B||
 
 
-def _is_psd_unit_diagonal(B, tol=RANK_TOLERANCE):
+def _is_psd_unit_diagonal(B):
     if not has_unit_diagonal(B):
         return False
-    w, _ = eigen_hermitian(B)
-    lambda1 = float(w[0])
-    return lambda1 > 0 and float(w[-1]) >= -tol * lambda1
+    try:
+        spectral_summary(B)
+    except ValueError:  # indefinite, or the zero matrix
+        return False
+    return True
 
 
 def check_lower_gram_bounds(B) -> LowerGramReport:
@@ -192,7 +182,7 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
     unit diagonal additionally the strict bound ||E|| < ||B||^2 and
     ||H|| <= max(||B|| - 1, 1).
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     norm_b = spectral_norm(B)
     norm_avg = spectral_norm(expected_lower_gram_closed(B))
     norm_h = spectral_norm(B - np.diag(np.diag(B)))
@@ -217,7 +207,7 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
 
 def truncation_ratio(B, sigma) -> float:
     """||L_sigma|| / ||B||: relative norm of the reordered lower truncation."""
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     norm_b = _nonzero_norm(B)
     return spectral_norm(strict_lower(permute_conjugate(B, sigma))) / norm_b
 
@@ -247,7 +237,7 @@ def _batched_truncation_norms(B, perms):
 
 def min_truncation_exhaustive(B) -> TruncationStats:
     """Exact min/mean/max of the truncation ratio over all n! orderings (n <= 8)."""
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
@@ -289,7 +279,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     scored as one batch. Deterministic given the rng seed. The result is an
     upper bound on the exhaustive minimum.
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n = B.shape[0]
@@ -332,7 +322,7 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     Returns (estimate, standard_error). Empirical data only; no closed form
     or proven bound for this average is implemented.
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = B.shape[0]
@@ -388,7 +378,7 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
     """
     if not 0.0 < omega < 2.0:
         raise ValueError("omega must lie strictly in (0, 2)")
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     if not has_unit_diagonal(B):
         raise ValueError("bounds assume unit diagonal; call rescale_unit_diagonal first")
     s = spectral_summary(B)
@@ -437,15 +427,8 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
 
 
 def _contraction_operator(B, omega, perms):
-    """Average of Q_s* B Q_s over the given permutations (original indexing)."""
-    n = B.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(B) else np.float64
-    eye = np.eye(n, dtype=dtype)
-    Ms = eye + omega * _reordered_lower(B, perms)
-    X = np.linalg.solve(Ms, B[perms])          # (I + w L_s)^{-1} P B
-    inv = np.argsort(perms, axis=1)
-    X = np.take_along_axis(X, inv[:, :, None], axis=1)
-    Q = eye - omega * X
+    """Sum of Q_s* B Q_s over the given permutations (original indexing)."""
+    Q = _error_operators(B, omega, perms)
     return np.matmul(np.conj(np.transpose(Q, (0, 2, 1))), np.matmul(B, Q)).sum(axis=0)
 
 
@@ -455,13 +438,15 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     Averages Q_s* B Q_s over permutations (all n! of them when n <= 8, else
     `trials` Monte Carlo samples) and returns the largest generalized
     Rayleigh quotient <M y, y> / <B y, y> over y outside the kernel of B.
+    B must be PSD with unit diagonal; an indefinite B raises "matrix not PSD".
     """
-    B = _square_hermitian_input(B)
+    B = _as_square(B)
     if not 0.0 < omega < 2.0:
         raise ValueError("omega must lie strictly in (0, 2)")
     if not has_unit_diagonal(B):
         # also rejects the zero matrix, which has no contraction factor
         raise ValueError("unit diagonal required; call rescale_unit_diagonal first")
+    s = spectral_summary(B)  # raises "matrix not PSD" before the averaging
     n = B.shape[0]
 
     if n <= EXHAUSTIVE_LIMIT:
@@ -472,7 +457,7 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
         batches = _perm_batches(n, trials, rng)
-    acc = np.zeros((n, n), dtype=np.complex128 if np.iscomplexobj(B) else np.float64)
+    acc = np.zeros((n, n), dtype=B.dtype)
     count = 0
     for perms in batches:
         acc += _contraction_operator(B, omega, perms)
@@ -480,10 +465,7 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     M = acc / count
     M = (M + M.conj().T) / 2
 
-    w, V = eigen_hermitian(B)
-    lambda1 = float(w[0])
-    r = int(np.sum(w > RANK_TOLERANCE * lambda1))
-    W = V[:, :r] / np.sqrt(w[:r])
+    W = s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank])
     Mr = W.conj().T @ M @ W
     Mr = (Mr + Mr.conj().T) / 2
     return float(np.linalg.eigvalsh(Mr)[-1])

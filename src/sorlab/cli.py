@@ -156,13 +156,19 @@ def _load_system(args, parser):
     return B, b, ybar, y0
 
 
-def _parse_strategies(text, parser):
+def _parse_strategies(text, args, parser):
+    """Strategy kinds in text, deduplicated; every usage error about them
+    (exit 2) is raised here, before any file is read."""
     names = []
     for tok in text.split(","):
         tok = tok.strip().lower()
         if tok not in _STRATEGY_ALIASES:
             parser.error(f"unknown strategy {tok!r}; choose from {', '.join(sorted(set(_STRATEGY_ALIASES)))}")
         kind = _STRATEGY_ALIASES[tok]
+        if kind == "fixed" and not args.sigma:
+            parser.error("strategy 'fixed' requires --sigma")
+        if kind == "preshuffled" and not args.sigma and args.seed is None:
+            parser.error("strategy 'preshuffled' requires --sigma or an explicit --seed")
         if kind not in names:
             names.append(kind)
     if not names:
@@ -170,25 +176,19 @@ def _parse_strategies(text, parser):
     return names
 
 
-def _trial_strategy(kind, n, sigma, base_seed, trial, parser, seed_given):
+def _trial_strategy(kind, n, sigma, base_seed, trial):
     """Ordering strategy for one trial; preshuffled draws its one-time
     permutation from a derived stream unless --sigma pinned it."""
-    if kind == "fixed":
-        if sigma is None:
-            parser.error("strategy 'fixed' requires --sigma")
+    if sigma is not None and kind in ("fixed", "preshuffled"):
         return fixed(sigma)
     if kind == "preshuffled":
-        if sigma is not None:
-            return fixed(sigma)
-        if not seed_given:
-            parser.error("strategy 'preshuffled' requires --sigma or an explicit --seed")
         return preshuffled(n, derived_rng(base_seed, _SEED_INDEX.index(kind), trial,
                                           _NS_PRESHUFFLE))
     return OrderingStrategy(kind)
 
 
-def _run_one(B, b, ybar, y0, kind, sigma, base_seed, trial, args, parser, seed_given):
-    strategy = _trial_strategy(kind, B.shape[0], sigma, base_seed, trial, parser, seed_given)
+def _run_one(B, b, ybar, y0, kind, sigma, base_seed, trial, args):
+    strategy = _trial_strategy(kind, B.shape[0], sigma, base_seed, trial)
     config = SolverConfig(
         omega=args.omega,
         max_sweeps=args.sweeps,
@@ -207,13 +207,12 @@ def cmd_solve(args, parser) -> int:
     _check_omega(args, parser)
     if args.sweeps < 1:
         parser.error("--sweeps must be >= 1")
-    kind = _parse_strategies(args.strategy, parser)[0]
+    kind = _parse_strategies(args.strategy, args, parser)[0]
     seed = args.seed if args.seed is not None else 0
     B, b, ybar, y0 = _load_system(args, parser)
     spectral_summary(B)  # raises "matrix not PSD" before the trial runs
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
-    history = _run_one(B, b, ybar, y0, kind, sigma, seed, 0, args, parser,
-                       seed_given=args.seed is not None)
+    history = _run_one(B, b, ybar, y0, kind, sigma, seed, 0, args)
     write_history_csv(args.out, _history_rows(kind, 0, history))
     window = min(args.rate_window, history.sweeps - 1)
     rate = empirical_rate(history, window) if window >= 1 else 0.0
@@ -248,7 +247,7 @@ def cmd_compare(args, parser) -> int:
         parser.error("--trials must be >= 1")
     if args.sweeps < 1:
         parser.error("--sweeps must be >= 1")
-    kinds = _parse_strategies(args.strategies, parser)
+    kinds = _parse_strategies(args.strategies, args, parser)
     seed = args.seed if args.seed is not None else 0
     B, b, ybar, y0 = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
@@ -259,8 +258,7 @@ def cmd_compare(args, parser) -> int:
     histories: dict[str, list[IterationHistory]] = {k: [] for k in kinds}
     for kind in kinds:
         for trial in range(args.trials):
-            history = _run_one(B, b, ybar, y0, kind, sigma, seed, trial, args, parser,
-                               seed_given=args.seed is not None)
+            history = _run_one(B, b, ybar, y0, kind, sigma, seed, trial, args)
             histories[kind].append(history)
             rows.extend(_history_rows(kind, trial, history))
     write_history_csv(args.out_csv, rows)
@@ -314,7 +312,7 @@ def cmd_analyze(args, parser) -> int:
         print(f"kappa_bar: {_fmt_float(s.kappa_bar)}")
     except ValueError:
         print(f"spectral_norm: {_fmt_float(max(abs(w[0]), abs(w[-1])))}")
-        print("rank: n/a (matrix not PSD)")
+        print("rank: 0" if not B.any() else "rank: n/a (matrix not PSD)")
 
     if not B.any():
         print("truncation: zero matrix, all ratios 0")

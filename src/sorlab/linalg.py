@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Numerical rank cutoff, relative to the largest eigenvalue.
+# Numerical rank cutoff, relative to the largest eigenvalue; used only by
+# spectral_summary, which every rank, PSD and range decision goes through.
 RANK_TOLERANCE = 1e-10
+
+EIGEN_RECONSTRUCT_TOL = 1e-10  # relative Frobenius error of eigen_hermitian
 
 # Inputs whose anti-Hermitian part exceeds this (relative, Frobenius) are
 # rejected rather than silently symmetrized.
@@ -22,17 +25,21 @@ HERMITIAN_REJECT_TOL = 1e-8
 
 UNIT_DIAGONAL_TOL = 1e-12
 
+ENERGY_NEGATIVE_TOL = 1e-10  # rounding allowance of energy_seminorm_sq, times tr(B) ||y||^2
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalue summary of a PSD Hermitian matrix.
 
-    ``rank`` counts eigenvalues above ``rank_tolerance * lambda1``;
+    ``rank`` counts eigenvalues above ``RANK_TOLERANCE * lambda1``;
     ``kappa_bar`` is the essential condition number lambda1 / lambda_r,
-    the ratio of the extreme *nonzero* eigenvalues.
+    the ratio of the extreme *nonzero* eigenvalues. The first ``rank``
+    columns of ``eigenvectors`` span the range of B.
     """
 
     eigenvalues: np.ndarray  # sorted non-increasing
+    eigenvectors: np.ndarray  # unitary, column k belongs to eigenvalues[k]
     lambda1: float
     lambda_r: float
     rank: int
@@ -51,18 +58,24 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
-def hermitian(M, tol: float = HERMITIAN_REJECT_TOL) -> np.ndarray:
-    """Return the exactly Hermitian matrix (M + M*) / 2.
-
-    The averaged form has exact conjugate symmetry and an exactly real
-    diagonal in IEEE arithmetic. Inputs with ``||M - M*||_F > tol ||M||_F``
-    are rejected as not Hermitian.
-    """
+def _as_square(M):
+    """``_as_matrix`` for an n x n matrix."""
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix expected")
+    return M
+
+
+def hermitian(M) -> np.ndarray:
+    """Return the exactly Hermitian matrix (M + M*) / 2.
+
+    The averaged form has exact conjugate symmetry and an exactly real
+    diagonal in IEEE arithmetic. Inputs farther than HERMITIAN_REJECT_TOL
+    (relative, Frobenius) from Hermitian are rejected.
+    """
+    M = _as_square(M)
     norm_f = np.linalg.norm(M)
-    if np.linalg.norm(M - M.conj().T) > tol * norm_f:
+    if np.linalg.norm(M - M.conj().T) > HERMITIAN_REJECT_TOL * norm_f:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (M + M.conj().T) / 2
 
@@ -110,6 +123,11 @@ def strict_lower(B) -> np.ndarray:
     return np.tril(_as_matrix(B), -1)
 
 
+def _reordered_lower(B, perms):
+    """Stack of the strict lower parts L_s of B reordered by each row of perms."""
+    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+
+
 def permute_conjugate(B, sigma) -> np.ndarray:
     """Simultaneous row/column reordering: out[i, j] = B[sigma[i], sigma[j]].
 
@@ -145,16 +163,14 @@ def min_index_matrix(n: int) -> np.ndarray:
     return np.minimum.outer(idx, idx).astype(np.float64)
 
 
-def eigen_hermitian(B, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigen_hermitian(B) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with unitary eigenvector columns.
     Raises if the decomposition fails or does not reconstruct B to
-    ``tol * ||B||_F`` in Frobenius norm.
+    ``EIGEN_RECONSTRUCT_TOL * ||B||_F`` in Frobenius norm.
     """
-    B = _as_matrix(B)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    B = _as_square(B)
     try:
         w, V = np.linalg.eigh(B)
     except np.linalg.LinAlgError as exc:
@@ -162,7 +178,7 @@ def eigen_hermitian(B, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     w = w[::-1]
     V = V[:, ::-1]
     recon = (V * w) @ V.conj().T
-    if np.linalg.norm(B - recon) > tol * max(np.linalg.norm(B), 1e-300):
+    if np.linalg.norm(B - recon) > EIGEN_RECONSTRUCT_TOL * max(np.linalg.norm(B), 1e-300):
         raise RuntimeError("eigensolver did not converge")
     return w, V
 
@@ -175,22 +191,21 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(M, ord=2))
 
 
-def spectral_summary(B, rank_tolerance: float = RANK_TOLERANCE) -> SpectralSummary:
-    """Spectral summary (lambda1, lambda_r, rank, kappa_bar) of PSD B."""
-    if not 0 < rank_tolerance < 1:
-        raise ValueError("rank_tolerance must be in (0, 1)")
-    w, _ = eigen_hermitian(B)
+def spectral_summary(B) -> SpectralSummary:
+    """Spectral summary of PSD B; raises ValueError if B is indefinite or zero."""
+    w, V = eigen_hermitian(B)
     lambda1 = float(w[0])
     if lambda1 <= 0:
         if np.allclose(w, 0):
             raise ValueError("zero matrix has no nonzero eigenvalues")
         raise ValueError("matrix not PSD")
-    if w[-1] < -rank_tolerance * lambda1:
+    if w[-1] < -RANK_TOLERANCE * lambda1:
         raise ValueError("matrix not PSD")
-    rank = int(np.sum(w > rank_tolerance * lambda1))
+    rank = int(np.sum(w > RANK_TOLERANCE * lambda1))
     lambda_r = float(w[rank - 1])
     return SpectralSummary(
         eigenvalues=w,
+        eigenvectors=V,
         lambda1=lambda1,
         lambda_r=lambda_r,
         rank=rank,
@@ -203,17 +218,20 @@ def energy_seminorm_sq(B, y) -> float:
     """Squared energy semi-norm Re<By, y>, clamped at zero.
 
     For B = A A* this equals ||A* y||^2; it is a norm squared exactly when
-    B is positive definite.
+    B is positive definite. Only rounding is clamped: a value below
+    -ENERGY_NEGATIVE_TOL tr(B) ||y||^2 raises ValueError("matrix not PSD").
     """
     B = _as_matrix(B)
     y = np.asarray(y)
     if y.shape != (B.shape[0],):
         raise ValueError("vector length does not match matrix size")
     val = float(np.vdot(y, B @ y).real)
+    if val < 0 and val < -ENERGY_NEGATIVE_TOL * B.trace().real * np.vdot(y, y).real:
+        raise ValueError(f"matrix not PSD: Re<By, y> = {val!r} is below rounding level")
     return max(val, 0.0)
 
 
-def has_unit_diagonal(B, tol: float = UNIT_DIAGONAL_TOL) -> bool:
+def has_unit_diagonal(B) -> bool:
     B = np.asarray(B)
     d = B.diagonal()
-    return bool(np.max(np.abs(d - 1.0)) <= tol) if d.size else True
+    return bool(np.max(np.abs(d - 1.0)) <= UNIT_DIAGONAL_TOL) if d.size else True

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOLERANCE, eigen_hermitian, hermitian_from_factor
+from .linalg import hermitian_from_factor, spectral_summary
+
+# consistency_check accepts a residual outside Ran(B) up to this times ||b||.
+CONSISTENCY_TOL = 1e-10
 
 
 @dataclass
@@ -130,23 +133,20 @@ def plant_solution(B, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     return B @ ybar, ybar
 
 
-def consistency_check(B, b, tol: float = 1e-10) -> bool:
-    """True iff b lies in the range of B up to tol * ||b||.
+def consistency_check(B, b) -> bool:
+    """True iff b lies in the range of PSD B up to CONSISTENCY_TOL * ||b||.
 
-    The range projector is assembled from eigenvectors with eigenvalue above
-    the rank tolerance; a zero b is always consistent.
+    The range projector is assembled from the first ``rank`` eigenvectors of
+    :func:`spectral_summary`, so an indefinite B raises "matrix not PSD".
+    A zero b is always consistent; a zero B with b != 0 never is.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    B = np.asarray(B)
     b = np.asarray(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return True
-    w, V = eigen_hermitian(B)
-    lambda1 = max(float(w[0]), 0.0)
-    if lambda1 == 0:
+    if not np.any(B):
         return False  # zero range
-    Vr = V[:, w > RANK_TOLERANCE * lambda1]
+    s = spectral_summary(B)
+    Vr = s.eigenvectors[:, :s.rank]
     resid = b - Vr @ (Vr.conj().T @ b)
-    return bool(np.linalg.norm(resid) <= tol * bnorm)
+    return bool(np.linalg.norm(resid) <= CONSISTENCY_TOL * bnorm)

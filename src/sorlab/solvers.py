@@ -9,8 +9,8 @@ block is one gather of rows, one matrix-vector product, one LAPACK forward
 substitution and one scatter-add, and the pass gives the
 coordinate-by-coordinate result up to rounding. For the natural order this
 is the classical forward-substitution form of one SOR step; the full error
-propagation matrix exists only in
-:func:`error_iteration_matrix` for analysis.
+propagation matrices exist only in :func:`_error_operators` (behind
+:func:`error_iteration_matrix` and the analysis module) for analysis.
 
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
 trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
@@ -27,16 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs, ztrtrs
 
-from .linalg import (
-    _as_matrix,
-    energy_seminorm_sq,
-    has_unit_diagonal,
-    permute_conjugate,
-    strict_lower,
-)
+from .linalg import _as_matrix, _as_square, _reordered_lower, energy_seminorm_sq, has_unit_diagonal
 from .orderings import OrderingStrategy, make_rng, sweep_order
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
@@ -214,10 +207,8 @@ def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
     strategy, fed by a PCG64 stream seeded with ``config.seed``. Raises
     ValueError on non-finite input or once the error becomes NaN or Inf.
     """
-    B = _as_matrix(B)
+    B = _as_square(B)
     n = B.shape[0]
-    if B.shape != (n, n):
-        raise ValueError(f"square matrix expected, got shape {B.shape}")
     _require_unit_diagonal(B)
     b = _check_vector(b, n, "b")
     ybar = _check_vector(ybar, n, "ybar")
@@ -259,6 +250,15 @@ def mean_error_curve(curves) -> np.ndarray:
     return acc / len(curves)
 
 
+def _error_operators(B, omega, perms):
+    """Stack of the one-sweep error maps Q_s (see :func:`error_iteration_matrix`),
+    one per row s of perms; B is a float64 or complex128 n x n array."""
+    eye = np.eye(B.shape[0], dtype=B.dtype)
+    X = np.linalg.solve(eye + omega * _reordered_lower(B, perms), B[perms])  # (I + w L_s)^{-1} P B
+    inv = np.argsort(perms, axis=1)
+    return eye - omega * np.take_along_axis(X, inv[:, :, None], axis=1)
+
+
 def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:
     """Error propagation matrix of one sweep in the order sigma.
 
@@ -267,18 +267,12 @@ def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:
     and P the permutation matrix of sigma. One sweep with b = 0 multiplies
     the iterate by Q.
     """
-    B = np.asarray(B)
+    B = _as_square(B)
     _require_unit_diagonal(B)
     if not 0.0 < omega < 2.0:
         raise ValueError("omega must lie strictly in (0, 2)")
-    sigma = np.asarray(sigma, dtype=np.intp)
-    n = B.shape[0]
-    Bs = permute_conjugate(B, sigma)
-    Ls = strict_lower(Bs)
-    M = np.eye(n, dtype=Ls.dtype) + omega * Ls  # unit lower triangular
-    X = solve_triangular(M, B[sigma, :], lower=True, unit_diagonal=True)
-    inv = np.argsort(sigma)
-    return np.eye(n, dtype=X.dtype) - omega * X[inv, :]
+    sigma = _check_order(sigma, B.shape[0])
+    return _error_operators(B, omega, sigma[None, :])[0]
 
 
 def empirical_rate(history, window: int = 10) -> float:

@@ -16,6 +16,9 @@ WIDTH, HEIGHT = 960, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 78, 24, 30, 56
 N_YTICKS = 10
 
+XLABEL = "sweep"
+YLABEL = "squared energy error"
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"]
 
 _FLOOR_EXP = -320  # everything positive representable lies above this
@@ -72,8 +75,7 @@ def _polyline(canvas, ys, color, width, opacity=None):
             f'points="{pts}"/>')
 
 
-def render_semilog(series, title: str = "", xlabel: str = "sweep",
-                   ylabel: str = "squared energy error", per_trial=None) -> str:
+def render_semilog(series, title: str = "", per_trial=None) -> str:
     """Render mean convergence curves (and optional faint per-trial curves).
 
     ``series`` is an ordered list of (label, values) pairs, values indexed
@@ -118,9 +120,9 @@ def render_semilog(series, title: str = "", xlabel: str = "sweep",
     parts.append(f'<line x1="{cv.x0}" y1="{cv.y0}" x2="{cv.x0}" y2="{cv.y1}" '
                  f'stroke="black" stroke-width="1.5"/>')
     parts.append(f'<text x="{(cv.x0 + cv.x1) // 2}" y="{HEIGHT - 14}" {font} '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">{XLABEL}</text>')
     parts.append(f'<text x="16" y="{(cv.y0 + cv.y1) // 2}" {font} text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(cv.y0 + cv.y1) // 2})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {(cv.y0 + cv.y1) // 2})">{YLABEL}</text>')
     if title:
         parts.append(f'<text x="{(cv.x0 + cv.x1) // 2}" y="18" {font} '
                      f'text-anchor="middle">{title}</text>')

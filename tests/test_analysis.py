@@ -363,6 +363,36 @@ def test_contraction_operator_sampling_agrees_with_exact():
     assert np.max(np.abs(exact - approx)) <= 0.01
 
 
+def test_contraction_operator_sums_error_matrices():
+    # the averaged operator is built from the same Q_sigma as error_iteration_matrix
+    from sorlab import error_iteration_matrix
+    from sorlab.analysis import _contraction_operator
+
+    rng = make_rng(92)
+    B = random_psd_unit(6, rng, complex_entries=True)
+    perms = np.array([rng.permutation(6) for _ in range(5)], dtype=np.intp)
+    Qs = [error_iteration_matrix(B, 0.7, p) for p in perms]
+    expected = sum(Q.conj().T @ B @ Q for Q in Qs)
+    assert np.allclose(_contraction_operator(B, 0.7, perms), expected, atol=1e-12)
+
+
+def test_expected_contraction_rejects_indefinite_matrix():
+    B = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with pytest.raises(ValueError, match="matrix not PSD"):
+        expected_contraction(B, 1.0)
+
+
+def test_analysis_rejects_non_finite_input():
+    B = np.eye(3)
+    B[0, 2] = B[2, 0] = np.nan
+    for fn in (expected_lower_gram_closed, expected_lower_gram_weighted,
+               expected_lower_gram_bruteforce):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fn(B)
+    with pytest.raises(ValueError, match="square matrix expected"):
+        expected_lower_gram_closed(np.ones((2, 3)))
+
+
 def test_expected_contraction_zero_matrix_guard():
     with pytest.raises(ValueError):
         expected_contraction(np.zeros((3, 3)), 1.0)

@@ -83,7 +83,7 @@ def test_solve_fan_cyclic_rate(fan_dir, tmp_path, capsys):
     assert rate == pytest.approx(np.cos(np.pi / 8) ** 16, rel=1e-3)
     rows = read_history_csv(out)
     assert len(rows) == 21
-    assert open(out).readline().strip() == CSV_HEADER
+    assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
 def test_solve_identity_converges_at_first_sweep(identity_dir, tmp_path):
@@ -113,6 +113,22 @@ def test_solve_fixed_requires_sigma(fan_dir, tmp_path):
                 "--ybar", fan_dir / "ybar.mtx", "--strategy", "fixed",
                 "--out", tmp_path / "h.csv")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--strategy", "fixed", "--out"),
+    ("solve", "--strategy", "preshuffled", "--out"),
+    ("compare", "--strategies", "cyclic,fixed", "--out-csv"),
+    ("compare", "--strategies", "shuffled,preshuffled", "--out-csv"),
+])
+def test_strategy_usage_errors_come_before_reading_files(tmp_path, args):
+    missing = tmp_path / "missing.mtx"
+    *head, out_flag = args
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*head, "--matrix", missing, "--rhs", missing, "--ybar", missing,
+                out_flag, tmp_path / "h.csv")
+    assert exc.value.code == 2
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_solve_inconsistent_system(tmp_path):
@@ -255,6 +271,29 @@ def test_analyze_identity(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "truncation: zero matrix, all ratios 0" in out or "truncation_ratio_min: 0.0" in out
     assert "avg_lower_gram_norm: 0.0" in out
+
+
+def test_analyze_zero_matrix_has_rank_0(tmp_path, capsys):
+    write_matrix(tmp_path / "Z.mtx", np.zeros((3, 3)))
+    assert run_cli("analyze", "--matrix", tmp_path / "Z.mtx") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "rank: 0" in out and "spectral_norm: 0.0" in out
+    assert not any("not PSD" in line for line in out)
+
+
+def test_compare_indefinite_consistent_rhs_reports_not_psd(tmp_path, capsys):
+    # b = B ybar lies in Ran(B); the error names the indefinite matrix, not the rhs
+    rng = np.random.default_rng(1)
+    M = rng.uniform(-0.9, 0.9, (6, 6))
+    B = (M + M.T) / 2
+    np.fill_diagonal(B, 1.0)
+    assert np.linalg.eigvalsh(B)[0] < -0.2
+    write_matrix(tmp_path / "B.mtx", B)
+    write_vector(tmp_path / "b.mtx", B @ rng.standard_normal(6))
+    write_vector(tmp_path / "ybar.mtx", np.zeros(6))
+    assert run_cli("compare", *_system_args(tmp_path), "--strategies", "cyclic",
+                   "--out-csv", tmp_path / "c.csv") == 1
+    assert capsys.readouterr().err == "error: matrix not PSD\n"
 
 
 def test_analyze_truncated_matrix_exits_1(fan_dir, capsys):

@@ -256,6 +256,23 @@ def test_spectral_summary_rejects_indefinite():
         spectral_summary(np.diag([1.0, -1.0]))
 
 
+def test_spectral_summary_eigenvectors_span_range():
+    B = fan_problem(3).B
+    s = spectral_summary(B)
+    V = s.eigenvectors
+    assert np.allclose(V.conj().T @ V, np.eye(6), atol=1e-12)
+    assert np.allclose((V * s.eigenvalues) @ V.conj().T, B, atol=1e-12)
+    Vr = V[:, :s.rank]
+    assert np.allclose(Vr @ (Vr.conj().T @ B), B, atol=1e-12)
+
+
+def test_square_inputs_checked_once():
+    with pytest.raises(ValueError, match="square matrix expected"):
+        eigen_hermitian(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square matrix expected"):
+        hermitian(np.ones((2, 3)))
+
+
 @given(n=st.integers(2, 12), seed=st.integers(0, 10**6), cplx=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_unit_diagonal_spectrum_bounds(n, seed, cplx):
@@ -274,6 +291,20 @@ def test_energy_seminorm_cases():
     assert energy_seminorm_sq(ones, np.array([1.0, 1.0])) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         energy_seminorm_sq(np.eye(2), np.ones(3))
+
+
+def test_energy_seminorm_rejects_indefinite_matrix():
+    B = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])  # lowest eigenvalue -0.8
+    with pytest.raises(ValueError, match="matrix not PSD"):
+        energy_seminorm_sq(B, np.array([1.0, -1.0, -1.0]))
+    # negatives at rounding level, as for kernel vectors of the fan matrix, clamp to zero
+    B = fan_problem(4).B
+    w, V = eigen_hermitian(B)
+    kernel = V[:, 2:] @ np.random.default_rng(0).standard_normal((6, 100))
+    raw = [float(np.vdot(y, B @ y).real) for y in kernel.T]
+    assert min(raw) < 0
+    for y, val in zip(kernel.T, raw):
+        assert energy_seminorm_sq(B, y) == max(val, 0.0)
 
 
 @given(n=st.integers(1, 8), m=st.integers(1, 8), seed=st.integers(0, 10**6), cplx=st.booleans())

@@ -13,7 +13,7 @@ def test_real_general_round_trip_exact(tmp_path):
     write_matrix(path, M)
     back, _ = read_matrix(path)
     assert np.array_equal(back, M)
-    assert open(path).readline().strip() == "%%MatrixMarket matrix array real general"
+    assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix array real general"
 
 
 def test_complex_hermitian_round_trip_exact(tmp_path):
@@ -23,7 +23,7 @@ def test_complex_hermitian_round_trip_exact(tmp_path):
     back, comments = read_matrix(path)
     assert np.array_equal(back, B)
     assert comments == ["meta kind: test"]
-    assert open(path).readline().strip() == "%%MatrixMarket matrix array complex hermitian"
+    assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix array complex hermitian"
 
 
 def test_complex_general_rectangular(tmp_path):
@@ -33,7 +33,7 @@ def test_complex_general_rectangular(tmp_path):
     write_matrix(path, A)
     back, _ = read_matrix(path)
     assert np.array_equal(back, A)
-    assert "complex general" in open(path).readline()
+    assert "complex general" in path.read_text().splitlines()[0]
 
 
 def test_vector_round_trip(tmp_path):

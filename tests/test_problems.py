@@ -127,5 +127,16 @@ def test_consistency_check_cases():
     y = rng.standard_normal(2)
     assert consistency_check(ones, ones @ y)
     assert consistency_check(ones, np.zeros(2))
-    with pytest.raises(ValueError):
-        consistency_check(np.eye(2), np.ones(2), tol=0.0)
+    assert not consistency_check(np.zeros((2, 2)), np.ones(2))  # zero range
+
+
+def test_consistency_check_rejects_indefinite_matrix():
+    # b = B ybar lies in Ran(B), but the projector of the positive part alone
+    # used to call it inconsistent; an indefinite B is now reported as such
+    rng = make_rng(1)
+    M = rng.uniform(-0.9, 0.9, (6, 6))
+    B = (M + M.T) / 2
+    np.fill_diagonal(B, 1.0)
+    assert np.linalg.eigvalsh(B)[0] < -0.1
+    with pytest.raises(ValueError, match="matrix not PSD"):
+        consistency_check(B, B @ rng.standard_normal(6))

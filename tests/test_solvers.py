@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sorlab import (
+    OrderingStrategy,
     SolverConfig,
     cyclic,
     derive_seed,
@@ -260,6 +261,18 @@ def test_run_solver_stops_on_non_finite_error():
         run_solver(*args, fixed([1, 0]))
 
 
+def test_run_solver_rejects_indefinite_matrix():
+    # the unit-diagonal matrix of the CLI's indefinite fixture (lowest
+    # eigenvalue -0.10): the energy error turns negative after one sweep
+    rng = np.random.default_rng(0)
+    M = rng.uniform(-0.6, 0.6, (6, 6))
+    B = (M + M.T) / 2
+    np.fill_diagonal(B, 1.0)
+    y0 = rng.standard_normal(6)
+    with pytest.raises(ValueError, match="matrix not PSD"):
+        run_solver(B, np.zeros(6), y0, np.zeros(6), SolverConfig(), cyclic())
+
+
 def test_mean_error_curve_pads_with_last_value():
     mean = mean_error_curve([[4.0, 2.0, 1.0], [8.0], [2.0, 0.5]])
     assert np.array_equal(mean, np.array([14.0, 10.5, 9.5]) / 3)
@@ -381,6 +394,43 @@ def test_error_matrix_agrees_with_sweep():
     y = rng.standard_normal(7)
     swept = sor_sweep(B, np.zeros(7), y, omega, sigma)
     assert np.allclose(swept, Q @ y, atol=1e-12)
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 10**6), cplx=st.booleans(),
+       omega=st.floats(0.05, 1.95))
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_error_matrix_property(n, seed, cplx, omega):
+    # one projection sweep with b = 0 is multiplication by Q_sigma
+    B = random_psd_unit(n, np.random.default_rng(seed), cplx)
+    rng = np.random.default_rng(seed + 1)
+    sigma = rng.permutation(n)
+    y = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0)
+    swept = sor_sweep(B, np.zeros(n), y, omega, sigma)
+    Q = error_iteration_matrix(B, omega, sigma)
+    assert np.allclose(swept, Q @ y, rtol=1e-10, atol=1e-10 * np.linalg.norm(y))
+
+
+@given(n=st.integers(1, 10), m=st.integers(1, 6), seed=st.integers(0, 10**6),
+       cplx=st.booleans(), omega=st.floats(0.05, 1.95),
+       kind=st.sampled_from(["cyclic", "shuffled", "single_step_random", "fixed"]))
+@settings(max_examples=40, deadline=None)
+def test_kaczmarz_equals_sor_through_factor_property(n, m, seed, cplx, omega, kind):
+    # x = A* y: Kaczmarz on A x = b and SOR on A A* y = b give the same errors
+    inst = random_factor_problem(n, m, cplx, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    strategy = fixed(rng.permutation(n)) if kind == "fixed" else OrderingStrategy(kind)
+    y0 = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0)
+    cfg = SolverConfig(omega=omega, max_sweeps=8, target_error_sq=0.0, seed=seed)
+    hy = run_solver(inst.B, inst.b, y0, inst.ybar, cfg, strategy)
+    hx = run_kaczmarz(inst.A, inst.b, inst.A.conj().T @ y0, inst.xbar, cfg, strategy)
+    scale = hy.errors_sq[0] + 1.0
+    k = min(len(hy.errors_sq), len(hx.errors_sq))
+    assert np.allclose(hy.errors_sq[:k], hx.errors_sq[:k], rtol=1e-8, atol=1e-10 * scale)
+    if hy.sweeps == hx.sweeps:
+        assert np.allclose(inst.A.conj().T @ hy.final_iterate, hx.final_iterate,
+                           rtol=1e-8, atol=1e-8 * np.sqrt(scale))
+    else:  # one run stopped early because its error rounded to exactly 0
+        assert max(hy.errors_sq[k - 1:].max(), hx.errors_sq[k - 1:].max()) <= 1e-10 * scale
 
 
 def test_error_matrix_validates():
