@@ -39,7 +39,7 @@ from .linalg import (
     spectral_summary,
     strict_lower,
 )
-from .solvers import _error_operators
+from .solvers import _check_omega, _error_operators
 
 # Largest n for which all n! permutations are enumerated (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
@@ -376,8 +376,7 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
     rate_shuffled      : 1 - w (2-w) L1 / ((1 + w L1)^2 kbar)
     rate_preshuffled   : 1 - w (2-w) L1 / ((1 + c1 w L1)^2 kbar)
     """
-    if not 0.0 < omega < 2.0:
-        raise ValueError("omega must lie strictly in (0, 2)")
+    _check_omega(omega)
     B = _as_square(B)
     if not has_unit_diagonal(B):
         raise ValueError("bounds assume unit diagonal; call rescale_unit_diagonal first")
@@ -441,8 +440,7 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     B must be PSD with unit diagonal; an indefinite B raises "matrix not PSD".
     """
     B = _as_square(B)
-    if not 0.0 < omega < 2.0:
-        raise ValueError("omega must lie strictly in (0, 2)")
+    _check_omega(omega)
     if not has_unit_diagonal(B):
         # also rejects the zero matrix, which has no contraction factor
         raise ValueError("unit diagonal required; call rescale_unit_diagonal first")

@@ -60,6 +60,22 @@ def _fmt_float(v) -> str:
     return repr(float(v))
 
 
+def _emit(report) -> None:
+    """Print a summary as ``key: value`` lines in insertion order.
+
+    Floats print as their repr (an exact round-trip), bools as true/false,
+    ints and strings as they are; entries whose value is None are left out.
+    """
+    for key, value in report.items():
+        if value is None:
+            continue
+        if isinstance(value, (bool, np.bool_)):
+            value = "true" if value else "false"
+        elif isinstance(value, (float, np.floating)):
+            value = _fmt_float(value)
+        print(f"{key}: {value}")
+
+
 # ---------------------------------------------------------------- CSV I/O
 
 def write_history_csv(path, rows) -> None:
@@ -216,29 +232,19 @@ def cmd_solve(args, parser) -> int:
     write_history_csv(args.out, _history_rows(kind, 0, history))
     window = min(args.rate_window, history.sweeps - 1)
     rate = empirical_rate(history, window) if window >= 1 else 0.0
-    print(f"strategy: {kind}")
-    print(f"sweeps: {history.sweeps}")
-    print(f"final_error_sq: {_fmt_float(history.errors_sq[-1])}")
-    print(f"empirical_rate: {_fmt_float(rate)}")
-    print(f"csv: {args.out}")
+    _emit({"strategy": kind, "sweeps": history.sweeps, "final_error_sq": history.errors_sq[-1],
+           "empirical_rate": rate, "csv": args.out})
     return 0
 
 
-def _print_bounds(report: analysis.RateBounds) -> None:
-    print(f"n: {report.n}")
-    print(f"lambda1: {_fmt_float(report.lambda1)}")
-    print(f"kappa_bar: {_fmt_float(report.kappa_bar)}")
-    print(f"rank: {report.rank}")
-    print(f"omega: {_fmt_float(report.omega)}")
-    print(f"rate_cyclic: {_fmt_float(report.rate_cyclic)}")
-    if report.rate_cyclic_lowrank is not None:
-        print(f"rate_cyclic_lowrank: {_fmt_float(report.rate_cyclic_lowrank)}")
-        print(f"c0: {_fmt_float(report.c0)}")
-    print(f"rate_single_step_sweep: {_fmt_float(report.rate_single_step_sweep)}")
-    print(f"rate_shuffled: {_fmt_float(report.rate_shuffled)}")
-    print(f"rate_preshuffled: {_fmt_float(report.rate_preshuffled)}")
-    print(f"c1: {_fmt_float(report.c1)}")
-    print(f"c2: {_fmt_float(report.c2)}")
+# RateBounds fields in summary order; rate_cyclic_lowrank and c0 are None without --c0
+_BOUNDS_KEYS = ("n", "lambda1", "kappa_bar", "rank", "omega", "rate_cyclic",
+                "rate_cyclic_lowrank", "c0", "rate_single_step_sweep", "rate_shuffled",
+                "rate_preshuffled", "c1", "c2")
+
+
+def _bounds_report(bounds: analysis.RateBounds) -> dict:
+    return {key: getattr(bounds, key) for key in _BOUNDS_KEYS}
 
 
 def cmd_compare(args, parser) -> int:
@@ -252,7 +258,7 @@ def cmd_compare(args, parser) -> int:
     B, b, ybar, y0 = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     # raises "matrix not PSD" (or on bad c0/c1) before any trial runs
-    report = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
+    bounds = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
 
     rows = []
     histories: dict[str, list[IterationHistory]] = {k: [] for k in kinds}
@@ -263,24 +269,14 @@ def cmd_compare(args, parser) -> int:
             rows.extend(_history_rows(kind, trial, history))
     write_history_csv(args.out_csv, rows)
 
-    _print_bounds(report)
-    print(f"trials: {args.trials}")
-
+    summary = _bounds_report(bounds) | {"trials": args.trials}
     mean_curves = []
     for kind in kinds:
         mean = mean_error_curve(h.errors_sq for h in histories[kind])
         mean_curves.append((kind, mean))
         window = min(args.rate_window, len(mean) - 2)
-        rate = empirical_rate(mean, window) if window >= 1 else 0.0
-        print(f"empirical_rate[{kind}]: {_fmt_float(rate)}")
-        print(f"final_mean_error_sq[{kind}]: {_fmt_float(mean[-1])}")
-
-    print("mean_error_sq per sweep:")
-    print("sweep," + ",".join(kinds))
-    length = max(len(m) for _, m in mean_curves)
-    for k in range(length):
-        vals = [_fmt_float(m[min(k, len(m) - 1)]) for _, m in mean_curves]
-        print(f"{k}," + ",".join(vals))
+        summary[f"empirical_rate[{kind}]"] = empirical_rate(mean, window) if window >= 1 else 0.0
+        summary[f"final_mean_error_sq[{kind}]"] = mean[-1]
 
     if args.out_svg:
         per_trial = None
@@ -289,81 +285,78 @@ def cmd_compare(args, parser) -> int:
         svgplot.write_semilog(args.out_svg, mean_curves,
                               title=f"omega={args.omega} trials={args.trials}",
                               per_trial=per_trial)
-        print(f"svg: {args.out_svg}")
-    print(f"csv: {args.out_csv}")
+
+    _emit(summary)
+    print("mean_error_sq per sweep:")
+    print("sweep," + ",".join(kinds))
+    length = max(len(m) for _, m in mean_curves)
+    for k in range(length):
+        vals = [_fmt_float(m[min(k, len(m) - 1)]) for _, m in mean_curves]
+        print(f"{k}," + ",".join(vals))
+    _emit({"svg": args.out_svg, "csv": args.out_csv})
     return 0
 
 
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args, parser) -> int:
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    if args.restarts < 1:
+        parser.error("--restarts must be >= 1")
     seed = args.seed if args.seed is not None else 0
     B, _ = mmio.read_matrix(args.matrix)
     B = hermitian(B)
     n = B.shape[0]
-    print(f"n: {n}")
-    w, _ = eigen_hermitian(B)
-    print(f"lambda_max: {_fmt_float(w[0])}")
-    print(f"lambda_min: {_fmt_float(w[-1])}")
     try:
         s = spectral_summary(B)
-        print(f"spectral_norm: {_fmt_float(s.spectral_norm)}")
-        print(f"rank: {s.rank}")
-        print(f"kappa_bar: {_fmt_float(s.kappa_bar)}")
-    except ValueError:
-        print(f"spectral_norm: {_fmt_float(max(abs(w[0]), abs(w[-1])))}")
-        print("rank: 0" if not B.any() else "rank: n/a (matrix not PSD)")
+        w, rank, kappa_bar = s.eigenvalues, s.rank, s.kappa_bar
+    except ValueError:  # indefinite, or the zero matrix
+        w, _ = eigen_hermitian(B)
+        rank, kappa_bar = (0 if not B.any() else "n/a (matrix not PSD)"), None
+    report = {"n": n, "lambda_max": w[0], "lambda_min": w[-1],
+              "spectral_norm": max(abs(w[0]), abs(w[-1])), "rank": rank, "kappa_bar": kappa_bar}
 
     if not B.any():
-        print("truncation: zero matrix, all ratios 0")
-        print("avg_lower_gram_norm: 0.0")
+        _emit(report | {"truncation": "zero matrix, all ratios 0", "avg_lower_gram_norm": 0.0})
         return 0
 
     if n <= analysis.EXHAUSTIVE_LIMIT:
-        stats = analysis.min_truncation_exhaustive(B)
-        print("truncation_method: exhaustive")
+        method, stats = "exhaustive", analysis.min_truncation_exhaustive(B)
+        expected, se = stats.mean_ratio, None
+        oracle_name, oracle = "bruteforce", analysis.expected_lower_gram_bruteforce(B)
     else:
+        method = "heuristic"
         stats = analysis.min_truncation_heuristic(B, args.restarts, derived_rng(seed, 7))
-        print("truncation_method: heuristic")
-    print(f"truncation_samples: {stats.samples}")
-    print(f"truncation_ratio_identity: {_fmt_float(stats.ratio_identity)}")
-    print(f"truncation_ratio_min: {_fmt_float(stats.min_ratio)}")
-    print(f"truncation_argmin_sigma: {format_permutation(stats.argmin_sigma)}")
-    print(f"truncation_ratio_mean: {_fmt_float(stats.mean_ratio)}")
-    print(f"truncation_ratio_max: {_fmt_float(stats.max_ratio)}")
-    if n > analysis.EXHAUSTIVE_LIMIT:
-        est, se = analysis.expected_truncation_norm(B, args.trials, derived_rng(seed, 8))
-        print(f"expected_truncation_ratio: {_fmt_float(est)}")
-        print(f"expected_truncation_ratio_se: {_fmt_float(se)}")
-    else:
-        print(f"expected_truncation_ratio: {_fmt_float(stats.mean_ratio)}")
-
+        expected, se = analysis.expected_truncation_norm(B, args.trials, derived_rng(seed, 8))
+        oracle_name, oracle = "closed", analysis.expected_lower_gram_closed(B)
     gram = analysis.check_lower_gram_bounds(B)
-    print(f"avg_lower_gram_norm: {_fmt_float(gram.norm_avg)}")
-    print(f"norm_b_squared: {_fmt_float(gram.norm_b ** 2)}")
-    print(f"bound_general_ok: {str(gram.general_ok).lower()}")
-    print(f"psd_unit_diagonal: {str(gram.psd_unit_diagonal).lower()}")
-    if gram.psd_strict_ok is not None:
-        print(f"bound_psd_strict_ok: {str(gram.psd_strict_ok).lower()}")
-
-    # compare the weighted closed-form candidate against the definitional average
-    if n <= analysis.EXHAUSTIVE_LIMIT:
-        oracle = analysis.expected_lower_gram_bruteforce(B)
-        print("avg_lower_gram_oracle: bruteforce")
-    else:
-        oracle = analysis.expected_lower_gram_closed(B)
-        print("avg_lower_gram_oracle: closed")
+    # the weighted closed-form candidate is compared against the definitional average
     weighted = analysis.expected_lower_gram_weighted(B)
     dev = np.abs(oracle - weighted)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    max_dev = float(dev[i, j])
-    flagged = max_dev > 1e-10 * max(gram.norm_b ** 2, 1.0)
-    print(f"weighted_form_max_abs_dev: {_fmt_float(max_dev)}")
-    print(f"weighted_form_flagged: {str(flagged).lower()}")
-    if flagged:
-        print(f"weighted_form_entry: ({i + 1},{j + 1}) "
-              f"oracle: {_fmt_float(oracle[i, j].real)} "
-              f"weighted: {_fmt_float(weighted[i, j].real)}")
+    flagged = dev[i, j] > 1e-10 * max(gram.norm_b ** 2, 1.0)
+    _emit(report | {
+        "truncation_method": method,
+        "truncation_samples": stats.samples,
+        "truncation_ratio_identity": stats.ratio_identity,
+        "truncation_ratio_min": stats.min_ratio,
+        "truncation_argmin_sigma": format_permutation(stats.argmin_sigma),
+        "truncation_ratio_mean": stats.mean_ratio,
+        "truncation_ratio_max": stats.max_ratio,
+        "expected_truncation_ratio": expected,
+        "expected_truncation_ratio_se": se,
+        "avg_lower_gram_norm": gram.norm_avg,
+        "norm_b_squared": gram.norm_b ** 2,
+        "bound_general_ok": gram.general_ok,
+        "psd_unit_diagonal": gram.psd_unit_diagonal,
+        "bound_psd_strict_ok": gram.psd_strict_ok,
+        "avg_lower_gram_oracle": oracle_name,
+        "weighted_form_max_abs_dev": dev[i, j],
+        "weighted_form_flagged": flagged,
+        "weighted_form_entry": f"({i + 1},{j + 1}) oracle: {_fmt_float(oracle[i, j].real)} "
+                               f"weighted: {_fmt_float(weighted[i, j].real)}" if flagged else None,
+    })
     return 0
 
 
@@ -373,8 +366,7 @@ def cmd_bounds(args, parser) -> int:
     _check_omega(args, parser)
     B, _ = mmio.read_matrix(args.matrix)
     B = hermitian(B)
-    report = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
-    _print_bounds(report)
+    _emit(_bounds_report(analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)))
     return 0
 
 
@@ -388,7 +380,7 @@ def cmd_plot(args, parser) -> int:
     if args.per_trial:
         per_trial = {kind: list(trials.values()) for kind, trials in curves.items()}
     svgplot.write_semilog(args.out, series, title=args.title, per_trial=per_trial)
-    print(f"svg: {args.out}")
+    _emit({"svg": args.out})
     return 0
 
 

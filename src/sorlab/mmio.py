@@ -24,6 +24,16 @@ def _is_exactly_hermitian(M):
     return M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T)
 
 
+def _entry_order(rows, cols, symmetry):
+    """Row and column indices of the stored entries in file order:
+    column-major, and the lower triangle only for symmetric/hermitian storage."""
+    if symmetry == "general":
+        j, i = np.indices((cols, rows)).reshape(2, -1)
+    else:
+        j, i = np.triu_indices(rows)  # j <= i, column by column
+    return i, j
+
+
 def write_matrix(path, M, comments=()) -> None:
     M = np.asarray(M)
     if M.ndim != 2:
@@ -36,14 +46,7 @@ def write_matrix(path, M, comments=()) -> None:
     for c in comments:
         lines.append("%" + str(c).replace("\n", " "))
     lines.append(f"{rows} {cols}")
-    if symmetry == "hermitian":
-        for j in range(cols):
-            for i in range(j, rows):
-                lines.append(_format_value(M[i, j], complex_field))
-    else:
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(_format_value(M[i, j], complex_field))
+    lines.extend(_format_value(v, complex_field) for v in M[_entry_order(rows, cols, symmetry)])
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -71,15 +74,11 @@ def read_matrix(path):
         complex_field = field == "complex"
         dtype = np.complex128 if complex_field else np.float64
         M = np.zeros((rows, cols), dtype=dtype)
-        if symmetry == "general":
-            entries = ((i, j) for j in range(cols) for i in range(rows))
-            expected = rows * cols
-        else:
-            if rows != cols:
-                raise ValueError("symmetric/hermitian matrices must be square")
-            entries = ((i, j) for j in range(cols) for i in range(j, rows))
-            expected = rows * (rows + 1) // 2
-        for k, (i, j) in enumerate(entries):
+        if symmetry != "general" and rows != cols:
+            raise ValueError("symmetric/hermitian matrices must be square")
+        entry_rows, entry_cols = _entry_order(rows, cols, symmetry)
+        expected = len(entry_rows)
+        for k, (i, j) in enumerate(zip(entry_rows, entry_cols)):
             parts = fh.readline().split()
             if len(parts) < (2 if complex_field else 1):
                 raise ValueError(f"{path}: read {k} of {expected} expected entries; "

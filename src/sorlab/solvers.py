@@ -24,7 +24,7 @@ chosen (kernel components cancel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs, ztrtrs
@@ -45,8 +45,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError("omega must lie strictly in (0, 2)")
+        _check_omega(self.omega)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.target_error_sq < 0:
@@ -64,11 +63,15 @@ class IterationHistory:
     errors_sq: np.ndarray
     residuals: np.ndarray
     final_iterate: np.ndarray
-    orders: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def sweeps(self) -> int:
         return len(self.errors_sq) - 1
+
+
+def _check_omega(omega):
+    if not 0.0 < omega < 2.0:
+        raise ValueError("omega must lie strictly in (0, 2)")
 
 
 def _require_unit_diagonal(B):
@@ -165,8 +168,8 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     return x
 
 
-def _iterate(M, b, v, error, sweep, config: SolverConfig, strategy: OrderingStrategy,
-             record_orders: bool) -> IterationHistory:
+def _iterate(M, b, v, error, sweep, config: SolverConfig,
+             strategy: OrderingStrategy) -> IterationHistory:
     """Sweep v in place until max_sweeps or until error(v) reaches the target.
 
     Each sweep draws its order from the strategy (PCG64 stream seeded with
@@ -177,7 +180,6 @@ def _iterate(M, b, v, error, sweep, config: SolverConfig, strategy: OrderingStra
     rng = make_rng(config.seed)
     errors: list[float] = []
     residuals: list[float] = []
-    orders: list[np.ndarray] | None = [] if record_orders else None
 
     def record(sweep_no):
         errors.append(error(v))
@@ -188,18 +190,15 @@ def _iterate(M, b, v, error, sweep, config: SolverConfig, strategy: OrderingStra
 
     record(0)
     for sweep_no in range(1, config.max_sweeps + 1):
-        order = sweep_order(strategy, M.shape[0], rng)
-        sweep(M, b, v, config.omega, order)
-        if record_orders:
-            orders.append(order)
+        sweep(M, b, v, config.omega, sweep_order(strategy, M.shape[0], rng))
         record(sweep_no)
         if errors[-1] <= config.target_error_sq:
             break
-    return IterationHistory(np.array(errors), np.array(residuals), v, orders)
+    return IterationHistory(np.array(errors), np.array(residuals), v)
 
 
-def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
-               record_orders: bool = False) -> IterationHistory:
+def run_solver(B, b, y0, ybar, config: SolverConfig,
+               strategy: OrderingStrategy) -> IterationHistory:
     """Iterate SOR sweeps on By = b, tracking the energy error to ybar.
 
     Stops after ``config.max_sweeps`` sweeps or once the squared energy
@@ -215,11 +214,11 @@ def run_solver(B, b, y0, ybar, config: SolverConfig, strategy: OrderingStrategy,
     y0 = _check_vector(y0, n, "y0")
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
     return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
-                    config, strategy, record_orders)
+                    config, strategy)
 
 
-def run_kaczmarz(A, b, x0, xbar, config: SolverConfig, strategy: OrderingStrategy,
-                 record_orders: bool = False) -> IterationHistory:
+def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,
+                 strategy: OrderingStrategy) -> IterationHistory:
     """Iterate Kaczmarz sweeps on Ax = b, tracking ||xbar - x||^2.
 
     Mirrors :func:`run_solver`; with matched seeds and strategies the two
@@ -232,7 +231,7 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig, strategy: OrderingStrateg
     x0 = _check_vector(x0, n, "x0")
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
     return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_pass,
-                    config, strategy, record_orders)
+                    config, strategy)
 
 
 def mean_error_curve(curves) -> np.ndarray:
@@ -269,8 +268,7 @@ def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:
     """
     B = _as_square(B)
     _require_unit_diagonal(B)
-    if not 0.0 < omega < 2.0:
-        raise ValueError("omega must lie strictly in (0, 2)")
+    _check_omega(omega)
     sigma = _check_order(sigma, B.shape[0])
     return _error_operators(B, omega, sigma[None, :])[0]
 

@@ -326,6 +326,23 @@ def test_analyze_complex_hermitian(tmp_path, capsys):
     assert "truncation_method: exhaustive" in out
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--restarts"])
+def test_analyze_usage_errors_come_before_reading_files(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", "--matrix", tmp_path / "missing.mtx", flag, "0")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} must be >= 1" in captured.err
+
+
+def test_analyze_decomposes_psd_matrix_twice(fan_dir, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    assert run_cli("analyze", "--matrix", fan_dir / "B.mtx") == 0
+    assert len(calls) == 2  # spectral summary, and the PSD test of the Gram bounds
+
+
 def test_bounds_fan_values(fan_dir, capsys):
     assert run_cli("bounds", "--matrix", fan_dir / "B.mtx", "--omega", "1.0") == 0
     out = capsys.readouterr().out
@@ -369,3 +386,199 @@ def test_plot_empty_csv_fails(tmp_path):
     csv = tmp_path / "e.csv"
     csv.write_text(CSV_HEADER + "\n")
     assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+
+
+# ---------------------------------------------------------------- report layout
+
+_SPECTRAL_KEYS = ("n", "lambda_max", "lambda_min", "spectral_norm", "rank")
+_TRUNCATION_KEYS = ("truncation_method", "truncation_samples", "truncation_ratio_identity",
+                    "truncation_ratio_min", "truncation_argmin_sigma", "truncation_ratio_mean",
+                    "truncation_ratio_max", "expected_truncation_ratio")
+_GRAM_KEYS = ("avg_lower_gram_norm", "norm_b_squared", "bound_general_ok", "psd_unit_diagonal")
+_WEIGHTED_KEYS = ("avg_lower_gram_oracle", "weighted_form_max_abs_dev", "weighted_form_flagged")
+_BOUNDS_KEYS = ("n", "lambda1", "kappa_bar", "rank", "omega", "rate_cyclic",
+                "rate_single_step_sweep", "rate_shuffled", "rate_preshuffled", "c1", "c2")
+
+
+def _check_lines(lines, expected):
+    """Each line is ``key: value`` with the expected key, in order; a float
+    parses back to the library value exactly, a bool reads true/false."""
+    assert [line.split(": ", 1)[0] for line in lines] == [k for k, _ in expected]
+    for line, (key, want) in zip(lines, expected):
+        text = line.split(": ", 1)[1]
+        if isinstance(want, (bool, np.bool_)):
+            assert text == str(bool(want)).lower(), key
+        elif isinstance(want, (float, np.floating)):
+            assert float(text) == want, key
+        else:
+            assert text == str(want), key
+
+
+def _analyze_expected(B, trials=2000, restarts=20, seed=0):
+    """The analyze report of B, recomputed from the library."""
+    from sorlab import analysis
+    from sorlab.linalg import eigen_hermitian, hermitian, spectral_summary
+    from sorlab.orderings import derived_rng, format_permutation
+    B = hermitian(B)
+    n = B.shape[0]
+    w, _ = eigen_hermitian(B)
+    out = [("n", n), ("lambda_max", w[0]), ("lambda_min", w[-1]),
+           ("spectral_norm", max(abs(w[0]), abs(w[-1])))]
+    if not B.any():
+        return out + [("rank", 0), ("truncation", "zero matrix, all ratios 0"),
+                      ("avg_lower_gram_norm", 0.0)]
+    try:
+        s = spectral_summary(B)
+        out += [("rank", s.rank), ("kappa_bar", s.kappa_bar)]
+    except ValueError:
+        out += [("rank", "n/a (matrix not PSD)")]
+    small = n <= analysis.EXHAUSTIVE_LIMIT
+    if small:
+        stats = analysis.min_truncation_exhaustive(B)
+        est = [("expected_truncation_ratio", stats.mean_ratio)]
+        oracle = analysis.expected_lower_gram_bruteforce(B)
+    else:
+        stats = analysis.min_truncation_heuristic(B, restarts, derived_rng(seed, 7))
+        mean, se = analysis.expected_truncation_norm(B, trials, derived_rng(seed, 8))
+        est = [("expected_truncation_ratio", mean), ("expected_truncation_ratio_se", se)]
+        oracle = analysis.expected_lower_gram_closed(B)
+    out += [("truncation_method", "exhaustive" if small else "heuristic"),
+            ("truncation_samples", stats.samples),
+            ("truncation_ratio_identity", stats.ratio_identity),
+            ("truncation_ratio_min", stats.min_ratio),
+            ("truncation_argmin_sigma", format_permutation(stats.argmin_sigma)),
+            ("truncation_ratio_mean", stats.mean_ratio),
+            ("truncation_ratio_max", stats.max_ratio)] + est
+    gram = analysis.check_lower_gram_bounds(B)
+    out += [("avg_lower_gram_norm", gram.norm_avg), ("norm_b_squared", gram.norm_b ** 2),
+            ("bound_general_ok", gram.general_ok), ("psd_unit_diagonal", gram.psd_unit_diagonal)]
+    if gram.psd_strict_ok is not None:
+        out.append(("bound_psd_strict_ok", gram.psd_strict_ok))
+    weighted = analysis.expected_lower_gram_weighted(B)
+    dev = np.abs(oracle - weighted)
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    flagged = dev[i, j] > 1e-10 * max(gram.norm_b ** 2, 1.0)
+    out += [("avg_lower_gram_oracle", "bruteforce" if small else "closed"),
+            ("weighted_form_max_abs_dev", dev[i, j]), ("weighted_form_flagged", flagged)]
+    if flagged:
+        out.append(("weighted_form_entry", f"({i + 1},{j + 1}) "
+                                           f"oracle: {float(oracle[i, j].real)!r} "
+                                           f"weighted: {float(weighted[i, j].real)!r}"))
+    return out
+
+
+def _indefinite_matrix():
+    rng = np.random.default_rng(0)
+    M = rng.uniform(-0.6, 0.6, (6, 6))
+    B = (M + M.T) / 2
+    np.fill_diagonal(B, 1.0)
+    return B
+
+
+@pytest.mark.parametrize("case,keys", [
+    ("psd6", _SPECTRAL_KEYS + ("kappa_bar",) + _TRUNCATION_KEYS + _GRAM_KEYS
+     + ("bound_psd_strict_ok",) + _WEIGHTED_KEYS + ("weighted_form_entry",)),
+    ("psd10", _SPECTRAL_KEYS + ("kappa_bar",) + _TRUNCATION_KEYS
+     + ("expected_truncation_ratio_se",) + _GRAM_KEYS + ("bound_psd_strict_ok",)
+     + _WEIGHTED_KEYS + ("weighted_form_entry",)),
+    ("indefinite", _SPECTRAL_KEYS + _TRUNCATION_KEYS + _GRAM_KEYS + _WEIGHTED_KEYS
+     + ("weighted_form_entry",)),
+    ("zero", _SPECTRAL_KEYS + ("truncation", "avg_lower_gram_norm")),
+    ("flagged2", _SPECTRAL_KEYS + ("kappa_bar",) + _TRUNCATION_KEYS + _GRAM_KEYS
+     + ("bound_psd_strict_ok",) + _WEIGHTED_KEYS + ("weighted_form_entry",)),
+    ("identity", _SPECTRAL_KEYS + ("kappa_bar",) + _TRUNCATION_KEYS + _GRAM_KEYS
+     + ("bound_psd_strict_ok",) + _WEIGHTED_KEYS),
+])
+def test_analyze_report_layout(tmp_path, capsys, case, keys):
+    from helpers import random_psd_unit
+    from sorlab import make_rng
+    B = {"psd6": lambda: random_psd_unit(6, make_rng(8), m=3),
+         "psd10": lambda: random_psd_unit(10, make_rng(1)),
+         "indefinite": _indefinite_matrix,
+         "zero": lambda: np.zeros((3, 3)),
+         "flagged2": lambda: np.array([[1.0, 0.5], [0.5, 1.0]]),
+         "identity": lambda: np.eye(4)}[case]()
+    write_matrix(tmp_path / "B.mtx", B)
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx",
+                   "--trials", "50", "--restarts", "2", "--seed", "3") == 0
+    expected = _analyze_expected(read_matrix(tmp_path / "B.mtx")[0], 50, 2, 3)
+    assert tuple(k for k, _ in expected) == keys
+    _check_lines(capsys.readouterr().out.splitlines(), expected)
+
+
+def _bounds_expected(report):
+    keys = _BOUNDS_KEYS
+    if report.c0 is not None:
+        keys = keys[:6] + ("rate_cyclic_lowrank", "c0") + keys[6:]
+    return [(k, getattr(report, k)) for k in keys]
+
+
+@pytest.mark.parametrize("extra", [(), ("--c0", "1.0", "--c1", "2.5", "--omega", "1.2")])
+def test_bounds_report_layout(fan_dir, capsys, extra):
+    from sorlab import analysis
+    from sorlab.linalg import hermitian
+    assert run_cli("bounds", "--matrix", fan_dir / "B.mtx", *extra) == 0
+    opts = dict(zip(extra[::2], extra[1::2]))
+    report = analysis.evaluate_rate_bounds(
+        hermitian(read_matrix(fan_dir / "B.mtx")[0]), float(opts.get("--omega", 1.0)),
+        c0=float(opts["--c0"]) if "--c0" in opts else None,
+        c1=float(opts.get("--c1", analysis.C1_DEFAULT)))
+    expected = _bounds_expected(report)
+    assert ("rate_cyclic_lowrank" in dict(expected)) == bool(extra)
+    _check_lines(capsys.readouterr().out.splitlines(), expected)
+
+
+@pytest.fixture()
+def random_dir(tmp_path):
+    d = tmp_path / "rnd"
+    assert run_cli("generate", "--kind", "random", "--n", "6", "--m", "4", "--seed", "1",
+                   "--out-dir", d) == 0
+    return d
+
+
+def _run_library(d, kind, seed, trial, max_sweeps):
+    """run_solver as the CLI runs it: its derived seeds are
+    (base, strategy index, trial, 0), the index being 0 for cyclic, 1 for shuffled."""
+    from sorlab import SolverConfig, cyclic, derive_seed, shuffled, run_solver
+    from sorlab.linalg import hermitian
+    B = hermitian(read_matrix(d / "B.mtx")[0])
+    b, ybar = read_vector(d / "b.mtx")[0], read_vector(d / "ybar.mtx")[0]
+    index, strategy = {"cyclic": (0, cyclic()), "shuffled": (1, shuffled())}[kind]
+    config = SolverConfig(max_sweeps=max_sweeps, seed=derive_seed(seed, index, trial, 0))
+    return run_solver(B, b, np.zeros(6), ybar, config, strategy)
+
+
+def test_solve_report_layout(random_dir, tmp_path, capsys):
+    from sorlab import empirical_rate
+    out = tmp_path / "s.csv"
+    assert run_cli("solve", *_system_args(random_dir), "--strategy", "shuffled",
+                   "--sweeps", "8", "--seed", "4", "--out", out) == 0
+    h = _run_library(random_dir, "shuffled", 4, 0, 8)
+    _check_lines(capsys.readouterr().out.splitlines(), [
+        ("strategy", "shuffled"), ("sweeps", h.sweeps), ("final_error_sq", h.errors_sq[-1]),
+        ("empirical_rate", empirical_rate(h, min(10, h.sweeps - 1))), ("csv", out)])
+
+
+def test_compare_report_layout(random_dir, tmp_path, capsys):
+    from sorlab import analysis, empirical_rate, mean_error_curve
+    from sorlab.linalg import hermitian
+    csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    assert run_cli("compare", *_system_args(random_dir), "--strategies", "cyclic,shuffled",
+                   "--trials", "2", "--sweeps", "5", "--seed", "3",
+                   "--out-csv", csv, "--out-svg", svg) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = analysis.evaluate_rate_bounds(hermitian(read_matrix(random_dir / "B.mtx")[0]), 1.0)
+    expected = _bounds_expected(report) + [("trials", 2)]
+    means = []
+    for kind in ("cyclic", "shuffled"):
+        mean = mean_error_curve(_run_library(random_dir, kind, 3, t, 5).errors_sq
+                                for t in range(2))
+        means.append(mean)
+        expected += [(f"empirical_rate[{kind}]", empirical_rate(mean, min(10, len(mean) - 2))),
+                     (f"final_mean_error_sq[{kind}]", mean[-1])]
+    table = ["mean_error_sq per sweep:", "sweep,cyclic,shuffled"] + [
+        f"{k},{float(means[0][k])!r},{float(means[1][k])!r}" for k in range(6)]
+    head = len(expected)
+    _check_lines(lines[:head], expected)
+    assert lines[head:head + len(table)] == table
+    _check_lines(lines[head + len(table):], [("svg", svg), ("csv", csv)])

@@ -24,6 +24,7 @@ from sorlab import (
     single_step_random,
     sor_sweep,
     strict_lower,
+    sweep_order,
 )
 from helpers import forward_substitute_unit, random_psd_unit
 
@@ -133,18 +134,14 @@ def test_run_solver_identity_two_entry_history():
     assert h.errors_sq[1] == 0.0
 
 
-def test_run_solver_records_orders():
-    inst = random_factor_problem(4, 4, False, make_rng(2))
-    cfg = SolverConfig(max_sweeps=3, target_error_sq=0.0, seed=5)
-    h = run_solver(inst.B, inst.b, np.zeros(4), inst.ybar, cfg, shuffled(),
-                   record_orders=True)
-    assert len(h.orders) == 3
-    for order in h.orders:
-        assert np.array_equal(np.sort(order), np.arange(4))
-
-
 def _replay_strategies(n):
     return [cyclic(), shuffled(), single_step_random(), fixed(make_rng(4).permutation(n))]
+
+
+def _sweep_orders(strategy, n, cfg, sweeps):
+    """The orders a driver run with cfg draws: one stream seeded with cfg.seed."""
+    rng = make_rng(cfg.seed)
+    return [sweep_order(strategy, n, rng) for _ in range(sweeps)]
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -153,11 +150,11 @@ def test_run_solver_replays_sor_sweep_bit_for_bit(complex_entries):
     B, b, ybar = inst.B, inst.b, inst.ybar
     cfg = SolverConfig(omega=1.3, max_sweeps=12, target_error_sq=0.0, seed=17)
     for strategy in _replay_strategies(7):
-        h = run_solver(B, b, np.zeros(7), ybar, cfg, strategy, record_orders=True)
+        h = run_solver(B, b, np.zeros(7), ybar, cfg, strategy)
         y = np.zeros(7, dtype=B.dtype)
         errors = [energy_seminorm_sq(B, ybar - y)]
         residuals = [float(np.linalg.norm(b - B @ y))]
-        for order in h.orders:
+        for order in _sweep_orders(strategy, 7, cfg, h.sweeps):
             y = sor_sweep(B, b, y, cfg.omega, order)
             errors.append(energy_seminorm_sq(B, ybar - y))
             residuals.append(float(np.linalg.norm(b - B @ y)))
@@ -173,11 +170,11 @@ def test_run_kaczmarz_replays_kaczmarz_sweep_bit_for_bit(complex_entries):
     b = A @ xbar
     cfg = SolverConfig(omega=0.8, max_sweeps=12, target_error_sq=0.0, seed=18)
     for strategy in _replay_strategies(7):
-        h = run_kaczmarz(A, b, np.zeros(5), xbar, cfg, strategy, record_orders=True)
+        h = run_kaczmarz(A, b, np.zeros(5), xbar, cfg, strategy)
         x = np.zeros(5, dtype=A.dtype)
         errors = [float(np.linalg.norm(xbar - x) ** 2)]
         residuals = [float(np.linalg.norm(b - A @ x))]
-        for order in h.orders:
+        for order in _sweep_orders(strategy, 7, cfg, h.sweeps):
             x = kaczmarz_sweep(A, b, x, cfg.omega, order)
             errors.append(float(np.linalg.norm(xbar - x) ** 2))
             residuals.append(float(np.linalg.norm(b - A @ x)))
@@ -225,10 +222,9 @@ def test_run_solver_matches_coordinate_loop_over_many_sweeps():
     inst = random_factor_problem(12, 9, True, make_rng(33))
     cfg = SolverConfig(omega=1.1, max_sweeps=40, target_error_sq=0.0, seed=7)
     for strategy in _replay_strategies(12):
-        h = run_solver(inst.B, inst.b, np.zeros(12), inst.ybar, cfg, strategy,
-                       record_orders=True)
+        h = run_solver(inst.B, inst.b, np.zeros(12), inst.ybar, cfg, strategy)
         y = np.zeros(12, dtype=complex)
-        for k, order in enumerate(h.orders, start=1):
+        for k, order in enumerate(_sweep_orders(strategy, 12, cfg, h.sweeps), start=1):
             y = _coordinate_sor_sweep(inst.B, inst.b, y, cfg.omega, order)
             err = energy_seminorm_sq(inst.B, inst.ybar - y)
             assert h.errors_sq[k] == pytest.approx(err, rel=1e-9, abs=1e-13 * h.errors_sq[0])
