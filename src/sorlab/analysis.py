@@ -22,7 +22,6 @@ the discrepancy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,12 +38,14 @@ from .linalg import (
     spectral_summary,
     strict_lower,
 )
-from .solvers import _check_omega, _error_operators
+from .solvers import _check_omega
 
 # Largest n for which all n! permutations are enumerated (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
 
-_CHUNK = 5040  # enumeration batch size, keeps peak memory modest
+# Monte Carlo batch size, keeps peak memory modest. (An exhaustive batch
+# holds the (n - 1)! orders with one leading index, at most 7! = 5040.)
+_CHUNK = 5040
 
 # Best currently known constants for the reordered-truncation existence
 # bounds: ||L_sigma|| <= C1 ||B|| for some sigma when B is PSD with unit
@@ -62,15 +63,20 @@ def _nonzero_norm(B) -> float:
 
 
 def _perm_batches(n, trials=None, rng=None):
-    """Yield (k, n) permutation arrays, k <= _CHUNK.
+    """Yield (k, n) permutation arrays.
 
-    Without an rng: all n! permutations in lexicographic order. With one:
-    ``trials`` uniform permutations drawn from it.
+    Without an rng: all n! permutations in lexicographic order, one batch
+    per leading index, each built from one table of the (n - 1)! orders of
+    the rest. With one: ``trials`` uniform permutations drawn from it, in
+    batches of at most _CHUNK.
     """
     if rng is None:
-        it = itertools.permutations(range(n))
-        while chunk := list(itertools.islice(it, _CHUNK)):
-            yield np.array(chunk, dtype=np.intp)
+        tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
+        if n > 1:
+            tail = np.concatenate(list(_perm_batches(n - 1)))
+        for first in range(n):
+            rest = np.delete(np.arange(n, dtype=np.intp), first)
+            yield np.column_stack((np.full(len(tail), first, np.intp), rest[tail]))
         return
     for done in range(0, trials, _CHUNK):
         k = min(_CHUNK, trials - done)
@@ -236,7 +242,12 @@ def _batched_truncation_norms(B, perms):
 
 
 def min_truncation_exhaustive(B) -> TruncationStats:
-    """Exact min/mean/max of the truncation ratio over all n! orderings (n <= 8)."""
+    """Exact min/mean/max of the truncation ratio over all n! orderings (n <= 8).
+
+    The reversed ordering has L_rev = J L_sigma* J (J the exchange matrix),
+    so the same norm: only orderings with sigma[0] <= sigma[-1] are scored,
+    one of each reversal pair. ``samples`` still counts all n! orderings.
+    """
     B = _as_square(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
@@ -247,10 +258,13 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     total_sum = 0.0
     worst = 0.0
     identity_ratio = None
-    count = 0
+    scored = 0
     for perms in _perm_batches(n):
+        perms = perms[perms[:, 0] <= perms[:, -1]]
+        if not len(perms):
+            continue
         norms = _batched_truncation_norms(B, perms)
-        if count == 0:
+        if identity_ratio is None:
             identity_ratio = float(norms[0]) / norm_b  # lexicographic first = identity
         i = int(np.argmin(norms))
         if norms[i] < best:
@@ -258,15 +272,15 @@ def min_truncation_exhaustive(B) -> TruncationStats:
             best_sigma = perms[i].copy()
         worst = max(worst, float(norms.max()))
         total_sum += float(norms.sum())
-        count += len(perms)
+        scored += len(perms)
     return TruncationStats(
         ratio_identity=identity_ratio,
         min_ratio=best / norm_b,
         argmin_sigma=best_sigma,
-        mean_ratio=total_sum / count / norm_b,
+        mean_ratio=total_sum / scored / norm_b,  # both orders of a pair share one norm
         max_ratio=worst / norm_b,
         method="exhaustive",
-        samples=count,
+        samples=math.factorial(n),
     )
 
 
@@ -425,19 +439,38 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
     )
 
 
-def _contraction_operator(B, omega, perms):
-    """Sum of Q_s* B Q_s over the given permutations (original indexing)."""
-    Q = _error_operators(B, omega, perms)
-    return np.matmul(np.conj(np.transpose(Q, (0, 2, 1))), np.matmul(B, Q)).sum(axis=0)
+def _contraction_gram(B, R, omega, perms):
+    """Sum of S_s* S_s over the rows s of perms, for B = R R* (R is n x r).
+
+    S_s = I_r - w R_s* Z_s is the one-sweep error map Q_s in the range
+    coordinates of B (see :func:`expected_contraction`). Z_s solves
+    (I + w L_s) Z_s = R_s by forward substitution, one row of L_s gathered
+    from B per step, so no n x n stack is formed.
+    """
+    n, r = R.shape
+    R_s = np.take(R, perms, axis=0)
+    Z = np.empty_like(R_s)
+    for i in range(n):
+        row = np.take(B, perms[:, i, None] * n + perms[:, :i])  # B[s_i, s_j], j < i
+        Z[:, i] = R_s[:, i] - omega * np.matmul(row[:, None, :], Z[:, :i])[:, 0]
+    S = np.eye(r) - omega * np.matmul(R_s.conj().transpose(0, 2, 1), Z)
+    Y = S.reshape(-1, r)  # stacked S_s: one GEMM gives the sum of S_s* S_s
+    return Y.conj().T @ Y
 
 
 def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float:
     """Tight expected one-sweep contraction factor of the shuffled iteration.
 
-    Averages Q_s* B Q_s over permutations (all n! of them when n <= 8, else
-    `trials` Monte Carlo samples) and returns the largest generalized
-    Rayleigh quotient <M y, y> / <B y, y> over y outside the kernel of B.
-    B must be PSD with unit diagonal; an indefinite B raises "matrix not PSD".
+    The factor is the largest generalized Rayleigh quotient
+    <M y, y> / <B y, y> over y outside the kernel of B, where M is the
+    average of Q_s* B Q_s over permutations s (all n! of them when n <= 8,
+    else `trials` Monte Carlo samples). It is computed in the range of B:
+    write B = R R* with R = V_r Lambda_r^{1/2} from the eigenpairs of the
+    rank-r range. In the basis W = V_r Lambda_r^{-1/2}, R* Q_s W is the r x r
+    matrix S_s = I_r - w R_s* Z_s with R_s = R[s] and (I + w L_s) Z_s = R_s,
+    so W* Q_s* B Q_s W = S_s* S_s and the factor is lambda_max of the mean of
+    S_s* S_s (summed by :func:`_contraction_gram`). B must be PSD with unit
+    diagonal; an indefinite B raises "matrix not PSD".
     """
     B = _as_square(B)
     _check_omega(omega)
@@ -455,15 +488,11 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
         batches = _perm_batches(n, trials, rng)
-    acc = np.zeros((n, n), dtype=B.dtype)
+    R = s.eigenvectors[:, :s.rank] * np.sqrt(s.eigenvalues[:s.rank])
+    acc = np.zeros((s.rank, s.rank), dtype=B.dtype)
     count = 0
     for perms in batches:
-        acc += _contraction_operator(B, omega, perms)
+        acc += _contraction_gram(B, R, omega, perms)
         count += len(perms)
     M = acc / count
-    M = (M + M.conj().T) / 2
-
-    W = s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank])
-    Mr = W.conj().T @ M @ W
-    Mr = (Mr + Mr.conj().T) / 2
-    return float(np.linalg.eigvalsh(Mr)[-1])
+    return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[-1])

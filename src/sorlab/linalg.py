@@ -59,10 +59,12 @@ def _as_matrix(M, name="matrix"):
 
 
 def _as_square(M):
-    """``_as_matrix`` for an n x n matrix."""
+    """``_as_matrix`` for an n x n matrix with n >= 1."""
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix expected")
+    if M.shape[0] == 0:
+        raise ValueError("empty matrix: n must be >= 1")
     return M
 
 

@@ -9,8 +9,8 @@ block is one gather of rows, one matrix-vector product, one LAPACK forward
 substitution and one scatter-add, and the pass gives the
 coordinate-by-coordinate result up to rounding. For the natural order this
 is the classical forward-substitution form of one SOR step; the full error
-propagation matrices exist only in :func:`_error_operators` (behind
-:func:`error_iteration_matrix` and the analysis module) for analysis.
+propagation matrices exist only in :func:`_error_operators`, behind
+:func:`error_iteration_matrix`.
 
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
 trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the

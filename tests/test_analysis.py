@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sorlab import (
     C1_DEFAULT,
     check_lower_gram_bounds,
+    error_iteration_matrix,
     evaluate_rate_bounds,
     expected_contraction,
     expected_lower_gram_bruteforce,
@@ -13,14 +17,16 @@ from sorlab import (
     expected_lower_gram_weighted,
     expected_truncation_norm,
     fan_problem,
+    low_rank_problem,
     make_rng,
     min_truncation_exhaustive,
     min_truncation_heuristic,
     permute_conjugate,
     spectral_norm,
+    spectral_summary,
     truncation_ratio,
 )
-from sorlab.analysis import _lower_gram_terms
+from sorlab.analysis import _lower_gram_terms, _perm_batches
 from helpers import random_hermitian, random_psd_unit
 
 
@@ -350,30 +356,90 @@ def test_expected_contraction_montecarlo_mode():
     assert measured <= bound + 0.05  # Monte Carlo slack
 
 
+def _range_factor(B):
+    s = spectral_summary(B)
+    return s.eigenvectors[:, :s.rank], s.eigenvalues[:s.rank]
+
+
 def test_contraction_operator_sampling_agrees_with_exact():
-    import itertools
-    from sorlab.analysis import _contraction_operator
+    from sorlab.analysis import _contraction_gram
 
     B = random_psd_unit(5, make_rng(90))
+    V, lam = _range_factor(B)
+    R = V * np.sqrt(lam)
     perms = np.array(list(itertools.permutations(range(5))), dtype=np.intp)
-    exact = _contraction_operator(B, 1.0, perms) / len(perms)
+    exact = _contraction_gram(B, R, 1.0, perms) / len(perms)
     rng = make_rng(91)
     sampled = rng.permuted(np.tile(np.arange(5), (20000, 1)), axis=1).astype(np.intp)
-    approx = _contraction_operator(B, 1.0, sampled) / 20000
+    approx = _contraction_gram(B, R, 1.0, sampled) / 20000
     assert np.max(np.abs(exact - approx)) <= 0.01
 
 
 def test_contraction_operator_sums_error_matrices():
-    # the averaged operator is built from the same Q_sigma as error_iteration_matrix
-    from sorlab import error_iteration_matrix
-    from sorlab.analysis import _contraction_operator
+    # the summed Gram is W* (sum of Q_sigma* B Q_sigma) W, with Q_sigma from
+    # error_iteration_matrix and W = V_r Lambda_r^{-1/2}
+    from sorlab.analysis import _contraction_gram
 
     rng = make_rng(92)
     B = random_psd_unit(6, rng, complex_entries=True)
     perms = np.array([rng.permutation(6) for _ in range(5)], dtype=np.intp)
+    V, lam = _range_factor(B)
+    R, W = V * np.sqrt(lam), V / np.sqrt(lam)
     Qs = [error_iteration_matrix(B, 0.7, p) for p in perms]
-    expected = sum(Q.conj().T @ B @ Q for Q in Qs)
-    assert np.allclose(_contraction_operator(B, 0.7, perms), expected, atol=1e-12)
+    expected = W.conj().T @ sum(Q.conj().T @ B @ Q for Q in Qs) @ W
+    assert np.allclose(_contraction_gram(B, R, 0.7, perms), expected, atol=1e-12)
+
+
+def _contraction_instances():
+    for n in range(1, 7):
+        for cplx in (False, True):
+            yield random_psd_unit(n, make_rng(700 + 2 * n + cplx), cplx)
+    yield fan_problem(3).B
+    yield low_rank_problem(6, 2, True, make_rng(93)).B
+
+
+@pytest.mark.parametrize("B", list(_contraction_instances()))
+def test_expected_contraction_matches_error_matrix_average(B):
+    # definitional value: lambda_max of W* (mean over all n! orders of Q* B Q) W,
+    # with Q from error_iteration_matrix and W = V_r Lambda_r^{-1/2}
+    n = B.shape[0]
+    V, lam = _range_factor(B)
+    W = V / np.sqrt(lam)
+    for omega in (0.5, 1.0, 1.5):
+        M = sum(Q.conj().T @ B @ Q for Q in (error_iteration_matrix(B, omega, p)
+                                             for p in itertools.permutations(range(n))))
+        Mr = W.conj().T @ (M / math.factorial(n)) @ W
+        ref = np.linalg.eigvalsh((Mr + Mr.conj().T) / 2)[-1]
+        assert abs(expected_contraction(B, omega) - ref) <= 1e-12 * abs(ref) + 1e-14
+
+
+def test_perm_batches_lexicographic():
+    for n in range(1, 9):
+        got = np.concatenate(list(_perm_batches(n)))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.array(list(itertools.permutations(range(n)))))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_exhaustive_truncation_matches_full_enumeration(cplx):
+    # reversal pairs are scored once; the stats must equal the full n! SVD sweep
+    for n in range(1, 8):
+        B = random_psd_unit(n, make_rng(800 + n), cplx)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        C = np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+        ratios = np.linalg.svd(C, compute_uv=False)[:, 0] / spectral_norm(B)
+        stats = min_truncation_exhaustive(B)
+        for got, ref in ((stats.min_ratio, ratios.min()), (stats.mean_ratio, ratios.mean()),
+                         (stats.max_ratio, ratios.max()), (stats.ratio_identity, ratios[0])):
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+        assert stats.samples == math.factorial(n)
+        assert abs(truncation_ratio(B, stats.argmin_sigma) - stats.min_ratio) <= 1e-12
+        if n == 1:
+            assert stats.min_ratio == stats.mean_ratio == stats.max_ratio == 0.0
+            assert stats.argmin_sigma.tolist() == [0]
+        if n == 2:  # one reversal pair: both orders share the single norm |B[0, 1]|
+            assert stats.min_ratio == stats.mean_ratio == stats.max_ratio
+            assert stats.argmin_sigma.tolist() == [0, 1]
 
 
 def test_expected_contraction_rejects_indefinite_matrix():
@@ -391,6 +457,11 @@ def test_analysis_rejects_non_finite_input():
             fn(B)
     with pytest.raises(ValueError, match="square matrix expected"):
         expected_lower_gram_closed(np.ones((2, 3)))
+
+
+def test_expected_contraction_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="empty matrix"):
+        expected_contraction(np.zeros((0, 0)), 1.0)
 
 
 def test_expected_contraction_zero_matrix_guard():

@@ -281,6 +281,16 @@ def test_analyze_zero_matrix_has_rank_0(tmp_path, capsys):
     assert not any("not PSD" in line for line in out)
 
 
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+def test_empty_matrix_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "E.mtx"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n0 0\n")
+    assert run_cli(command, "--matrix", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty matrix: n must be >= 1\n"
+
+
 def test_compare_indefinite_consistent_rhs_reports_not_psd(tmp_path, capsys):
     # b = B ybar lies in Ran(B); the error names the indefinite matrix, not the rhs
     rng = np.random.default_rng(1)

@@ -273,6 +273,12 @@ def test_square_inputs_checked_once():
         hermitian(np.ones((2, 3)))
 
 
+def test_empty_matrix_rejected():
+    for fn in (spectral_summary, eigen_hermitian, hermitian):
+        with pytest.raises(ValueError, match="empty matrix"):
+            fn(np.zeros((0, 0)))
+
+
 @given(n=st.integers(2, 12), seed=st.integers(0, 10**6), cplx=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_unit_diagonal_spectrum_bounds(n, seed, cplx):
