@@ -28,15 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _as_permutation,
     _as_square,
-    _reordered_lower,
+    _ordered_lower,
     hadamard,
     has_unit_diagonal,
     min_index_matrix,
-    permute_conjugate,
     spectral_norm,
     spectral_summary,
-    strict_lower,
 )
 from .solvers import _check_omega
 
@@ -62,15 +61,20 @@ def _nonzero_norm(B) -> float:
     return norm_b
 
 
+def _check_rng(rng):
+    if rng is None:
+        raise ValueError("Monte Carlo mode needs an rng")
+
+
 def _perm_batches(n, trials=None, rng=None):
     """Yield (k, n) permutation arrays.
 
-    Without an rng: all n! permutations in lexicographic order, one batch
-    per leading index, each built from one table of the (n - 1)! orders of
-    the rest. With one: ``trials`` uniform permutations drawn from it, in
-    batches of at most _CHUNK.
+    Without ``trials``: all n! permutations in lexicographic order, one
+    batch per leading index, each built from one table of the (n - 1)!
+    orders of the rest. With it: ``trials`` >= 1 uniform permutations drawn
+    from ``rng`` (required), in batches of at most _CHUNK.
     """
-    if rng is None:
+    if trials is None:
         tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
         if n > 1:
             tail = np.concatenate(list(_perm_batches(n - 1)))
@@ -78,19 +82,18 @@ def _perm_batches(n, trials=None, rng=None):
             rest = np.delete(np.arange(n, dtype=np.intp), first)
             yield np.column_stack((np.full(len(tail), first, np.intp), rest[tail]))
         return
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_rng(rng)
     for done in range(0, trials, _CHUNK):
         k = min(_CHUNK, trials - done)
         yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
 
 
 def _lower_gram_terms(B, perms):
-    """Stack of P* L_s L_s* P over the given permutations (original indexing)."""
-    Ls = _reordered_lower(B, perms)
-    T = Ls @ np.conj(np.transpose(Ls, (0, 2, 1)))
-    inv = np.argsort(perms, axis=1)
-    T = np.take_along_axis(T, inv[:, :, None], axis=1)
-    T = np.take_along_axis(T, inv[:, None, :], axis=2)
-    return T
+    """Stack of P* L_s L_s* P = M_s M_s* (M_s the ordered truncation) over perms."""
+    M = _ordered_lower(B, perms)
+    return M @ M.conj().transpose(0, 2, 1)
 
 
 def expected_lower_gram_bruteforce(B) -> np.ndarray:
@@ -143,8 +146,6 @@ def expected_lower_gram_montecarlo(B, trials: int, rng) -> tuple[np.ndarray, np.
     sample_std / sqrt(trials).
     """
     B = _as_square(B)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = B.shape[0]
     acc = np.zeros((n, n), dtype=B.dtype)
     acc_sq = np.zeros((n, n))
@@ -211,11 +212,18 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
     )
 
 
+def _batched_truncation_norms(B, perms):
+    """||L_s|| for each row s of perms, L_s gathered in the reordered indexing."""
+    L = np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+    return np.linalg.svd(L, compute_uv=False)[:, 0]
+
+
 def truncation_ratio(B, sigma) -> float:
     """||L_sigma|| / ||B||: relative norm of the reordered lower truncation."""
     B = _as_square(B)
     norm_b = _nonzero_norm(B)
-    return spectral_norm(strict_lower(permute_conjugate(B, sigma))) / norm_b
+    sigma = _as_permutation(sigma, B.shape[0])
+    return float(_batched_truncation_norms(B, sigma[None, :])[0]) / norm_b
 
 
 @dataclass(frozen=True)
@@ -235,10 +243,6 @@ class TruncationStats:
     max_ratio: float
     method: str
     samples: int
-
-
-def _batched_truncation_norms(B, perms):
-    return np.linalg.svd(_reordered_lower(B, perms), compute_uv=False)[:, 0]
 
 
 def min_truncation_exhaustive(B) -> TruncationStats:
@@ -296,6 +300,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     B = _as_square(B)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    _check_rng(rng)
     n = B.shape[0]
     norm_b = _nonzero_norm(B)
     k = np.arange(n - 1)
@@ -320,7 +325,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
             best_sigma = sigma.copy()
     start_ratios = np.array(start_norms) / norm_b
     return TruncationStats(
-        ratio_identity=spectral_norm(strict_lower(B)) / norm_b,
+        ratio_identity=float(_batched_truncation_norms(B, np.arange(n)[None, :])[0]) / norm_b,
         min_ratio=best / norm_b,
         argmin_sigma=best_sigma,
         mean_ratio=float(start_ratios.mean()),
@@ -337,8 +342,6 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     or proven bound for this average is implemented.
     """
     B = _as_square(B)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = B.shape[0]
     norm_b = _nonzero_norm(B)
     vals = np.concatenate([_batched_truncation_norms(B, perms)
@@ -480,14 +483,7 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     s = spectral_summary(B)  # raises "matrix not PSD" before the averaging
     n = B.shape[0]
 
-    if n <= EXHAUSTIVE_LIMIT:
-        batches = _perm_batches(n)
-    else:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        if rng is None:
-            raise ValueError("Monte Carlo mode needs an rng")
-        batches = _perm_batches(n, trials, rng)
+    batches = _perm_batches(n) if n <= EXHAUSTIVE_LIMIT else _perm_batches(n, trials, rng)
     R = s.eigenvectors[:, :s.rank] * np.sqrt(s.eigenvalues[:s.rank])
     acc = np.zeros((s.rank, s.rank), dtype=B.dtype)
     count = 0

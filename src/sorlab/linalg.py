@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .orderings import check_permutation
+
 # Numerical rank cutoff, relative to the largest eigenvalue; used only by
 # spectral_summary, which every rank, PSD and range decision goes through.
 RANK_TOLERANCE = 1e-10
@@ -125,9 +127,18 @@ def strict_lower(B) -> np.ndarray:
     return np.tril(_as_matrix(B), -1)
 
 
-def _reordered_lower(B, perms):
-    """Stack of the strict lower parts L_s of B reordered by each row of perms."""
-    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+def _ordered_lower(B, perms):
+    """Stack of the ordered truncations P_s* L_s P_s, one per row s of perms:
+    B[a, b] where a comes after b in s, else 0 (L_s in the original indexing)."""
+    pos = np.argsort(perms, axis=1)
+    return np.where(pos[:, :, None] > pos[:, None, :], B, 0)
+
+
+def _as_permutation(sigma, n):
+    sigma = np.asarray(sigma, dtype=np.intp)
+    if sigma.shape != (n,):
+        raise ValueError("permutation length does not match matrix size")
+    return check_permutation(sigma)
 
 
 def permute_conjugate(B, sigma) -> np.ndarray:
@@ -137,9 +148,7 @@ def permute_conjugate(B, sigma) -> np.ndarray:
     P[i, sigma[i]] = 1; the spectrum is preserved.
     """
     B = _as_matrix(B)
-    sigma = np.asarray(sigma, dtype=np.intp)
-    if sigma.shape != (B.shape[0],):
-        raise ValueError("permutation length does not match matrix size")
+    sigma = _as_permutation(sigma, B.shape[0])
     return B[np.ix_(sigma, sigma)]
 
 

@@ -9,12 +9,11 @@ block is one gather of rows, one matrix-vector product, one LAPACK forward
 substitution and one scatter-add, and the pass gives the
 coordinate-by-coordinate result up to rounding. For the natural order this
 is the classical forward-substitution form of one SOR step; the full error
-propagation matrices exist only in :func:`_error_operators`, behind
-:func:`error_iteration_matrix`.
+propagation matrix exists only in :func:`error_iteration_matrix`.
 
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
 trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
-same passes once.
+same passes once, behind one input check per update rule.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs, ztrtrs
 
-from .linalg import _as_matrix, _as_square, _reordered_lower, energy_seminorm_sq, has_unit_diagonal
+from .linalg import (_as_matrix, _as_permutation, _as_square, _ordered_lower, energy_seminorm_sq,
+                     has_unit_diagonal)
 from .orderings import OrderingStrategy, make_rng, sweep_order
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
@@ -74,11 +74,6 @@ def _check_omega(omega):
         raise ValueError("omega must lie strictly in (0, 2)")
 
 
-def _require_unit_diagonal(B):
-    if not has_unit_diagonal(B):
-        raise ValueError("matrix must have unit diagonal; call rescale_unit_diagonal first")
-
-
 def _check_vector(v, n, name):
     v = np.asarray(v)
     if v.shape != (n,):
@@ -95,12 +90,25 @@ def _check_order(order, n):
     return order
 
 
-def _check_unit_rows(A):
+def _sor_inputs(B, **vectors):
+    """Checked (B, *vectors) of an SOR sweep: B square, finite and unit
+    diagonal; each named vector finite with length n."""
+    B = _as_square(B)
+    if not has_unit_diagonal(B):
+        raise ValueError("matrix must have unit diagonal; call rescale_unit_diagonal first")
+    return (B, *(_check_vector(v, B.shape[0], name) for name, v in vectors.items()))
+
+
+def _kaczmarz_inputs(A, b, **vectors):
+    """Checked (A, b, *vectors) of a Kaczmarz sweep: A finite with unit-norm
+    rows; b finite with length m, each named vector with length n."""
     A = _as_matrix(A, "A")
     norms = np.linalg.norm(A, axis=1)
     if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
         raise ValueError("rows of A must have unit norm")
-    return A
+    m, n = A.shape
+    return (A, _check_vector(b, m, "b"),
+            *(_check_vector(v, n, name) for name, v in vectors.items()))
 
 
 def _forward_substitute(L, r):
@@ -145,10 +153,8 @@ def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
     Sequentially, using latest values: y[i] += omega * (b[i] - <row_i(B), y>).
     Requires unit diagonal. Returns a new vector.
     """
-    B = np.asarray(B)
-    _require_unit_diagonal(B)
+    B, b, y = _sor_inputs(B, b=b, y=y)
     order = _check_order(order, B.shape[0])
-    b = np.asarray(b)
     y = np.array(y, dtype=np.result_type(B, b, y), copy=True)
     _sor_pass(B, b, y, omega, order)
     return y
@@ -160,9 +166,8 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     For each row index i in order: x += omega * (b[i] - <a_i, x>) * conj(a_i).
     Rows of A must have unit Euclidean norm.
     """
-    A = _check_unit_rows(A)
+    A, b, x = _kaczmarz_inputs(A, b, x=x)
     order = _check_order(order, A.shape[0])
-    b = np.asarray(b)
     x = np.array(x, dtype=np.result_type(A, b, x), copy=True)
     _kaczmarz_pass(A, b, x, omega, order)
     return x
@@ -206,12 +211,7 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
     strategy, fed by a PCG64 stream seeded with ``config.seed``. Raises
     ValueError on non-finite input or once the error becomes NaN or Inf.
     """
-    B = _as_square(B)
-    n = B.shape[0]
-    _require_unit_diagonal(B)
-    b = _check_vector(b, n, "b")
-    ybar = _check_vector(ybar, n, "ybar")
-    y0 = _check_vector(y0, n, "y0")
+    B, b, ybar, y0 = _sor_inputs(B, b=b, ybar=ybar, y0=y0)
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
     return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
                     config, strategy)
@@ -224,11 +224,7 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,
     Mirrors :func:`run_solver`; with matched seeds and strategies the two
     histories coincide through x = A* y.
     """
-    A = _check_unit_rows(A)
-    m, n = A.shape
-    b = _check_vector(b, m, "b")
-    xbar = _check_vector(xbar, n, "xbar")
-    x0 = _check_vector(x0, n, "x0")
+    A, b, xbar, x0 = _kaczmarz_inputs(A, b, xbar=xbar, x0=x0)
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
     return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_pass,
                     config, strategy)
@@ -249,28 +245,19 @@ def mean_error_curve(curves) -> np.ndarray:
     return acc / len(curves)
 
 
-def _error_operators(B, omega, perms):
-    """Stack of the one-sweep error maps Q_s (see :func:`error_iteration_matrix`),
-    one per row s of perms; B is a float64 or complex128 n x n array."""
-    eye = np.eye(B.shape[0], dtype=B.dtype)
-    X = np.linalg.solve(eye + omega * _reordered_lower(B, perms), B[perms])  # (I + w L_s)^{-1} P B
-    inv = np.argsort(perms, axis=1)
-    return eye - omega * np.take_along_axis(X, inv[:, :, None], axis=1)
-
-
 def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:
     """Error propagation matrix of one sweep in the order sigma.
 
     Returns Q = I - omega P* (I + omega L_s)^{-1} P B in the original
     indexing, where L_s is the strictly lower part of the reordered matrix
     and P the permutation matrix of sigma. One sweep with b = 0 multiplies
-    the iterate by Q.
+    the iterate by Q. With M = P* L_s P, Q = I - omega (I + omega M)^{-1} B.
     """
-    B = _as_square(B)
-    _require_unit_diagonal(B)
+    B = _sor_inputs(B)[0]
     _check_omega(omega)
-    sigma = _check_order(sigma, B.shape[0])
-    return _error_operators(B, omega, sigma[None, :])[0]
+    sigma = _as_permutation(sigma, B.shape[0])
+    eye = np.eye(B.shape[0], dtype=B.dtype)
+    return eye - omega * np.linalg.solve(eye + omega * _ordered_lower(B, sigma[None, :])[0], B)
 
 
 def empirical_rate(history, window: int = 10) -> float:

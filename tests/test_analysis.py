@@ -91,6 +91,14 @@ def test_montecarlo_single_identity_permutation_term():
     term = _lower_gram_terms(B, np.arange(2)[None, :])[0]
     L = np.tril(B, -1)
     assert np.allclose(term, L @ L.conj().T, atol=1e-15)
+    # orders that are not their own inverse tell sigma from sigma^{-1}
+    B3 = random_hermitian(3, make_rng(8))
+    B5 = random_hermitian(5, make_rng(9), complex_entries=True)
+    for B, sigma in ((B3, [1, 2, 0]), (B3, [2, 0, 1]), (B5, make_rng(10).permutation(5))):
+        P = np.eye(len(sigma))[sigma]  # P[i, sigma[i]] = 1, so P B P* = permute_conjugate
+        L = np.tril(permute_conjugate(B, sigma), -1)
+        term = _lower_gram_terms(B, np.asarray(sigma)[None, :])[0]
+        assert np.allclose(term, P.T @ L @ L.conj().T @ P, rtol=0, atol=1e-14)
 
 
 def test_montecarlo_identity_matrix():
@@ -153,6 +161,21 @@ def test_truncation_ratio_identity_matrix_and_two_by_two():
 def test_truncation_ratio_zero_matrix():
     with pytest.raises(ValueError, match="zero matrix"):
         truncation_ratio(np.zeros((3, 3)), np.arange(3))
+
+
+def test_truncation_ratio_rejects_non_permutation():
+    B = random_psd_unit(6, make_rng(12))
+    with pytest.raises(ValueError, match="not a permutation"):
+        truncation_ratio(B, [0, 0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match="length"):
+        truncation_ratio(B, [0, 1, 2])
+
+
+def test_truncation_ratio_matches_permuted_strict_lower():
+    B = random_hermitian(6, make_rng(13), complex_entries=True)
+    sigma = make_rng(14).permutation(6)
+    expect = spectral_norm(np.tril(permute_conjugate(B, sigma), -1)) / spectral_norm(B)
+    assert truncation_ratio(B, sigma) == expect
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 10**6), cplx=st.booleans())
@@ -259,6 +282,15 @@ def test_expected_truncation_norm_basics():
     est, se = expected_truncation_norm(B, 11, make_rng(2))
     assert est == pytest.approx(0.3 / spectral_norm(B), rel=1e-12)
     assert se <= 1e-15
+
+
+def test_monte_carlo_needs_an_rng():
+    B = random_psd_unit(4, make_rng(15))
+    for call in (lambda: expected_truncation_norm(B, 10, None),
+                 lambda: expected_lower_gram_montecarlo(B, 10, None),
+                 lambda: min_truncation_heuristic(B, 2, None)):
+        with pytest.raises(ValueError, match="Monte Carlo mode needs an rng"):
+            call()
 
 
 def test_expected_truncation_norm_within_exhaustive_range():

@@ -159,6 +159,13 @@ def test_permute_conjugate_length_mismatch():
         permute_conjugate(np.eye(3), [0, 1])
 
 
+def test_permute_conjugate_rejects_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_conjugate(np.eye(3), [0, 0, 2])
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_conjugate(np.eye(3), [0, 1, 3])
+
+
 @given(n=st.integers(2, 7), seed=st.integers(0, 10**6), cplx=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_permutation_similarity_preserves_spectrum(n, seed, cplx):

@@ -91,6 +91,32 @@ def test_sor_sweep_rejects_bad_order():
         sor_sweep(np.eye(2), np.zeros(2), np.zeros(2), 1.0, [0, 2])
 
 
+def test_sor_sweep_validates_like_run_solver():
+    with pytest.raises(ValueError, match="square matrix expected"):
+        sor_sweep(np.ones((2, 3)), np.zeros(2), np.zeros(3), 1.0, [0, 1])
+    with pytest.raises(ValueError, match=r"b has shape \(5,\), expected \(2,\)"):
+        sor_sweep(np.eye(2), np.zeros(5), np.zeros(2), 1.0, [0, 1])
+    with pytest.raises(ValueError, match=r"y has shape \(3,\), expected \(2,\)"):
+        sor_sweep(np.eye(2), np.zeros(2), np.zeros(3), 1.0, [0, 1])
+    B = np.eye(2)
+    B[0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+        sor_sweep(B, np.zeros(2), np.zeros(2), 1.0, [0, 1])
+    with pytest.raises(ValueError, match="b contains NaN or Inf"):
+        sor_sweep(np.eye(2), np.array([0.0, np.inf]), np.zeros(2), 1.0, [0, 1])
+
+
+def test_kaczmarz_sweep_validates_like_run_kaczmarz():
+    with pytest.raises(ValueError, match=r"b has shape \(7,\), expected \(2,\)"):
+        kaczmarz_sweep(np.eye(2), np.zeros(7), np.zeros(2), 1.0, [0, 1])
+    with pytest.raises(ValueError, match=r"x has shape \(3,\), expected \(2,\)"):
+        kaczmarz_sweep(np.eye(2), np.zeros(2), np.zeros(3), 1.0, [0, 1])
+    A = np.eye(2)
+    A[1, 0] = np.nan
+    with pytest.raises(ValueError, match="A contains NaN or Inf"):
+        kaczmarz_sweep(A, np.zeros(2), np.zeros(2), 1.0, [0, 1])
+
+
 def test_kaczmarz_sweep_identity_rows():
     b = np.array([1.0, 2.0])
     x = kaczmarz_sweep(np.eye(2), b, np.zeros(2), 1.0, [0, 1])
@@ -434,6 +460,8 @@ def test_error_matrix_validates():
         error_iteration_matrix(np.eye(2), 2.0, [0, 1])
     with pytest.raises(ValueError, match="rescale"):
         error_iteration_matrix(np.diag([2.0, 1.0]), 1.0, [0, 1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        error_iteration_matrix(np.eye(3), 1.0, [0, 0, 1])
 
 
 # ---------------------------------------------------------------- empirical rate
