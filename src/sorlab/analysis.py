@@ -53,6 +53,11 @@ _CHUNK = 5040
 C1_DEFAULT = 32.42
 C2_DEFAULT = 2907.0
 
+# Relative margin by which a lower bound must exceed a norm before the
+# heuristic drops a swap unscored; about 1e4 times the rounding of the bound
+# and of the SVD (see min_truncation_heuristic).
+_PRUNE_MARGIN = 1e-10
+
 
 def _nonzero_norm(B) -> float:
     norm_b = spectral_norm(B)
@@ -288,14 +293,80 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     )
 
 
+def _lambda_max(a, b, d):
+    """Largest eigenvalue of the Hermitian 2 x 2 matrices [[a, b], [conj(b), d]]."""
+    return (a + d) / 2 + np.hypot((a - d) / 2, np.abs(b))
+
+
+def _swap_bounds(L, v):
+    """Certified lower bounds on the truncation norm after each adjacent swap.
+
+    Swapping positions k and k + 1 of the ordering turns the truncation L
+    (strictly lower, in reordered coordinates) into one with the norm of
+    L_k = L + E_k, E_k = conj(c) e_k e_{k+1}^T - c e_{k+1} e_k^T with
+    c = L[k + 1, k]. E_k is skew-Hermitian, so L_k* = L* - E_k, and either
+    map applies to one vector per k as a GEMM plus two corrected entries.
+    For each k, the bound is the Rayleigh-Ritz value over the span Q_k of v
+    and L_k* L_k v (orthogonalized against v twice): lambda_max of
+    (L_k Q_k)* (L_k Q_k) over lambda_max of Q_k* Q_k, which stays at or
+    below ||L_k||^2 whatever the rounding in Q_k. Returns (bounds, ritz)
+    where ritz(k) is the unit vector of Q_k that attains bound k.
+    """
+    n = L.shape[0]
+    k = np.arange(n - 1)
+    c = L[k + 1, k]
+
+    def apply(X, M, sign):  # row k of X -> (M + sign E_k) X[k]
+        Y = X @ M.T
+        flat = Y.reshape(-1)  # Y[k, k] is flat[k (n + 1)], Y[k, k + 1] the next entry
+        flat[::n + 1] += sign * c.conj() * np.diagonal(X, 1)
+        flat[1::n + 1] -= sign * c * np.diagonal(X)
+        return Y
+
+    v = v / np.linalg.norm(v)
+    Lv = apply(np.tile(v, (n - 1, 1)), L, 1)
+    z = apply(Lv, L.conj().T, -1)
+    for _ in range(2):
+        z -= np.outer(z @ v.conj(), v)
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    q = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
+    Lq = apply(q, L, 1)
+    a = np.einsum("ki,ki->k", Lv.conj(), Lv).real
+    b = np.einsum("ki,ki->k", Lv.conj(), Lq)
+    d = np.einsum("ki,ki->k", Lq.conj(), Lq).real
+    gram = _lambda_max(np.vdot(v, v).real, q @ v.conj(),
+                       np.einsum("ki,ki->k", q.conj(), q).real)
+
+    def ritz(i):
+        if not q[i].any():  # Q_i is v alone
+            return v.copy()
+        x = np.linalg.eigh([[a[i], b[i]], [np.conj(b[i]), d[i]]])[1][:, -1]
+        return x[0] * v + x[1] * q[i]
+
+    return np.sqrt(_lambda_max(a, b, d) / gram), ritz
+
+
 def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     """Adjacent-transposition steepest descent from random starts.
 
     From each uniformly drawn starting permutation, repeatedly applies the
     best norm-decreasing swap of neighboring positions until none improves;
-    ties go to the leftmost swap. The n - 1 neighbors of an ordering are
-    scored as one batch. Deterministic given the rng seed. The result is an
-    upper bound on the exhaustive minimum.
+    ties go to the leftmost swap. Deterministic given the rng seed. The
+    result is an upper bound on the exhaustive minimum.
+
+    Each step scores the n - 1 neighbors exactly but runs few SVDs:
+    :func:`_swap_bounds` gives a lower bound b_k <= ||L_k|| for every swap
+    from a vector carried over from the previous step (the top right
+    singular vector at the start, then the accepted swap's Ritz vector).
+    Swaps with b_k > cur (1 + _PRUNE_MARGIN) are dropped, where cur is the
+    current norm; the swap with the smallest bound gets an exact SVD, norm
+    m; swaps with b_k > min(m, cur) (1 + _PRUNE_MARGIN) are dropped too;
+    the rest get exact SVDs. The margin is about 1e4 times the rounding of
+    the bound and of the SVD, so every dropped swap has a computed norm
+    strictly above a norm that is kept or above cur: it can be neither the
+    best swap nor tied with it. The norms that decide come from the same
+    SVDs of the same matrices as scoring every neighbor, so the descent
+    path and every statistic are the same, bit for bit.
     """
     B = _as_square(B)
     if restarts < 1:
@@ -312,14 +383,27 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
         sigma = rng.permutation(n).astype(np.intp)
         cur = float(_batched_truncation_norms(B, sigma[None, :])[0])
         start_norms.append(cur)
+        L = np.tril(B[np.ix_(sigma, sigma)], -1)
+        v = np.linalg.svd(L)[2][0].conj()
         while n > 1:
+            bounds, ritz = _swap_bounds(L, v)
+            first = int(np.argmin(bounds))
+            if bounds[first] > cur * (1 + _PRUNE_MARGIN):
+                break  # every swap has a larger norm
             swapped = np.tile(sigma, (n - 1, 1))  # row k swaps positions k, k + 1
             swapped[k, k], swapped[k, k + 1] = sigma[k + 1], sigma[k]
-            norms = _batched_truncation_norms(B, swapped)
+            norms = np.full(n - 1, np.inf)
+            norms[first] = _batched_truncation_norms(B, swapped[first, None])[0]
+            rest = ~(bounds > min(norms[first], cur) * (1 + _PRUNE_MARGIN))
+            rest[first] = False
+            norms[rest] = _batched_truncation_norms(B, swapped[rest])
             i = int(np.argmin(norms))
             if not norms[i] < cur:
                 break
             sigma, cur = swapped[i], float(norms[i])
+            L = np.tril(B[np.ix_(sigma, sigma)], -1)
+            v = ritz(i)
+            v[[i, i + 1]] = v[[i + 1, i]]
         if cur < best:
             best = cur
             best_sigma = sigma.copy()

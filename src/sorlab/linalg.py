@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orderings import check_permutation
+from .orderings import _as_indices, check_permutation
 
 # Numerical rank cutoff, relative to the largest eigenvalue; used only by
 # spectral_summary, which every rank, PSD and range decision goes through.
@@ -135,7 +135,7 @@ def _ordered_lower(B, perms):
 
 
 def _as_permutation(sigma, n):
-    sigma = np.asarray(sigma, dtype=np.intp)
+    sigma = _as_indices(sigma)
     if sigma.shape != (n,):
         raise ValueError("permutation length does not match matrix size")
     return check_permutation(sigma)

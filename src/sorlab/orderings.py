@@ -45,8 +45,21 @@ def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _as_indices(seq) -> np.ndarray:
+    """seq as an intp array; ValueError if an entry is not an integer value.
+
+    Integer-valued floats (2.0) are accepted; a plain cast would truncate
+    2.9 to 2 and accept a sequence that names other indices.
+    """
+    a = np.asarray(seq)
+    if not (a.dtype.kind in "biu" or a.dtype.kind == "f"
+            and np.all((a == np.floor(a)) & (np.abs(a) < 2.0**53))):
+        raise ValueError("indices must be integer values")
+    return a.astype(np.intp)
+
+
 def check_permutation(sigma) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=np.intp)
+    sigma = _as_indices(sigma)
     if sigma.ndim != 1 or not np.array_equal(np.sort(sigma), np.arange(len(sigma))):
         raise ValueError("not a permutation of 0..n-1")
     return sigma

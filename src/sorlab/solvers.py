@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .linalg import (_as_matrix, _as_permutation, _as_square, _ordered_lower, energy_seminorm_sq,
                      has_unit_diagonal)
-from .orderings import OrderingStrategy, make_rng, sweep_order
+from .orderings import OrderingStrategy, _as_indices, make_rng, sweep_order
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
@@ -84,7 +84,7 @@ def _check_vector(v, n, name):
 
 
 def _check_order(order, n):
-    order = np.asarray(order, dtype=np.intp)
+    order = _as_indices(order)
     if order.shape != (n,) or order.min(initial=0) < 0 or order.max(initial=0) >= n:
         raise ValueError("order must be a length-n sequence of indices in 0..n-1")
     return order

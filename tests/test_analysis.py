@@ -26,7 +26,8 @@ from sorlab import (
     spectral_summary,
     truncation_ratio,
 )
-from sorlab.analysis import _lower_gram_terms, _perm_batches
+from sorlab import analysis
+from sorlab.analysis import _batched_truncation_norms, _lower_gram_terms, _perm_batches, _swap_bounds
 from helpers import random_hermitian, random_psd_unit
 
 
@@ -271,6 +272,56 @@ def test_heuristic_batch_matches_neighbor_loop_bit_for_bit(complex_entries):
     assert np.array_equal(stats.argmin_sigma, best_sigma)
     assert stats.max_ratio == max(starts) / norm_b
     assert stats.mean_ratio == float((np.array(starts) / norm_b).mean())
+
+
+@pytest.mark.parametrize("n, complex_entries, m, identity", [
+    (1, False, None, False),
+    (2, False, None, False),
+    (2, True, None, False),
+    (6, False, None, True),  # zero truncation: every bound is 0
+    (24, True, 5, False),
+], ids=["n1", "n2-real", "n2-complex", "identity", "n24-rank5-complex"])
+def test_pruned_heuristic_matches_neighbor_loop_bit_for_bit(monkeypatch, n, complex_entries, m,
+                                                            identity):
+    B = np.eye(n) if identity else random_psd_unit(n, make_rng(20 + n), complex_entries, m)
+    norm_b = spectral_norm(B)
+    best, best_sigma, starts = _heuristic_reference(B, 3, make_rng(22))
+    rows, rounds = [], []
+    monkeypatch.setattr(analysis, "_batched_truncation_norms",
+                        lambda B, perms: rows.append(len(perms)) or _batched_truncation_norms(B, perms))
+    monkeypatch.setattr(analysis, "_swap_bounds",
+                        lambda L, v: rounds.append(1) or _swap_bounds(L, v))
+    stats = min_truncation_heuristic(B, 3, make_rng(22))
+    assert stats.min_ratio == best / norm_b
+    assert np.array_equal(stats.argmin_sigma, best_sigma)
+    assert stats.max_ratio == max(starts) / norm_b
+    assert stats.mean_ratio == float((np.array(starts) / norm_b).mean())
+    if not identity:  # about one exact SVD per step, besides the 3 starts and the identity
+        assert sum(rows) <= 2 * len(rounds) + 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 10**6), cplx=st.booleans(),
+       deficient=st.booleans())
+def test_swap_bounds_never_exceed_exact_norms(n, seed, cplx, deficient):
+    rng = make_rng(seed)
+    B = random_psd_unit(n, rng, cplx, m=max(1, n // 3) if deficient else None)
+    sigma = rng.permutation(n)
+    L = np.tril(B[np.ix_(sigma, sigma)], -1)
+    k = np.arange(n - 1)
+    swapped = np.tile(sigma, (n - 1, 1))  # row k swaps positions k, k + 1
+    swapped[k, k], swapped[k, k + 1] = sigma[k + 1], sigma[k]
+    exact = _batched_truncation_norms(B, swapped)
+    guess = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0)
+    for v in (guess, np.linalg.svd(L)[2][0].conj()):
+        bounds, ritz = _swap_bounds(L, v)
+        assert np.all(bounds <= exact * (1 + 1e-12))
+        for i in range(n - 1):  # ritz(i), in the swapped order, attains bound i
+            x = ritz(i)
+            x[[i, i + 1]] = x[[i + 1, i]]
+            L_i = np.tril(permute_conjugate(B, swapped[i]), -1)
+            assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+            assert np.linalg.norm(L_i @ x) == pytest.approx(bounds[i], rel=1e-9, abs=1e-12)
 
 
 def test_expected_truncation_norm_basics():

@@ -11,11 +11,14 @@ from sorlab import (
     format_permutation,
     make_rng,
     parse_permutation,
+    permute_conjugate,
     preshuffled,
     random_permutation,
     shuffled,
     single_step_random,
+    sor_sweep,
     sweep_order,
+    truncation_ratio,
 )
 
 
@@ -71,6 +74,28 @@ def test_strategy_validation():
         OrderingStrategy("sorted")
     with pytest.raises(ValueError, match="not a permutation"):
         OrderingStrategy("fixed", np.array([0, 0, 2]))
+
+
+_B3 = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: truncation_ratio(_B3, [0.9, 1.7, 2.2]),
+    lambda: permute_conjugate(_B3, [2.9, 0.1, 1.5]),
+    lambda: sor_sweep(_B3, np.zeros(3), np.zeros(3), 1.0, order=[0.5, 1.5, 2.5]),
+    lambda: fixed([0.2, 1.1]),
+], ids=["truncation_ratio", "permute_conjugate", "sor_sweep", "fixed"])
+def test_non_integer_indices_rejected(call):
+    with pytest.raises(ValueError, match="indices must be integer values"):
+        call()
+
+
+def test_integer_valued_float_indices_accepted():
+    assert truncation_ratio(_B3, [2.0, 0.0, 1.0]) == truncation_ratio(_B3, [2, 0, 1])
+    assert np.array_equal(fixed(np.array([1.0, 0.0])).sigma, [1, 0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1e300, 0.0], ["a", "b"]):
+        with pytest.raises(ValueError, match="indices must be integer values"):
+            fixed(bad)
 
 
 def test_sweep_order_cyclic():
