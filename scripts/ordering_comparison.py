@@ -6,43 +6,39 @@ trials on one random row-normalized system, prints mean decay and empirical
 rates next to the theoretical per-sweep bounds, and optionally plots the
 mean curves.
 
+The instance and the trials are seeded as the CLI seeds them: the means
+equal, bit for bit, those of
+
+    sorlab generate --kind random --n N --m COLS --seed S --out-dir D
+    sorlab compare --matrix D/B.mtx --rhs D/b.mtx --ybar D/ybar.mtx \
+        --strategies cyclic,shuffled,preshuffled,singlestep --trials T \
+        --sweeps K --target-error-sq 0 --seed S --out-csv D/cmp.csv
+
 Usage: python scripts/ordering_comparison.py --n 24 --cols 24 --trials 200
 """
 
 import argparse
 
-import numpy as np
-
 from sorlab import (
-    OrderingStrategy,
     SolverConfig,
-    derive_seed,
+    default_start,
     derived_rng,
     empirical_rate,
     evaluate_rate_bounds,
     mean_error_curve,
-    preshuffled,
     random_factor_problem,
-    run_solver,
+    run_trials,
 )
 from sorlab.svgplot import write_semilog
 
 STRATEGIES = ("cyclic", "shuffled", "preshuffled", "single_step_random")
 
 
-def run_strategy(inst, kind, omega, trials, sweeps, base_seed):
-    n = inst.n
-    y0 = np.zeros(n, dtype=inst.B.dtype)
-    curves = []
-    for t in range(trials):
-        if kind == "preshuffled":
-            strategy = preshuffled(n, derived_rng(base_seed, 1, t))
-        else:
-            strategy = OrderingStrategy(kind)
-        cfg = SolverConfig(omega=omega, max_sweeps=sweeps, target_error_sq=0.0,
-                           seed=derive_seed(base_seed, 0, t))
-        curves.append(run_solver(inst.B, inst.b, y0, inst.ybar, cfg, strategy).errors_sq)
-    return mean_error_curve(curves)
+def run_strategy(inst, kind, omega, trials, sweeps, seed):
+    """Mean error curve of `trials` full-length runs of one strategy kind."""
+    config = SolverConfig(omega=omega, max_sweeps=sweeps, target_error_sq=0.0, seed=seed)
+    histories = run_trials(inst.B, inst.b, default_start(inst), inst.ybar, kind, trials, config)
+    return mean_error_curve(h.errors_sq for h in histories)
 
 
 def main(argv=None):
@@ -57,8 +53,7 @@ def main(argv=None):
     ap.add_argument("--out-svg")
     args = ap.parse_args(argv)
 
-    inst = random_factor_problem(args.n, args.cols, args.complex,
-                                 derived_rng(args.seed, 99))
+    inst = random_factor_problem(args.n, args.cols, args.complex, derived_rng(args.seed))
     rep = evaluate_rate_bounds(inst.B, args.omega)
     print(f"n: {rep.n}  rank: {rep.rank}  lambda1: {rep.lambda1:.4f}  "
           f"kappa_bar: {rep.kappa_bar:.4f}  omega: {args.omega}")
@@ -67,9 +62,8 @@ def main(argv=None):
           f"single-step sweep: {rep.rate_single_step_sweep:.6f}")
 
     series = []
-    for si, kind in enumerate(STRATEGIES):
-        mean = run_strategy(inst, kind, args.omega, args.trials, args.sweeps,
-                            derive_seed(args.seed, si))
+    for kind in STRATEGIES:
+        mean = run_strategy(inst, kind, args.omega, args.trials, args.sweeps, args.seed)
         rate = empirical_rate(mean, min(10, len(mean) - 2))
         print(f"{kind:>20}: mean final {mean[-1]:.3e}  empirical rate {rate:.6f}")
         series.append((kind, list(mean)))

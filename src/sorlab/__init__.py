@@ -72,6 +72,7 @@ from .solvers import (
     mean_error_curve,
     run_kaczmarz,
     run_solver,
+    run_trials,
     sor_sweep,
 )
 

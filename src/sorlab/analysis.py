@@ -42,8 +42,9 @@ from .solvers import _check_omega
 # Largest n for which all n! permutations are enumerated (8! = 40320).
 EXHAUSTIVE_LIMIT = 8
 
-# Monte Carlo batch size, keeps peak memory modest. (An exhaustive batch
-# holds the (n - 1)! orders with one leading index, at most 7! = 5040.)
+# Largest batch of orders. An exhaustive batch holds the (n - 1)! orders with
+# one leading index, at most 7! = 5040; a Monte Carlo batch holds at most
+# _CHUNK * 8**2 matrix entries, as many as the largest exhaustive batch.
 _CHUNK = 5040
 
 # Best currently known constants for the reordered-truncation existence
@@ -77,7 +78,9 @@ def _perm_batches(n, trials=None, rng=None):
     Without ``trials``: all n! permutations in lexicographic order, one
     batch per leading index, each built from one table of the (n - 1)!
     orders of the rest. With it: ``trials`` >= 1 uniform permutations drawn
-    from ``rng`` (required), in batches of at most _CHUNK.
+    from ``rng`` (required), in batches of at most _CHUNK orders and
+    _CHUNK * 64 // n**2 (at least one), which bounds the (k, n, n) stacks
+    built from a batch; the draws do not depend on the batch size.
     """
     if trials is None:
         tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
@@ -90,8 +93,9 @@ def _perm_batches(n, trials=None, rng=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_rng(rng)
-    for done in range(0, trials, _CHUNK):
-        k = min(_CHUNK, trials - done)
+    size = max(1, min(_CHUNK, _CHUNK * 64 // n**2))
+    for done in range(0, trials, size):
+        k = min(size, trials - done)
         yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
 
 

@@ -17,16 +17,7 @@ import numpy as np
 
 from . import analysis, mmio, svgplot
 from .linalg import eigen_hermitian, hermitian, spectral_summary
-from .orderings import (
-    GENERATOR_NAME,
-    OrderingStrategy,
-    derive_seed,
-    derived_rng,
-    fixed,
-    format_permutation,
-    parse_permutation,
-    preshuffled,
-)
+from .orderings import GENERATOR_NAME, derived_rng, format_permutation, parse_permutation
 from .problems import (
     ProblemInstance,
     consistency_check,
@@ -35,7 +26,10 @@ from .problems import (
     low_rank_problem,
     random_factor_problem,
 )
-from .solvers import IterationHistory, SolverConfig, empirical_rate, mean_error_curve, run_solver
+from .solvers import IterationHistory, SolverConfig, empirical_rate, mean_error_curve, run_trials
+# bound here only for perfbench/selftest.py, which checks that the tracer
+# wraps and restores a function at each module that imported it
+from .solvers import run_solver  # noqa: F401
 
 CSV_HEADER = "strategy,trial,sweep,error_sq,residual"
 
@@ -48,12 +42,6 @@ _STRATEGY_ALIASES = {
     "single_step_random": "single_step_random",
     "fixed": "fixed",
 }
-
-# derived seeds are (base, strategy_index, trial, namespace); the index is
-# the strategy's position in this tuple, frozen so that seeds never change
-_SEED_INDEX = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
-_NS_RUN = 0
-_NS_PRESHUFFLE = 1
 
 
 def _fmt_float(v) -> str:
@@ -187,31 +175,14 @@ def _parse_strategies(text, args, parser):
             parser.error("strategy 'preshuffled' requires --sigma or an explicit --seed")
         if kind not in names:
             names.append(kind)
-    if not names:
-        parser.error("no strategies given")
     return names
 
 
-def _trial_strategy(kind, n, sigma, base_seed, trial):
-    """Ordering strategy for one trial; preshuffled draws its one-time
-    permutation from a derived stream unless --sigma pinned it."""
-    if sigma is not None and kind in ("fixed", "preshuffled"):
-        return fixed(sigma)
-    if kind == "preshuffled":
-        return preshuffled(n, derived_rng(base_seed, _SEED_INDEX.index(kind), trial,
-                                          _NS_PRESHUFFLE))
-    return OrderingStrategy(kind)
-
-
-def _run_one(B, b, ybar, y0, kind, sigma, base_seed, trial, args):
-    strategy = _trial_strategy(kind, B.shape[0], sigma, base_seed, trial)
-    config = SolverConfig(
-        omega=args.omega,
-        max_sweeps=args.sweeps,
-        target_error_sq=args.target_error_sq,
-        seed=derive_seed(base_seed, _SEED_INDEX.index(kind), trial, _NS_RUN),
-    )
-    return run_solver(B, b, y0, ybar, config, strategy)
+def _run_config(args):
+    """SolverConfig of the solve/compare run options; --seed defaults to 0."""
+    return SolverConfig(omega=args.omega, max_sweeps=args.sweeps,
+                        target_error_sq=args.target_error_sq,
+                        seed=0 if args.seed is None else args.seed)
 
 
 def _check_omega(args, parser):
@@ -223,12 +194,14 @@ def cmd_solve(args, parser) -> int:
     _check_omega(args, parser)
     if args.sweeps < 1:
         parser.error("--sweeps must be >= 1")
-    kind = _parse_strategies(args.strategy, args, parser)[0]
-    seed = args.seed if args.seed is not None else 0
+    kinds = _parse_strategies(args.strategy, args, parser)
+    if len(kinds) > 1:
+        parser.error("solve runs one strategy; use compare for several")
+    kind = kinds[0]
     B, b, ybar, y0 = _load_system(args, parser)
     spectral_summary(B)  # raises "matrix not PSD" before the trial runs
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
-    history = _run_one(B, b, ybar, y0, kind, sigma, seed, 0, args)
+    history = run_trials(B, b, y0, ybar, kind, 1, _run_config(args), sigma)[0]
     write_history_csv(args.out, _history_rows(kind, 0, history))
     window = min(args.rate_window, history.sweeps - 1)
     rate = empirical_rate(history, window) if window >= 1 else 0.0
@@ -254,20 +227,17 @@ def cmd_compare(args, parser) -> int:
     if args.sweeps < 1:
         parser.error("--sweeps must be >= 1")
     kinds = _parse_strategies(args.strategies, args, parser)
-    seed = args.seed if args.seed is not None else 0
     B, b, ybar, y0 = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     # raises "matrix not PSD" (or on bad c0/c1) before any trial runs
     bounds = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
 
-    rows = []
-    histories: dict[str, list[IterationHistory]] = {k: [] for k in kinds}
-    for kind in kinds:
-        for trial in range(args.trials):
-            history = _run_one(B, b, ybar, y0, kind, sigma, seed, trial, args)
-            histories[kind].append(history)
-            rows.extend(_history_rows(kind, trial, history))
-    write_history_csv(args.out_csv, rows)
+    config = _run_config(args)
+    histories = {kind: run_trials(B, b, y0, ybar, kind, args.trials, config, sigma)
+                 for kind in kinds}
+    write_history_csv(args.out_csv, (row for kind in kinds
+                                     for trial, h in enumerate(histories[kind])
+                                     for row in _history_rows(kind, trial, h)))
 
     summary = _bounds_report(bounds) | {"trials": args.trials}
     mean_curves = []
@@ -322,11 +292,10 @@ def cmd_analyze(args, parser) -> int:
         return 0
 
     if n <= analysis.EXHAUSTIVE_LIMIT:
-        method, stats = "exhaustive", analysis.min_truncation_exhaustive(B)
+        stats = analysis.min_truncation_exhaustive(B)
         expected, se = stats.mean_ratio, None
         oracle_name, oracle = "bruteforce", analysis.expected_lower_gram_bruteforce(B)
     else:
-        method = "heuristic"
         stats = analysis.min_truncation_heuristic(B, args.restarts, derived_rng(seed, 7))
         expected, se = analysis.expected_truncation_norm(B, args.trials, derived_rng(seed, 8))
         oracle_name, oracle = "closed", analysis.expected_lower_gram_closed(B)
@@ -337,7 +306,7 @@ def cmd_analyze(args, parser) -> int:
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     flagged = dev[i, j] > 1e-10 * max(gram.norm_b ** 2, 1.0)
     _emit(report | {
-        "truncation_method": method,
+        "truncation_method": stats.method,
         "truncation_samples": stats.samples,
         "truncation_ratio_identity": stats.ratio_identity,
         "truncation_ratio_min": stats.min_ratio,

@@ -77,21 +77,6 @@ def default_start(inst: ProblemInstance) -> np.ndarray:
     return y0
 
 
-def _draw_factor(n, m, complex_entries, rng):
-    if complex_entries:
-        A = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    else:
-        A = rng.standard_normal((n, m))
-    # zero rows have probability 0; redraw defensively anyway
-    while True:
-        zero_rows = np.flatnonzero(np.linalg.norm(A, axis=1) == 0)
-        if zero_rows.size == 0:
-            break
-        for i in zero_rows:
-            A[i] = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_entries else 0)
-    return A / np.linalg.norm(A, axis=1)[:, None]
-
-
 def random_factor_problem(n: int, m: int, complex_entries: bool = False,
                           rng: np.random.Generator | None = None) -> ProblemInstance:
     """Random Gaussian factor with unit-norm rows, plus a planted solution."""
@@ -99,7 +84,10 @@ def random_factor_problem(n: int, m: int, complex_entries: bool = False,
         raise ValueError("n and m must be >= 1")
     if rng is None:
         raise ValueError("an rng is required")
-    A = _draw_factor(n, m, complex_entries, rng)
+    A = rng.standard_normal((n, m))
+    if complex_entries:
+        A = A + 1j * rng.standard_normal((n, m))
+    A /= np.linalg.norm(A, axis=1)[:, None]  # a Gaussian row is zero with probability 0
     B = hermitian_from_factor(A, normalize_rows=True)
     b, ybar = plant_solution(B, rng)
     return ProblemInstance(

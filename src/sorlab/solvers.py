@@ -14,6 +14,8 @@ propagation matrix exists only in :func:`error_iteration_matrix`.
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
 trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
 same passes once, behind one input check per update rule.
+:func:`run_trials` runs seeded Monte Carlo trials of one ordering kind and
+owns their seed scheme.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -23,18 +25,22 @@ chosen (kernel components cancel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .linalg import (_as_matrix, _as_permutation, _as_square, _ordered_lower, energy_seminorm_sq,
                      has_unit_diagonal)
-from .orderings import OrderingStrategy, _as_indices, make_rng, sweep_order
+from .orderings import (OrderingStrategy, _as_indices, derive_seed, derived_rng, fixed, make_rng,
+                        preshuffled, sweep_order)
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
 SWEEP_BLOCK = 64
+# trial kinds of run_trials; a kind's position here is part of its derived
+# seeds, so the tuple is frozen and new kinds go at the end
+TRIAL_KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
 
 
 @dataclass(frozen=True)
@@ -215,6 +221,36 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
     return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
                     config, strategy)
+
+
+def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
+               sigma=None) -> list[IterationHistory]:
+    """Run ``trials`` seeded :func:`run_solver` trials of one ordering kind.
+
+    ``kind`` is one of TRIAL_KINDS and k its position there. Trial t sweeps
+    with the seed ``derive_seed(config.seed, k, t, 0)``; a preshuffled trial
+    draws its order from ``derived_rng(config.seed, k, t, 1)`` unless
+    ``sigma`` pins it. ``fixed`` requires ``sigma``; cyclic, shuffled and
+    single_step_random ignore it. Returns one history per trial, in order.
+    """
+    if kind not in TRIAL_KINDS:
+        raise ValueError(f"unknown trial kind {kind!r}; choose from {', '.join(TRIAL_KINDS)}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if kind == "fixed" and sigma is None:
+        raise ValueError("kind 'fixed' requires sigma")
+    index = TRIAL_KINDS.index(kind)
+    histories = []
+    for t in range(trials):
+        if sigma is not None and kind in ("fixed", "preshuffled"):
+            strategy = fixed(sigma)
+        elif kind == "preshuffled":
+            strategy = preshuffled(len(b), derived_rng(config.seed, index, t, 1))
+        else:
+            strategy = OrderingStrategy(kind)
+        trial_config = replace(config, seed=derive_seed(config.seed, index, t, 0))
+        histories.append(run_solver(B, b, y0, ybar, trial_config, strategy))
+    return histories
 
 
 def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,

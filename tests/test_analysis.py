@@ -217,6 +217,11 @@ def test_heuristic_identity_matrix():
     assert stats.min_ratio == 0.0 and stats.method == "heuristic"
 
 
+def test_heuristic_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        min_truncation_heuristic(random_psd_unit(5, make_rng(4)), 0, make_rng(0))
+
+
 def test_heuristic_never_beats_exhaustive_and_often_matches():
     matches = 0
     for seed in range(10):
@@ -390,6 +395,11 @@ def test_rate_bounds_validation():
         evaluate_rate_bounds(ones, 1.0, c0=1.0)
 
 
+def test_rate_bounds_reject_non_positive_c1():
+    with pytest.raises(ValueError, match="c1 must be positive"):
+        evaluate_rate_bounds(fan_problem(2).B, 1.0, c1=0)
+
+
 @given(n=st.integers(2, 9), seed=st.integers(0, 10**6),
        omega=st.floats(0.05, 1.95), cplx=st.booleans())
 @settings(max_examples=50, deadline=None)
@@ -501,6 +511,17 @@ def test_perm_batches_lexicographic():
         got = np.concatenate(list(_perm_batches(n)))
         assert got.dtype == np.intp
         assert np.array_equal(got, np.array(list(itertools.permutations(range(n)))))
+
+
+def test_perm_batches_sampled_are_bounded_by_size():
+    # at n = 64 a batch holds at most 5040 * 8**2 entries, as many as the
+    # largest exhaustive batch, and the batches are one stream of draws
+    n, trials = 64, 2000
+    batches = list(_perm_batches(n, trials, make_rng(3)))
+    assert all(p.size <= 5040 * 64 for p in batches) and len(batches) > 1
+    single = make_rng(3).permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
+    assert np.array_equal(np.concatenate(batches), single)
+    assert [len(p) for p in _perm_batches(8, 6000, make_rng(3))] == [5040, 960]
 
 
 @pytest.mark.parametrize("cplx", [False, True])

@@ -131,6 +131,33 @@ def test_strategy_usage_errors_come_before_reading_files(tmp_path, args):
     assert not (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("solve", "--strategy", "shuffled,cyclic", "--out"), "solve runs one strategy"),
+    (("solve", "--strategy", "cyclic", "--sweeps", "0", "--out"), "--sweeps must be >= 1"),
+    (("compare", "--strategies", "cyclic", "--trials", "0", "--out-csv"),
+     "--trials must be >= 1"),
+    (("compare", "--strategies", "cyclic", "--sweeps", "0", "--out-csv"),
+     "--sweeps must be >= 1"),
+])
+def test_run_usage_errors_come_before_reading_files(tmp_path, capsys, args, message):
+    missing = tmp_path / "missing.mtx"
+    *head, out_flag = args
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*head, "--matrix", missing, "--rhs", missing, "--ybar", missing,
+                out_flag, tmp_path / "h.csv")
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_generate_random_requires_n(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--kind", "random", "--m", "3", "--out-dir", tmp_path / "x")
+    assert exc.value.code == 2
+    assert "--kind random requires --n" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_solve_inconsistent_system(tmp_path):
     d = tmp_path / "bad"
     d.mkdir()
@@ -396,6 +423,36 @@ def test_plot_empty_csv_fails(tmp_path):
     csv = tmp_path / "e.csv"
     csv.write_text(CSV_HEADER + "\n")
     assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+
+
+def test_plot_per_trial_redraws_compare_svg(fan_dir, tmp_path):
+    csv, cmp_svg, svg = tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "p.svg"
+    assert run_cli("compare", *_system_args(fan_dir), "--strategies", "cyclic,shuffled",
+                   "--trials", "3", "--sweeps", "6", "--out-csv", csv, "--out-svg", cmp_svg,
+                   "--per-trial") == 0
+    assert run_cli("plot", "--csv", csv, "--out", svg, "--per-trial",
+                   "--title", "omega=1.0 trials=3") == 0
+    text = svg.read_text()
+    assert text.count("<polyline") == 2 * 3 + 2
+    assert text == cmp_svg.read_text()
+
+
+def test_plot_wrong_csv_header_fails(tmp_path, capsys):
+    csv = tmp_path / "w.csv"
+    csv.write_text("strategy,trial,sweep,error\ncyclic,0,0,1.0\n")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert "unexpected CSV header" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_bounds_rate_outside_unit_interval_exits_1(tmp_path, capsys):
+    d = tmp_path / "fan32"
+    assert run_cli("generate", "--kind", "fan", "--m", "32", "--out-dir", d) == 0
+    capsys.readouterr()
+    assert run_cli("bounds", "--matrix", d / "B.mtx", "--c1", "1e-3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rate_preshuffled = " in captured.err and "falls outside [0, 1)" in captured.err
 
 
 # ---------------------------------------------------------------- report layout

@@ -7,6 +7,7 @@ from sorlab import (
     SolverConfig,
     cyclic,
     derive_seed,
+    derived_rng,
     eigen_hermitian,
     empirical_rate,
     energy_seminorm_sq,
@@ -17,15 +18,18 @@ from sorlab import (
     make_rng,
     mean_error_curve,
     permute_conjugate,
+    preshuffled,
     random_factor_problem,
     run_kaczmarz,
     run_solver,
+    run_trials,
     shuffled,
     single_step_random,
     sor_sweep,
     strict_lower,
     sweep_order,
 )
+from sorlab import solvers
 from helpers import forward_substitute_unit, random_psd_unit
 
 
@@ -295,6 +299,66 @@ def test_run_solver_rejects_indefinite_matrix():
         run_solver(B, np.zeros(6), y0, np.zeros(6), SolverConfig(), cyclic())
 
 
+# ---------------------------------------------------------------- trials
+
+def _trial_system():
+    inst = random_factor_problem(6, 4, rng=make_rng(21))
+    return inst.B, inst.b, np.zeros(6), inst.ybar
+
+
+@pytest.mark.parametrize("kind, index", [("cyclic", 0), ("shuffled", 1), ("preshuffled", 2),
+                                         ("single_step_random", 3)])
+def test_run_trials_seed_scheme(kind, index):
+    # trial t sweeps with derive_seed(seed, index, t, 0); a preshuffled trial
+    # draws its order from derived_rng(seed, index, t, 1)
+    B, b, y0, ybar = _trial_system()
+    config = SolverConfig(max_sweeps=7, target_error_sq=0.0, seed=11)
+    histories = run_trials(B, b, y0, ybar, kind, 3, config)
+    assert len(histories) == 3
+    for t, h in enumerate(histories):
+        strategy = (preshuffled(6, derived_rng(11, index, t, 1)) if kind == "preshuffled"
+                    else OrderingStrategy(kind))
+        ref = run_solver(B, b, y0, ybar, SolverConfig(max_sweeps=7, target_error_sq=0.0,
+                                                      seed=derive_seed(11, index, t, 0)),
+                         strategy)
+        assert np.array_equal(h.errors_sq, ref.errors_sq)
+        assert np.array_equal(h.final_iterate, ref.final_iterate)
+
+
+def test_run_trials_sigma_pins_fixed_and_preshuffled():
+    B, b, y0, ybar = _trial_system()
+    sigma = [5, 3, 1, 0, 2, 4]
+    config = SolverConfig(max_sweeps=4, seed=2)
+    ref = run_solver(B, b, y0, ybar, config, fixed(sigma))
+    for kind in ("fixed", "preshuffled"):
+        for h in run_trials(B, b, y0, ybar, kind, 2, config, sigma):
+            assert np.array_equal(h.errors_sq, ref.errors_sq)
+    # the kinds that draw no permutation ignore sigma
+    cyc = run_trials(B, b, y0, ybar, "cyclic", 1, config, sigma)[0]
+    assert np.array_equal(cyc.errors_sq, run_solver(B, b, y0, ybar, config, cyclic()).errors_sq)
+
+
+def test_run_trials_calls_run_solver_once_per_trial(monkeypatch):
+    calls = []
+    real = solvers.run_solver
+    monkeypatch.setattr(solvers, "run_solver", lambda *a, **k: calls.append(1) or real(*a, **k))
+    B, b, y0, ybar = _trial_system()
+    for kind in solvers.TRIAL_KINDS[:-1]:
+        run_trials(B, b, y0, ybar, kind, 5, SolverConfig(max_sweeps=3))
+    assert len(calls) == 20
+
+
+def test_run_trials_rejects_bad_arguments():
+    B, b, y0, ybar = _trial_system()
+    config = SolverConfig(max_sweeps=3)
+    with pytest.raises(ValueError, match="unknown trial kind 'random'"):
+        run_trials(B, b, y0, ybar, "random", 1, config)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_trials(B, b, y0, ybar, "cyclic", 0, config)
+    with pytest.raises(ValueError, match="'fixed' requires sigma"):
+        run_trials(B, b, y0, ybar, "fixed", 1, config)
+
+
 def test_mean_error_curve_pads_with_last_value():
     mean = mean_error_curve([[4.0, 2.0, 1.0], [8.0], [2.0, 0.5]])
     assert np.array_equal(mean, np.array([14.0, 10.5, 9.5]) / 3)
@@ -479,3 +543,8 @@ def test_empirical_rate_zero_inside_window():
 def test_empirical_rate_short_history():
     with pytest.raises(ValueError, match="too short"):
         empirical_rate(np.array([1.0, 0.5]), 5)
+
+
+def test_empirical_rate_rejects_empty_window():
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        empirical_rate(0.5 ** np.arange(12), window=0)
