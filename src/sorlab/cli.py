@@ -190,10 +190,16 @@ def _check_omega(args, parser):
         parser.error("--omega must lie strictly in (0, 2)")
 
 
-def cmd_solve(args, parser) -> int:
-    _check_omega(args, parser)
+def _check_run_counts(args, parser):
     if args.sweeps < 1:
         parser.error("--sweeps must be >= 1")
+    if args.rate_window < 1:
+        parser.error("--rate-window must be >= 1")
+
+
+def cmd_solve(args, parser) -> int:
+    _check_omega(args, parser)
+    _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategy, args, parser)
     if len(kinds) > 1:
         parser.error("solve runs one strategy; use compare for several")
@@ -224,8 +230,7 @@ def cmd_compare(args, parser) -> int:
     _check_omega(args, parser)
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    if args.sweeps < 1:
-        parser.error("--sweeps must be >= 1")
+    _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategies, args, parser)
     B, b, ybar, y0 = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None

@@ -13,7 +13,12 @@ propagation matrix exists only in :func:`error_iteration_matrix`.
 
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
 trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
-same passes once, behind one input check per update rule.
+same passes once, behind one input check per update rule. The LAPACK
+forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex iterate) is
+chosen once per trial or sweep call from the iterate's dtype, and SciPy's
+LAPACK wrappers are imported there, at the first sweep: importing sorlab
+and the commands that never sweep (generate, analyze, bounds, plot) do
+not load SciPy.
 :func:`run_trials` runs seeded Monte Carlo trials of one ordering kind and
 owns their seed scheme.
 
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .linalg import (_as_matrix, _as_permutation, _as_square, _ordered_lower, energy_seminorm_sq,
                      has_unit_diagonal)
@@ -117,29 +121,33 @@ def _kaczmarz_inputs(A, b, **vectors):
             *(_check_vector(v, n, name) for name, v in vectors.items()))
 
 
-def _forward_substitute(L, r):
-    """Solve (I + strict_lower(L)) z = r; the diagonal and upper part of L are ignored."""
-    trtrs = ztrtrs if np.iscomplexobj(L) or np.iscomplexobj(r) else dtrtrs
-    return trtrs(L, r, lower=1, unitdiag=1)[0]
+def _trtrs(v):
+    """LAPACK triangular solver for the blocks of a pass on the iterate v:
+    ztrtrs if v is complex, else dtrtrs. Every block's matrix and right-hand
+    side are built from the operands that fix v's dtype, so a block is
+    complex exactly when v is."""
+    from scipy.linalg import lapack
+    return lapack.ztrtrs if np.iscomplexobj(v) else lapack.dtrtrs
 
 
-def _sor_pass(B, b, y, omega, order):
+def _sor_pass(B, b, y, omega, order, trtrs):
     """Relax the coordinates of y in place, in the given order.
 
     Step k sets y[i_k] += omega * (b[i_k] - B[i_k] @ y) with the latest y.
     For a block of SWEEP_BLOCK consecutive steps the increments d solve
     (I + omega L) d = omega (b - B y)[idx], where L is the strictly lower
     part of B[idx][:, idx] (indices may repeat): one gather of rows, one
-    product, one forward substitution and one scatter-add per block.
+    product, one forward substitution by ``trtrs`` (see :func:`_trtrs`;
+    it reads only the strictly lower part) and one scatter-add per block.
     """
     for start in range(0, len(order), SWEEP_BLOCK):
         idx = order[start:start + SWEEP_BLOCK]
         rows = B[idx]
-        d = _forward_substitute(omega * rows[:, idx], omega * (b[idx] - rows @ y))
+        d = trtrs(omega * rows[:, idx], omega * (b[idx] - rows @ y), lower=1, unitdiag=1)[0]
         np.add.at(y, idx, d)
 
 
-def _kaczmarz_pass(A, b, x, omega, order):
+def _kaczmarz_pass(A, b, x, omega, order, trtrs):
     """Project x in place onto the row hyperplanes of A, in the given order.
 
     Step k adds omega * (b[i_k] - a_k @ x) * conj(a_k) with the latest x;
@@ -149,7 +157,8 @@ def _kaczmarz_pass(A, b, x, omega, order):
     for start in range(0, len(order), SWEEP_BLOCK):
         idx = order[start:start + SWEEP_BLOCK]
         rows = A[idx]
-        d = _forward_substitute(omega * (rows @ rows.conj().T), omega * (b[idx] - rows @ x))
+        d = trtrs(omega * (rows @ rows.conj().T), omega * (b[idx] - rows @ x),
+                  lower=1, unitdiag=1)[0]
         x += rows.conj().T @ d
 
 
@@ -162,7 +171,7 @@ def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
     B, b, y = _sor_inputs(B, b=b, y=y)
     order = _check_order(order, B.shape[0])
     y = np.array(y, dtype=np.result_type(B, b, y), copy=True)
-    _sor_pass(B, b, y, omega, order)
+    _sor_pass(B, b, y, omega, order, _trtrs(y))
     return y
 
 
@@ -175,7 +184,7 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     A, b, x = _kaczmarz_inputs(A, b, x=x)
     order = _check_order(order, A.shape[0])
     x = np.array(x, dtype=np.result_type(A, b, x), copy=True)
-    _kaczmarz_pass(A, b, x, omega, order)
+    _kaczmarz_pass(A, b, x, omega, order, _trtrs(x))
     return x
 
 
@@ -184,11 +193,13 @@ def _iterate(M, b, v, error, sweep, config: SolverConfig,
     """Sweep v in place until max_sweeps or until error(v) reaches the target.
 
     Each sweep draws its order from the strategy (PCG64 stream seeded with
-    ``config.seed``) and runs ``sweep(M, b, v, omega, order)``; the error and
+    ``config.seed``) and runs ``sweep(M, b, v, omega, order, trtrs)`` with the
+    solver :func:`_trtrs` picks once for the trial; the error and
     the residual ||b - M v|| are recorded before the first and after every
     sweep. Raises ValueError once either is NaN or Inf.
     """
     rng = make_rng(config.seed)
+    trtrs = _trtrs(v)
     errors: list[float] = []
     residuals: list[float] = []
 
@@ -201,7 +212,7 @@ def _iterate(M, b, v, error, sweep, config: SolverConfig,
 
     record(0)
     for sweep_no in range(1, config.max_sweeps + 1):
-        sweep(M, b, v, config.omega, sweep_order(strategy, M.shape[0], rng))
+        sweep(M, b, v, config.omega, sweep_order(strategy, M.shape[0], rng), trtrs)
         record(sweep_no)
         if errors[-1] <= config.target_error_sq:
             break

@@ -138,6 +138,14 @@ def test_strategy_usage_errors_come_before_reading_files(tmp_path, args):
      "--trials must be >= 1"),
     (("compare", "--strategies", "cyclic", "--sweeps", "0", "--out-csv"),
      "--sweeps must be >= 1"),
+    (("solve", "--strategy", "cyclic", "--rate-window", "0", "--out"),
+     "--rate-window must be >= 1"),
+    (("solve", "--strategy", "cyclic", "--rate-window", "-3", "--out"),
+     "--rate-window must be >= 1"),
+    (("compare", "--strategies", "cyclic", "--rate-window", "0", "--out-csv"),
+     "--rate-window must be >= 1"),
+    (("compare", "--strategies", "cyclic", "--rate-window", "-3", "--out-csv"),
+     "--rate-window must be >= 1"),
 ])
 def test_run_usage_errors_come_before_reading_files(tmp_path, capsys, args, message):
     missing = tmp_path / "missing.mtx"

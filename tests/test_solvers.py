@@ -260,6 +260,42 @@ def test_run_solver_matches_coordinate_loop_over_many_sweeps():
             assert h.errors_sq[k] == pytest.approx(err, rel=1e-9, abs=1e-13 * h.errors_sq[0])
 
 
+@pytest.mark.parametrize("complex_operand", ["y0", "ybar", "x0"])
+def test_one_complex_operand_makes_the_iterate_complex(complex_operand):
+    # the LAPACK solver follows the iterate's dtype, not the matrix's: with a
+    # real system and one complex vector every block must use the complex
+    # solver; n = 70 spans two blocks of SWEEP_BLOCK = 64 steps
+    n = 70
+    rng = make_rng(43)
+    inst = random_factor_problem(n, 40, False, rng)
+    start = rng.standard_normal(n)
+    size = inst.A.shape[1] if complex_operand == "x0" else n
+    complex_vector = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    cfg = SolverConfig(omega=1.2, max_sweeps=4, target_error_sq=0.0, seed=9)
+    for strategy in _replay_strategies(n):
+        orders = _sweep_orders(strategy, n, cfg, cfg.max_sweeps)
+        if complex_operand == "x0":
+            A, b = inst.A, inst.b
+            h = run_kaczmarz(A, b, complex_vector, inst.xbar, cfg, strategy)
+            ref = swept = complex_vector
+            for order in orders:
+                ref = _row_kaczmarz_sweep(A, b, ref, cfg.omega, order)
+                swept = kaczmarz_sweep(A, b, swept, cfg.omega, order)
+        else:
+            B, b = inst.B, inst.b
+            y0, ybar = ((complex_vector, inst.ybar) if complex_operand == "y0"
+                        else (start, complex_vector))
+            h = run_solver(B, b, y0, ybar, cfg, strategy)
+            ref = swept = y0.astype(complex)
+            for order in orders:
+                ref = _coordinate_sor_sweep(B, b, ref, cfg.omega, order)
+                swept = sor_sweep(B, b, swept, cfg.omega, order)
+        assert h.sweeps == cfg.max_sweeps
+        assert h.final_iterate.dtype == swept.dtype == np.complex128
+        assert np.array_equal(h.final_iterate, swept)
+        assert np.allclose(swept, ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
+
+
 def test_run_solver_rejects_non_finite_input():
     inst = random_factor_problem(4, 4, False, make_rng(2))
     bad = np.array([0.0, np.nan, 0.0, 0.0])
