@@ -22,6 +22,7 @@ from sorlab import (
     evaluate_rate_bounds,
     fan_problem,
     run_solver,
+    spectral_summary,
     strict_lower,
 )
 from sorlab.svgplot import write_semilog
@@ -58,7 +59,7 @@ def main(argv=None):
         c = math.cos(math.pi / (2 * m))
         # m = 1 has orthogonal rows: exact convergence in one sweep, no rate to fit
         exponent = math.log(ratio) / math.log(c) if 0 < ratio and 0 < c < 1 else float("nan")
-        rep = evaluate_rate_bounds(inst.B, 1.0)
+        rep = evaluate_rate_bounds(spectral_summary(inst.B), 1.0)
         print(f"{m:>3} {ratio:>15.9f} {exponent:>9.3f} {c ** (2 * m):>11.6f} "
               f"{c ** (4 * m):>11.6f} {rep.rate_cyclic:>13.6f} {rep.rate_shuffled:>14.6f}")
         series.append((f"m={m}", list(history.errors_sq)))

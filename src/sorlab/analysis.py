@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SpectralSummary,
     _as_permutation,
     _as_square,
     _ordered_lower,
     hadamard,
-    has_unit_diagonal,
     min_index_matrix,
     spectral_norm,
     spectral_summary,
@@ -182,13 +182,10 @@ class LowerGramReport:
 
 
 def _is_psd_unit_diagonal(B):
-    if not has_unit_diagonal(B):
-        return False
     try:
-        spectral_summary(B)
+        return spectral_summary(B).unit_diagonal
     except ValueError:  # indefinite, or the zero matrix
         return False
-    return True
 
 
 def check_lower_gram_bounds(B) -> LowerGramReport:
@@ -471,9 +468,12 @@ def _check_rate(name, value):
     return float(value)
 
 
-def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
+def evaluate_rate_bounds(spectrum: SpectralSummary, omega: float, c0: float | None = None,
                          c1: float = C1_DEFAULT) -> RateBounds:
     """Evaluate all per-sweep contraction bounds for PSD unit-diagonal B.
+
+    The bounds read B only through ``spectrum``, its :func:`spectral_summary`:
+    n, L1 = lambda1, kbar = kappa_bar, the rank and the unit-diagonal flag.
 
     rate_cyclic        : 1 - (2-w) w L1 / ((1 + (1/2) floor(log2 2n) w L1)^2 kbar)
     rate_cyclic_lowrank: same with (1/2) floor(log2 2n) replaced by c0 ln(rank)
@@ -482,13 +482,11 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
     rate_preshuffled   : 1 - w (2-w) L1 / ((1 + c1 w L1)^2 kbar)
     """
     _check_omega(omega)
-    B = _as_square(B)
-    if not has_unit_diagonal(B):
+    if not spectrum.unit_diagonal:
         raise ValueError("bounds assume unit diagonal; call rescale_unit_diagonal first")
-    s = spectral_summary(B)
-    lam = s.lambda1
-    kap = s.kappa_bar
-    n = B.shape[0]
+    lam = spectrum.lambda1
+    kap = spectrum.kappa_bar
+    n = len(spectrum.eigenvalues)
     gain = (2.0 - omega) * omega * lam
 
     half_log = 0.5 * math.floor(math.log2(2 * n))
@@ -497,13 +495,13 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
 
     lowrank = None
     if c0 is not None:
-        if s.rank < 2:
+        if spectrum.rank < 2:
             raise ValueError("low-rank variant needs rank >= 2")
         if c0 <= 0:
             raise ValueError("c0 must be positive")
         lowrank = _check_rate(
             "rate_cyclic_lowrank",
-            1.0 - gain / ((1.0 + c0 * math.log(s.rank) * omega * lam) ** 2 * kap))
+            1.0 - gain / ((1.0 + c0 * math.log(spectrum.rank) * omega * lam) ** 2 * kap))
 
     rate_single = _check_rate(
         "rate_single_step_sweep", (1.0 - gain / (n * kap)) ** n)
@@ -519,7 +517,7 @@ def evaluate_rate_bounds(B, omega: float, c0: float | None = None,
         n=n,
         lambda1=lam,
         kappa_bar=kap,
-        rank=s.rank,
+        rank=spectrum.rank,
         rate_cyclic=rate_cyclic,
         rate_cyclic_lowrank=lowrank,
         rate_single_step_sweep=rate_single,
@@ -565,10 +563,9 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     """
     B = _as_square(B)
     _check_omega(omega)
-    if not has_unit_diagonal(B):
-        # also rejects the zero matrix, which has no contraction factor
+    s = spectral_summary(B)  # raises on an indefinite or zero B before the averaging
+    if not s.unit_diagonal:
         raise ValueError("unit diagonal required; call rescale_unit_diagonal first")
-    s = spectral_summary(B)  # raises "matrix not PSD" before the averaging
     n = B.shape[0]
 
     batches = _perm_batches(n) if n <= EXHAUSTIVE_LIMIT else _perm_batches(n, trials, rng)

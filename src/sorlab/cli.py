@@ -154,10 +154,11 @@ def _load_system(args, parser):
         y0, _ = mmio.read_vector(args.y0)
     else:
         y0 = default_start(ProblemInstance(B=B, b=b, ybar=ybar))
-    if not args.allow_inconsistent and not consistency_check(B, b):
+    spectrum = spectral_summary(B)  # the one eigh; raises on an indefinite or zero B
+    if not args.allow_inconsistent and not consistency_check(spectrum, b):
         raise ValueError("system inconsistent: b has a component outside Ran(B) "
                          "(pass --allow-inconsistent to run anyway)")
-    return B, b, ybar, y0
+    return B, b, ybar, y0, spectrum
 
 
 def _parse_strategies(text, args, parser):
@@ -204,13 +205,11 @@ def cmd_solve(args, parser) -> int:
     if len(kinds) > 1:
         parser.error("solve runs one strategy; use compare for several")
     kind = kinds[0]
-    B, b, ybar, y0 = _load_system(args, parser)
-    spectral_summary(B)  # raises "matrix not PSD" before the trial runs
+    B, b, ybar, y0, _ = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     history = run_trials(B, b, y0, ybar, kind, 1, _run_config(args), sigma)[0]
     write_history_csv(args.out, _history_rows(kind, 0, history))
-    window = min(args.rate_window, history.sweeps - 1)
-    rate = empirical_rate(history, window) if window >= 1 else 0.0
+    rate = empirical_rate(history, max(1, min(args.rate_window, history.sweeps - 1)))
     _emit({"strategy": kind, "sweeps": history.sweeps, "final_error_sq": history.errors_sq[-1],
            "empirical_rate": rate, "csv": args.out})
     return 0
@@ -232,10 +231,10 @@ def cmd_compare(args, parser) -> int:
         parser.error("--trials must be >= 1")
     _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategies, args, parser)
-    B, b, ybar, y0 = _load_system(args, parser)
+    B, b, ybar, y0, spectrum = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
-    # raises "matrix not PSD" (or on bad c0/c1) before any trial runs
-    bounds = analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)
+    # raises on a non-unit diagonal or bad c0/c1 before any trial runs
+    bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
 
     config = _run_config(args)
     histories = {kind: run_trials(B, b, y0, ybar, kind, args.trials, config, sigma)
@@ -249,8 +248,8 @@ def cmd_compare(args, parser) -> int:
     for kind in kinds:
         mean = mean_error_curve(h.errors_sq for h in histories[kind])
         mean_curves.append((kind, mean))
-        window = min(args.rate_window, len(mean) - 2)
-        summary[f"empirical_rate[{kind}]"] = empirical_rate(mean, window) if window >= 1 else 0.0
+        window = max(1, min(args.rate_window, len(mean) - 2))
+        summary[f"empirical_rate[{kind}]"] = empirical_rate(mean, window)
         summary[f"final_mean_error_sq[{kind}]"] = mean[-1]
 
     if args.out_svg:
@@ -339,8 +338,9 @@ def cmd_analyze(args, parser) -> int:
 def cmd_bounds(args, parser) -> int:
     _check_omega(args, parser)
     B, _ = mmio.read_matrix(args.matrix)
-    B = hermitian(B)
-    _emit(_bounds_report(analysis.evaluate_rate_bounds(B, args.omega, c0=args.c0, c1=args.c1)))
+    spectrum = spectral_summary(hermitian(B))
+    bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
+    _emit(_bounds_report(bounds))
     return 0
 
 

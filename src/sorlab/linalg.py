@@ -37,7 +37,9 @@ class SpectralSummary:
     ``rank`` counts eigenvalues above ``RANK_TOLERANCE * lambda1``;
     ``kappa_bar`` is the essential condition number lambda1 / lambda_r,
     the ratio of the extreme *nonzero* eigenvalues. The first ``rank``
-    columns of ``eigenvectors`` span the range of B.
+    columns of ``eigenvectors`` span the range of B. ``unit_diagonal`` is
+    :func:`has_unit_diagonal` of B, the other input assumption of the
+    paper's rate bounds.
     """
 
     eigenvalues: np.ndarray  # sorted non-increasing
@@ -46,7 +48,7 @@ class SpectralSummary:
     lambda_r: float
     rank: int
     kappa_bar: float
-    spectral_norm: float
+    unit_diagonal: bool
 
 
 def _as_matrix(M, name="matrix"):
@@ -203,7 +205,10 @@ def spectral_norm(M) -> float:
 
 
 def spectral_summary(B) -> SpectralSummary:
-    """Spectral summary of PSD B; raises ValueError if B is indefinite or zero."""
+    """Spectral summary of PSD B; raises ValueError if B is indefinite or zero.
+
+    Each command computes it once and passes it on in place of B.
+    """
     w, V = eigen_hermitian(B)
     lambda1 = float(w[0])
     if lambda1 <= 0:
@@ -221,7 +226,7 @@ def spectral_summary(B) -> SpectralSummary:
         lambda_r=lambda_r,
         rank=rank,
         kappa_bar=lambda1 / lambda_r,
-        spectral_norm=float(max(abs(w[0]), abs(w[-1]))),
+        unit_diagonal=has_unit_diagonal(B),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_from_factor, spectral_summary
+from .linalg import SpectralSummary, hermitian_from_factor
 
 # consistency_check accepts a residual outside Ran(B) up to this times ||b||.
 CONSISTENCY_TOL = 1e-10
@@ -121,20 +121,17 @@ def plant_solution(B, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     return B @ ybar, ybar
 
 
-def consistency_check(B, b) -> bool:
+def consistency_check(spectrum: SpectralSummary, b) -> bool:
     """True iff b lies in the range of PSD B up to CONSISTENCY_TOL * ||b||.
 
-    The range projector is assembled from the first ``rank`` eigenvectors of
-    :func:`spectral_summary`, so an indefinite B raises "matrix not PSD".
-    A zero b is always consistent; a zero B with b != 0 never is.
+    ``spectrum`` is :func:`spectral_summary` of B, which has already raised
+    on an indefinite or zero B; its first ``rank`` eigenvectors assemble
+    the range projector. A zero b is always consistent.
     """
     b = np.asarray(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return True
-    if not np.any(B):
-        return False  # zero range
-    s = spectral_summary(B)
-    Vr = s.eigenvectors[:, :s.rank]
+    Vr = spectrum.eigenvectors[:, :spectrum.rank]
     resid = b - Vr @ (Vr.conj().T @ b)
     return bool(np.linalg.norm(resid) <= CONSISTENCY_TOL * bnorm)

@@ -316,7 +316,7 @@ def empirical_rate(history, window: int = 10) -> float:
     errs = np.asarray(getattr(history, "errors_sq", history), dtype=np.float64)
     if window < 1:
         raise ValueError("window must be >= 1")
-    if len(errs) < window + 2:
+    if len(errs) < window + 1:
         raise ValueError("history too short for the requested window")
     tail = errs[-(window + 1):]
     if np.any(tail <= 0):

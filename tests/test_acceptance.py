@@ -185,7 +185,7 @@ def test_criterion_06_shuffled_envelope_montecarlo():
         inst = random_factor_problem(16, m, complex_entries=(i == 9), rng=rng)
         y0 = np.zeros(16, dtype=inst.B.dtype)
         for j, omega in enumerate((0.5, 1.0, 1.5)):
-            rho = evaluate_rate_bounds(inst.B, omega).rate_shuffled
+            rho = evaluate_rate_bounds(spectral_summary(inst.B), omega).rate_shuffled
             curves = np.empty((trials, sweeps + 1))
             for t in range(trials):
                 cfg = SolverConfig(omega=omega, max_sweeps=sweeps,
@@ -221,7 +221,7 @@ def test_criterion_07_exact_expected_contraction():
     for B in instances:
         for omega in (0.5, 1.0, 1.5):
             measured = expected_contraction(B, omega)
-            bound = evaluate_rate_bounds(B, omega).rate_shuffled
+            bound = evaluate_rate_bounds(spectral_summary(B), omega).rate_shuffled
             worst_margin = min(worst_margin, bound - measured)
             if measured > bound + 1e-10:
                 violations += 1
@@ -290,7 +290,7 @@ def test_criterion_10_compare_reproducibility(tmp_path):
 
 def test_bound_formulas_hand_substitution():
     # spec note criterion: fan m=4, omega=1 hand-substituted values to 1e-12
-    rep = evaluate_rate_bounds(fan_problem(4).B, 1.0)
+    rep = evaluate_rate_bounds(spectral_summary(fan_problem(4).B), 1.0)
     checks = {
         "rate_cyclic": (rep.rate_cyclic, 1.0 - 4.0 / 81.0),
         "rate_shuffled": (rep.rate_shuffled, 0.84),

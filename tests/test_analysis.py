@@ -360,7 +360,7 @@ def test_expected_truncation_norm_within_exhaustive_range():
 
 def test_rate_bounds_fan_hand_values():
     B = fan_problem(4).B
-    rep = evaluate_rate_bounds(B, 1.0)
+    rep = evaluate_rate_bounds(spectral_summary(B), 1.0)
     assert rep.rate_cyclic == pytest.approx(1.0 - 4.0 / 81.0, abs=1e-12)
     assert rep.rate_shuffled == pytest.approx(0.84, abs=1e-12)
     assert rep.rate_single_step_sweep == pytest.approx(0.00390625, abs=1e-12)
@@ -369,35 +369,35 @@ def test_rate_bounds_fan_hand_values():
 
 
 def test_rate_bounds_fan_omega_half():
-    rep = evaluate_rate_bounds(fan_problem(4).B, 0.5)
+    rep = evaluate_rate_bounds(spectral_summary(fan_problem(4).B), 0.5)
     # gain = 1.5 * 0.5 * 4 = 3, denominator (1 + 2)^2 = 9
     assert rep.rate_shuffled == pytest.approx(1.0 - 3.0 / 9.0, abs=1e-12)
 
 
 def test_rate_bounds_lowrank_variant():
     B = fan_problem(4).B
-    rep = evaluate_rate_bounds(B, 1.0, c0=1.0)
+    rep = evaluate_rate_bounds(spectral_summary(B), 1.0, c0=1.0)
     expect = 1.0 - 4.0 / (1.0 + np.log(2.0) * 4.0) ** 2
     assert rep.rate_cyclic_lowrank == pytest.approx(expect, abs=1e-10)
-    assert evaluate_rate_bounds(B, 1.0).rate_cyclic_lowrank is None
+    assert evaluate_rate_bounds(spectral_summary(B), 1.0).rate_cyclic_lowrank is None
 
 
 def test_rate_bounds_validation():
     B = fan_problem(2).B
     with pytest.raises(ValueError, match="omega"):
-        evaluate_rate_bounds(B, 2.0)
+        evaluate_rate_bounds(spectral_summary(B), 2.0)
     with pytest.raises(ValueError, match="unit diagonal"):
-        evaluate_rate_bounds(np.diag([2.0, 1.0]), 1.0)
+        evaluate_rate_bounds(spectral_summary(np.diag([2.0, 1.0])), 1.0)
     with pytest.raises(ValueError, match="c0"):
-        evaluate_rate_bounds(B, 1.0, c0=-1.0)
+        evaluate_rate_bounds(spectral_summary(B), 1.0, c0=-1.0)
     ones = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
     with pytest.raises(ValueError, match="rank"):
-        evaluate_rate_bounds(ones, 1.0, c0=1.0)
+        evaluate_rate_bounds(spectral_summary(ones), 1.0, c0=1.0)
 
 
 def test_rate_bounds_reject_non_positive_c1():
     with pytest.raises(ValueError, match="c1 must be positive"):
-        evaluate_rate_bounds(fan_problem(2).B, 1.0, c1=0)
+        evaluate_rate_bounds(spectral_summary(fan_problem(2).B), 1.0, c1=0)
 
 
 @given(n=st.integers(2, 9), seed=st.integers(0, 10**6),
@@ -405,9 +405,9 @@ def test_rate_bounds_reject_non_positive_c1():
 @settings(max_examples=50, deadline=None)
 def test_rate_bounds_all_in_unit_interval(n, seed, omega, cplx):
     B = random_psd_unit(n, make_rng(seed), cplx)
-    rep = evaluate_rate_bounds(B, omega)
+    rep = evaluate_rate_bounds(spectral_summary(B), omega)
     if rep.rank >= 2:
-        rep = evaluate_rate_bounds(B, omega, c0=2.0)
+        rep = evaluate_rate_bounds(spectral_summary(B), omega, c0=2.0)
     for rate in (rep.rate_cyclic, rep.rate_cyclic_lowrank, rep.rate_single_step_sweep,
                  rep.rate_shuffled, rep.rate_preshuffled):
         if rate is not None:
@@ -427,7 +427,7 @@ def test_expected_contraction_below_shuffled_bound():
         B = random_psd_unit(2 + seed % 5, rng, complex_entries=seed % 2 == 0)
         for omega in (0.5, 1.0, 1.5):
             measured = expected_contraction(B, omega)
-            bound = evaluate_rate_bounds(B, omega).rate_shuffled
+            bound = evaluate_rate_bounds(spectral_summary(B), omega).rate_shuffled
             assert measured <= bound + 1e-10
 
 
@@ -444,7 +444,7 @@ def test_expected_contraction_montecarlo_mode():
     # n = 9 exceeds the exhaustive limit; sampling path with fixed seed
     B = random_psd_unit(9, make_rng(50))
     measured = expected_contraction(B, 1.0, trials=400, rng=make_rng(51))
-    bound = evaluate_rate_bounds(B, 1.0).rate_shuffled
+    bound = evaluate_rate_bounds(spectral_summary(B), 1.0).rate_shuffled
     assert 0.0 <= measured <= 1.0
     assert measured <= bound + 0.05  # Monte Carlo slack
 

@@ -388,6 +388,38 @@ def test_analyze_decomposes_psd_matrix_twice(fan_dir, monkeypatch):
     assert len(calls) == 2  # spectral summary, and the PSD test of the Gram bounds
 
 
+@pytest.mark.parametrize("system, extra", [
+    ("random", ("solve", "--strategy", "cyclic", "--out")),
+    ("fan", ("solve", "--strategy", "shuffled", "--out")),
+    ("random", ("solve", "--strategy", "cyclic", "--allow-inconsistent", "--out")),
+    ("random", ("compare", "--strategies", "cyclic,shuffled", "--trials", "2", "--out-csv")),
+    ("random", ("bounds",)),
+])
+def test_run_commands_decompose_matrix_once(fan_dir, random_dir, tmp_path, monkeypatch,
+                                            system, extra):
+    # one spectral summary per command: the PSD gate, range test and rate bounds share it
+    d = {"fan": fan_dir, "random": random_dir}[system]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    if extra == ("bounds",):
+        args = ("bounds", "--matrix", d / "B.mtx")
+    else:
+        args = (extra[0], *_system_args(d), "--sweeps", "3", *extra[1:], tmp_path / "h.csv")
+    assert run_cli(*args) == 0
+    assert len(calls) == 1
+
+
+def test_zero_matrix_with_nonzero_rhs_exits_1(tmp_path, capsys):
+    write_matrix(tmp_path / "B.mtx", np.zeros((3, 3)))
+    write_vector(tmp_path / "b.mtx", np.ones(3))
+    write_vector(tmp_path / "ybar.mtx", np.zeros(3))
+    assert run_cli("solve", *_system_args(tmp_path), "--strategy", "cyclic",
+                   "--out", tmp_path / "h.csv") == 1
+    assert capsys.readouterr().err == "error: zero matrix has no nonzero eigenvalues\n"
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_bounds_fan_values(fan_dir, capsys):
     assert run_cli("bounds", "--matrix", fan_dir / "B.mtx", "--omega", "1.0") == 0
     out = capsys.readouterr().out
@@ -591,11 +623,12 @@ def _bounds_expected(report):
 @pytest.mark.parametrize("extra", [(), ("--c0", "1.0", "--c1", "2.5", "--omega", "1.2")])
 def test_bounds_report_layout(fan_dir, capsys, extra):
     from sorlab import analysis
-    from sorlab.linalg import hermitian
+    from sorlab.linalg import hermitian, spectral_summary
     assert run_cli("bounds", "--matrix", fan_dir / "B.mtx", *extra) == 0
     opts = dict(zip(extra[::2], extra[1::2]))
     report = analysis.evaluate_rate_bounds(
-        hermitian(read_matrix(fan_dir / "B.mtx")[0]), float(opts.get("--omega", 1.0)),
+        spectral_summary(hermitian(read_matrix(fan_dir / "B.mtx")[0])),
+        float(opts.get("--omega", 1.0)),
         c0=float(opts["--c0"]) if "--c0" in opts else None,
         c1=float(opts.get("--c1", analysis.C1_DEFAULT)))
     expected = _bounds_expected(report)
@@ -636,13 +669,14 @@ def test_solve_report_layout(random_dir, tmp_path, capsys):
 
 def test_compare_report_layout(random_dir, tmp_path, capsys):
     from sorlab import analysis, empirical_rate, mean_error_curve
-    from sorlab.linalg import hermitian
+    from sorlab.linalg import hermitian, spectral_summary
     csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
     assert run_cli("compare", *_system_args(random_dir), "--strategies", "cyclic,shuffled",
                    "--trials", "2", "--sweeps", "5", "--seed", "3",
                    "--out-csv", csv, "--out-svg", svg) == 0
     lines = capsys.readouterr().out.splitlines()
-    report = analysis.evaluate_rate_bounds(hermitian(read_matrix(random_dir / "B.mtx")[0]), 1.0)
+    report = analysis.evaluate_rate_bounds(
+        spectral_summary(hermitian(read_matrix(random_dir / "B.mtx")[0])), 1.0)
     expected = _bounds_expected(report) + [("trials", 2)]
     means = []
     for kind in ("cyclic", "shuffled"):
@@ -657,3 +691,17 @@ def test_compare_report_layout(random_dir, tmp_path, capsys):
     _check_lines(lines[:head], expected)
     assert lines[head:head + len(table)] == table
     _check_lines(lines[head + len(table):], [("svg", svg), ("csv", csv)])
+
+
+def test_one_sweep_rate_is_the_one_ratio(random_dir, tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    assert run_cli("solve", *_system_args(random_dir), "--strategy", "cyclic",
+                   "--sweeps", "1", "--out", csv) == 0
+    e0, e1 = (row[3] for row in read_history_csv(csv))
+    _check_lines(capsys.readouterr().out.splitlines()[3:4], [("empirical_rate", e1 / e0)])
+    assert e1 / e0 > 0
+    assert run_cli("compare", *_system_args(random_dir), "--strategies", "cyclic",
+                   "--sweeps", "1", "--out-csv", csv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    _check_lines([l for l in printed if l.startswith("empirical_rate[")],
+                 [("empirical_rate[cyclic]", e1 / e0)])

@@ -30,9 +30,9 @@ def test_fan_identities(m):
     assert s.lambda1 == pytest.approx(m, rel=1e-8)
     assert s.rank == 2
     assert s.kappa_bar == pytest.approx(1.0, rel=1e-8)
-    assert s.spectral_norm == pytest.approx(m, rel=1e-8)
+    assert s.unit_diagonal
     assert np.array_equal(inst.B.diagonal(), np.ones(2 * m))
-    assert consistency_check(inst.B, inst.b)
+    assert consistency_check(s, inst.b)
 
 
 def test_fan_rejects_bad_m():
@@ -113,21 +113,22 @@ def test_plant_solution_identity():
 def test_plant_solution_consistent_and_in_range():
     inst = low_rank_problem(7, 3, False, make_rng(11))
     b, _ = plant_solution(inst.B, make_rng(12))
-    assert consistency_check(inst.B, b)
+    assert consistency_check(spectral_summary(inst.B), b)
     w, V = eigen_hermitian(inst.B)
     null = V[:, w <= 1e-10 * w[0]]
     assert np.linalg.norm(null.conj().T @ b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_consistency_check_cases():
-    assert consistency_check(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    assert consistency_check(spectral_summary(np.eye(3)), np.array([1.0, 2.0, 3.0]))
     ones = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert not consistency_check(ones, np.array([1.0, -1.0]))
+    assert not consistency_check(spectral_summary(ones), np.array([1.0, -1.0]))
     rng = make_rng(4)
     y = rng.standard_normal(2)
-    assert consistency_check(ones, ones @ y)
-    assert consistency_check(ones, np.zeros(2))
-    assert not consistency_check(np.zeros((2, 2)), np.ones(2))  # zero range
+    assert consistency_check(spectral_summary(ones), ones @ y)
+    assert consistency_check(spectral_summary(ones), np.zeros(2))
+    with pytest.raises(ValueError, match="zero matrix"):  # zero range: no summary
+        spectral_summary(np.zeros((2, 2)))
 
 
 def test_consistency_check_rejects_indefinite_matrix():
@@ -139,4 +140,4 @@ def test_consistency_check_rejects_indefinite_matrix():
     np.fill_diagonal(B, 1.0)
     assert np.linalg.eigvalsh(B)[0] < -0.1
     with pytest.raises(ValueError, match="matrix not PSD"):
-        consistency_check(B, B @ rng.standard_normal(6))
+        consistency_check(spectral_summary(B), B @ rng.standard_normal(6))

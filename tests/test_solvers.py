@@ -576,6 +576,11 @@ def test_empirical_rate_zero_inside_window():
     assert empirical_rate(errs, 5) == 0.0
 
 
+def test_empirical_rate_reads_window_plus_one_entries():
+    assert empirical_rate(np.array([4.0, 1.0]), 1) == 0.25
+    assert empirical_rate(np.array([8.0, 2.0, 0.5]), 2) == 0.25
+
+
 def test_empirical_rate_short_history():
     with pytest.raises(ValueError, match="too short"):
         empirical_rate(np.array([1.0, 0.5]), 5)
