@@ -174,47 +174,33 @@ class LowerGramReport:
     norm_avg: float
     norm_b: float
     norm_h: float
-    psd_unit_diagonal: bool
-    general_ok: bool          # norm_avg <= 4 ||B||^2
-    psd_strict_ok: bool | None    # norm_avg < ||B||^2 (PSD unit-diagonal only)
-    h_general_ok: bool        # ||H|| <= 2 ||B||
-    h_psd_ok: bool | None     # ||H|| <= max(||B|| - 1, 1) <= ||B||
-
-
-def _is_psd_unit_diagonal(B):
-    try:
-        return spectral_summary(B).unit_diagonal
-    except ValueError:  # indefinite, or the zero matrix
-        return False
+    general_ok: bool          # norm_avg <= 4 ||B||^2 (every Hermitian B)
+    psd_strict_ok: bool       # norm_avg < ||B||^2 (proven for PSD unit-diagonal B)
+    h_general_ok: bool        # ||H|| <= 2 ||B|| (every Hermitian B)
+    h_psd_ok: bool            # ||H|| <= max(||B|| - 1, 1) (proven for PSD unit-diagonal B)
 
 
 def check_lower_gram_bounds(B) -> LowerGramReport:
     """Evaluate norm bounds for the reordering average of L L*.
 
-    Always checks ||E|| <= 4 ||B||^2 and ||H|| <= 2 ||B||; for PSD B with
-    unit diagonal additionally the strict bound ||E|| < ||B||^2 and
-    ||H|| <= max(||B|| - 1, 1).
+    Checks ||E|| <= 4 ||B||^2 and ||H|| <= 2 ||B||, which hold for every
+    Hermitian B, and ||E|| < ||B||^2 and ||H|| <= max(||B|| - 1, 1), which
+    the paper proves for PSD B with unit diagonal; whether B is such a
+    matrix is for the caller's :func:`spectral_summary` to say.
     """
     B = _as_square(B)
     norm_b = spectral_norm(B)
     norm_avg = spectral_norm(expected_lower_gram_closed(B))
     norm_h = spectral_norm(B - np.diag(np.diag(B)))
     slack = 1e-12 * max(norm_b**2, 1.0)
-    psd_unit = _is_psd_unit_diagonal(B)
-    psd_strict = None
-    h_psd = None
-    if psd_unit:
-        psd_strict = bool(norm_avg < norm_b**2 - 1e-10 * norm_b**2) if norm_b > 0 else True
-        h_psd = bool(norm_h <= max(norm_b - 1.0, 1.0) + slack)
     return LowerGramReport(
         norm_avg=norm_avg,
         norm_b=norm_b,
         norm_h=norm_h,
-        psd_unit_diagonal=psd_unit,
         general_ok=bool(norm_avg <= 4.0 * norm_b**2 + slack),
-        psd_strict_ok=psd_strict,
+        psd_strict_ok=bool(norm_avg < norm_b**2 - 1e-10 * norm_b**2) if norm_b > 0 else True,
         h_general_ok=bool(norm_h <= 2.0 * norm_b + slack),
-        h_psd_ok=h_psd,
+        h_psd_ok=bool(norm_h <= max(norm_b - 1.0, 1.0) + slack),
     )
 
 
@@ -443,20 +429,21 @@ class RateBounds:
     Every rate is an upper bound on the factor by which the squared energy
     error shrinks per sweep (in expectation, for the randomized variants).
     ``rate_cyclic_lowrank`` is only evaluated when the caller supplies the
-    constant c0 and rank >= 2.
+    constant c0 and rank >= 2. Fields are in report order: the CLI prints
+    them as they stand.
     """
 
-    omega: float
     n: int
     lambda1: float
     kappa_bar: float
     rank: int
+    omega: float
     rate_cyclic: float
     rate_cyclic_lowrank: float | None
+    c0: float | None
     rate_single_step_sweep: float
     rate_shuffled: float
     rate_preshuffled: float
-    c0: float | None
     c1: float
     c2: float = C2_DEFAULT  # general-Hermitian existence constant, informational
 
@@ -513,17 +500,17 @@ def evaluate_rate_bounds(spectrum: SpectralSummary, omega: float, c0: float | No
         "rate_preshuffled", 1.0 - gain / ((1.0 + c1 * omega * lam) ** 2 * kap))
 
     return RateBounds(
-        omega=omega,
         n=n,
         lambda1=lam,
         kappa_bar=kap,
         rank=spectrum.rank,
+        omega=omega,
         rate_cyclic=rate_cyclic,
         rate_cyclic_lowrank=lowrank,
+        c0=c0,
         rate_single_step_sweep=rate_single,
         rate_shuffled=rate_shuffled,
         rate_preshuffled=rate_preshuffled,
-        c0=c0,
         c1=c1,
     )
 

@@ -10,6 +10,7 @@ generator this makes all outputs byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -26,21 +27,17 @@ from .problems import (
     low_rank_problem,
     random_factor_problem,
 )
-from .solvers import IterationHistory, SolverConfig, empirical_rate, mean_error_curve, run_trials
+from .solvers import (TRIAL_KINDS, IterationHistory, SolverConfig, empirical_rate,
+                      mean_error_curve, run_trials)
 # bound here only for perfbench/selftest.py, which checks that the tracer
 # wraps and restores a function at each module that imported it
 from .solvers import run_solver  # noqa: F401
 
 CSV_HEADER = "strategy,trial,sweep,error_sq,residual"
 
-_STRATEGY_ALIASES = {
-    "cyclic": "cyclic",
-    "shuffled": "shuffled",
-    "preshuffled": "preshuffled",
+_STRATEGY_ALIASES = {kind: kind for kind in TRIAL_KINDS} | {
     "singlestep": "single_step_random",
     "single-step-random": "single_step_random",
-    "single_step_random": "single_step_random",
-    "fixed": "fixed",
 }
 
 
@@ -80,12 +77,16 @@ def read_history_csv(path):
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            strategy, trial, sweep, err, resid = line.split(",")
-            rows.append((strategy, int(trial), int(sweep), float(err), float(resid)))
+            try:
+                strategy, trial, sweep, err, resid = line.split(",")
+                rows.append((strategy, int(trial), int(sweep), float(err), float(resid)))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected a row {CSV_HEADER} with "
+                                 f"integer trial and sweep, got {line!r}") from None
     return rows
 
 
@@ -196,6 +197,8 @@ def _check_run_counts(args, parser):
         parser.error("--sweeps must be >= 1")
     if args.rate_window < 1:
         parser.error("--rate-window must be >= 1")
+    if not args.target_error_sq >= 0:  # also rejects NaN
+        parser.error("--target-error-sq must be >= 0")
 
 
 def cmd_solve(args, parser) -> int:
@@ -213,16 +216,6 @@ def cmd_solve(args, parser) -> int:
     _emit({"strategy": kind, "sweeps": history.sweeps, "final_error_sq": history.errors_sq[-1],
            "empirical_rate": rate, "csv": args.out})
     return 0
-
-
-# RateBounds fields in summary order; rate_cyclic_lowrank and c0 are None without --c0
-_BOUNDS_KEYS = ("n", "lambda1", "kappa_bar", "rank", "omega", "rate_cyclic",
-                "rate_cyclic_lowrank", "c0", "rate_single_step_sweep", "rate_shuffled",
-                "rate_preshuffled", "c1", "c2")
-
-
-def _bounds_report(bounds: analysis.RateBounds) -> dict:
-    return {key: getattr(bounds, key) for key in _BOUNDS_KEYS}
 
 
 def cmd_compare(args, parser) -> int:
@@ -243,7 +236,7 @@ def cmd_compare(args, parser) -> int:
                                      for trial, h in enumerate(histories[kind])
                                      for row in _history_rows(kind, trial, h)))
 
-    summary = _bounds_report(bounds) | {"trials": args.trials}
+    summary = dataclasses.asdict(bounds) | {"trials": args.trials}
     mean_curves = []
     for kind in kinds:
         mean = mean_error_curve(h.errors_sq for h in histories[kind])
@@ -284,10 +277,11 @@ def cmd_analyze(args, parser) -> int:
     n = B.shape[0]
     try:
         s = spectral_summary(B)
-        w, rank, kappa_bar = s.eigenvalues, s.rank, s.kappa_bar
+        w, rank, kappa_bar, psd_unit = s.eigenvalues, s.rank, s.kappa_bar, s.unit_diagonal
     except ValueError:  # indefinite, or the zero matrix
         w, _ = eigen_hermitian(B)
         rank, kappa_bar = (0 if not B.any() else "n/a (matrix not PSD)"), None
+        psd_unit = False
     report = {"n": n, "lambda_max": w[0], "lambda_min": w[-1],
               "spectral_norm": max(abs(w[0]), abs(w[-1])), "rank": rank, "kappa_bar": kappa_bar}
 
@@ -322,8 +316,9 @@ def cmd_analyze(args, parser) -> int:
         "avg_lower_gram_norm": gram.norm_avg,
         "norm_b_squared": gram.norm_b ** 2,
         "bound_general_ok": gram.general_ok,
-        "psd_unit_diagonal": gram.psd_unit_diagonal,
-        "bound_psd_strict_ok": gram.psd_strict_ok,
+        "psd_unit_diagonal": psd_unit,
+        # the paper proves the strict bound only for PSD unit-diagonal B
+        "bound_psd_strict_ok": gram.psd_strict_ok if psd_unit else None,
         "avg_lower_gram_oracle": oracle_name,
         "weighted_form_max_abs_dev": dev[i, j],
         "weighted_form_flagged": flagged,
@@ -340,7 +335,7 @@ def cmd_bounds(args, parser) -> int:
     B, _ = mmio.read_matrix(args.matrix)
     spectrum = spectral_summary(hermitian(B))
     bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
-    _emit(_bounds_report(bounds))
+    _emit(dataclasses.asdict(bounds))
     return 0
 
 

@@ -70,7 +70,14 @@ def read_matrix(path):
         while line.startswith("%"):
             comments.append(line[1:].rstrip("\n"))
             line = fh.readline()
-        rows, cols = (int(t) for t in line.split())
+        try:
+            rows, cols = (int(t) for t in line.split())
+        except ValueError:  # too few or too many tokens, or a non-integer one
+            rows = cols = -1
+        if rows < 0 or cols < 0:
+            got = repr(line.strip()) if line else "end of file"
+            raise ValueError(f"{path}: line {2 + len(comments)}: expected the size line "
+                             f"'rows cols' (two non-negative integers), got {got}")
         complex_field = field == "complex"
         dtype = np.complex128 if complex_field else np.float64
         M = np.zeros((rows, cols), dtype=dtype)

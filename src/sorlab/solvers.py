@@ -58,7 +58,7 @@ class SolverConfig:
         _check_omega(self.omega)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.target_error_sq < 0:
+        if not self.target_error_sq >= 0:  # also rejects NaN
             raise ValueError("target_error_sq must be >= 0")
 
 

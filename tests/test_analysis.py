@@ -123,7 +123,8 @@ def test_montecarlo_converges_to_closed_form():
 def test_gram_bounds_identity():
     rep = check_lower_gram_bounds(np.eye(3))
     assert rep.norm_avg == 0.0
-    assert rep.general_ok and rep.psd_unit_diagonal and rep.psd_strict_ok
+    assert spectral_summary(np.eye(3)).unit_diagonal
+    assert rep.general_ok and rep.psd_strict_ok
     assert rep.h_general_ok and rep.h_psd_ok
 
 
@@ -137,8 +138,9 @@ def test_gram_bounds_rank_one_ones():
 @given(n=st.integers(2, 10), seed=st.integers(0, 10**6), cplx=st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_gram_bounds_random_psd(n, seed, cplx):
-    rep = check_lower_gram_bounds(random_psd_unit(n, make_rng(seed), cplx))
-    assert rep.psd_unit_diagonal
+    B = random_psd_unit(n, make_rng(seed), cplx)
+    rep = check_lower_gram_bounds(B)
+    assert spectral_summary(B).unit_diagonal
     assert rep.general_ok and rep.psd_strict_ok and rep.h_general_ok and rep.h_psd_ok
 
 

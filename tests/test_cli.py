@@ -146,6 +146,10 @@ def test_strategy_usage_errors_come_before_reading_files(tmp_path, args):
      "--rate-window must be >= 1"),
     (("compare", "--strategies", "cyclic", "--rate-window", "-3", "--out-csv"),
      "--rate-window must be >= 1"),
+    (("solve", "--strategy", "cyclic", "--target-error-sq", "nan", "--out"),
+     "--target-error-sq must be >= 0"),
+    (("compare", "--strategies", "cyclic", "--target-error-sq", "-1", "--out-csv"),
+     "--target-error-sq must be >= 0"),
 ])
 def test_run_usage_errors_come_before_reading_files(tmp_path, capsys, args, message):
     missing = tmp_path / "missing.mtx"
@@ -380,12 +384,27 @@ def test_analyze_usage_errors_come_before_reading_files(tmp_path, capsys, flag):
     assert captured.out == "" and f"{flag} must be >= 1" in captured.err
 
 
-def test_analyze_decomposes_psd_matrix_twice(fan_dir, monkeypatch):
+@pytest.mark.parametrize("case, decompositions", [
+    ("fan", 1),         # exhaustive path
+    ("psd10", 1),       # heuristic path
+    ("indefinite", 2),  # the failed spectral summary, then the eigen_hermitian fallback
+])
+def test_analyze_decomposes_matrix_once(fan_dir, tmp_path, monkeypatch, case, decompositions):
+    from helpers import random_psd_unit
+    from sorlab import make_rng
+    B = {"fan": lambda: read_matrix(fan_dir / "B.mtx")[0],
+         "psd10": lambda: random_psd_unit(10, make_rng(1)),
+         "indefinite": _indefinite_matrix}[case]()
+    write_matrix(tmp_path / "B.mtx", B)
+    n = B.shape[0]
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
-    assert run_cli("analyze", "--matrix", fan_dir / "B.mtx") == 0
-    assert len(calls) == 2  # spectral summary, and the PSD test of the Gram bounds
+    # count n x n calls only: the heuristic's Ritz step decomposes 2 x 2 blocks
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda M: calls.append(np.shape(M)[-2:] == (n, n)) or eigh(M))
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx",
+                   "--trials", "50", "--restarts", "2") == 0
+    assert sum(calls) == decompositions
 
 
 @pytest.mark.parametrize("system, extra", [
@@ -485,6 +504,21 @@ def test_plot_wrong_csv_header_fails(tmp_path, capsys):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("row", [
+    "cyclic,0,0,1.0",                # short
+    "cyclic,0,0,1.0,0.5,7",          # long
+    "cyclic,zero,0,1.0,0.5",         # non-integer trial
+    "cyclic,0,0,one,0.5",            # non-float error
+])
+def test_plot_malformed_csv_row_names_file_and_line(tmp_path, capsys, row):
+    csv = tmp_path / "h.csv"
+    csv.write_text(f"{CSV_HEADER}\ncyclic,0,0,2.0,1.0\n\n{row}\n")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert capsys.readouterr().err == (f"error: {csv}: line 4: expected a row {CSV_HEADER} "
+                                       f"with integer trial and sweep, got {row!r}\n")
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_bounds_rate_outside_unit_interval_exits_1(tmp_path, capsys):
     d = tmp_path / "fan32"
     assert run_cli("generate", "--kind", "fan", "--m", "32", "--out-dir", d) == 0
@@ -537,8 +571,10 @@ def _analyze_expected(B, trials=2000, restarts=20, seed=0):
     try:
         s = spectral_summary(B)
         out += [("rank", s.rank), ("kappa_bar", s.kappa_bar)]
+        psd_unit = s.unit_diagonal
     except ValueError:
         out += [("rank", "n/a (matrix not PSD)")]
+        psd_unit = False
     small = n <= analysis.EXHAUSTIVE_LIMIT
     if small:
         stats = analysis.min_truncation_exhaustive(B)
@@ -558,8 +594,8 @@ def _analyze_expected(B, trials=2000, restarts=20, seed=0):
             ("truncation_ratio_max", stats.max_ratio)] + est
     gram = analysis.check_lower_gram_bounds(B)
     out += [("avg_lower_gram_norm", gram.norm_avg), ("norm_b_squared", gram.norm_b ** 2),
-            ("bound_general_ok", gram.general_ok), ("psd_unit_diagonal", gram.psd_unit_diagonal)]
-    if gram.psd_strict_ok is not None:
+            ("bound_general_ok", gram.general_ok), ("psd_unit_diagonal", psd_unit)]
+    if psd_unit:
         out.append(("bound_psd_strict_ok", gram.psd_strict_ok))
     weighted = analysis.expected_lower_gram_weighted(B)
     dev = np.abs(oracle - weighted)

@@ -111,3 +111,19 @@ def test_read_complex_entry_without_imaginary_part(tmp_path):
                     "2 1\n1.0 0.0\n2.0\n")
     with pytest.raises(ValueError, match=r"v\.mtx: read 1 of 2 expected entries"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("size_line, got", [
+    ("", "end of file"),
+    ("2 2 4\n", "'2 2 4'"),
+    ("-2 2\n", "'-2 2'"),
+    ("2 x\n", "'2 x'"),
+    ("2.0 2\n", "'2.0 2'"),
+], ids=["missing", "three-tokens", "negative", "non-integer", "float"])
+def test_read_malformed_size_line_names_file_and_line(tmp_path, size_line, got):
+    path = tmp_path / "B.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n%c\n" + size_line)
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == (f"{path}: line 3: expected the size line 'rows cols' "
+                              f"(two non-negative integers), got {got}")

@@ -42,6 +42,8 @@ def test_config_validation():
         SolverConfig(max_sweeps=0)
     with pytest.raises(ValueError, match="target_error_sq"):
         SolverConfig(target_error_sq=-1.0)
+    with pytest.raises(ValueError, match="target_error_sq"):
+        SolverConfig(target_error_sq=float("nan"))
 
 
 # ---------------------------------------------------------------- sweeps

@@ -49,3 +49,27 @@ def test_traced_name_is_public_function_of_its_module(name):
     assert not attr.startswith("_")
     assert inspect.isfunction(fn), f"sorlab.{name} is not a function"
     assert fn.__module__ == module.__name__, f"sorlab.{name} is defined in {fn.__module__}"
+
+
+# (function, position, parameter) of every argument the tracer reads by
+# position; a reordered signature would make it read the wrong argument
+POSITIONAL_READS = [
+    ("solvers.run_solver", 4, "config"),
+    ("solvers.run_kaczmarz", 4, "config"),
+    ("analysis.expected_contraction", 2, "trials"),
+    ("analysis.expected_truncation_norm", 1, "trials"),
+    ("analysis.expected_lower_gram_montecarlo", 1, "trials"),
+    ("mmio.read_matrix", 0, "path"),
+    ("svgplot.write_semilog", 0, "path"),
+    ("cli.write_history_csv", 0, "path"),
+    ("analysis.expected_lower_gram_bruteforce", 0, "B"),
+    ("analysis.expected_contraction", 0, "B"),
+]
+
+
+@pytest.mark.parametrize("name, pos, param", POSITIONAL_READS)
+def test_tracer_positional_read_matches_signature(name, pos, param):
+    assert name in NAMES
+    layer, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"sorlab.{layer}"), attr)
+    assert list(inspect.signature(fn).parameters)[pos] == param
