@@ -8,8 +8,11 @@ Centerpieces:
   permutations (exhaustive search, local-search heuristic, Monte Carlo),
 * evaluation of the per-sweep contraction bounds for the cyclic, shuffled,
   preshuffled, and single-step-random iterations,
-* the exact expected one-sweep contraction factor, measured from the
-  averaged operator itself.
+* the expected one-sweep contraction factor of the shuffled iteration,
+  measured from the averaged operator itself: exact for n <= 8 by a
+  recursion over the subsets of indices already swept (Held-Karp / Bellman
+  style, n 2^(n-1) small products instead of n! sweeps), and a Monte Carlo
+  estimate above that.
 
 Note on the closed form: the definitional average over permutations equals
 (1/3) H^2 + (1/6) diag(H^2) with H = B - D (verified against the exhaustive
@@ -39,7 +42,8 @@ from .linalg import (
 )
 from .solvers import _check_omega
 
-# Largest n for which all n! permutations are enumerated (8! = 40320).
+# Largest n for which all n! permutations are enumerated (8! = 40320), or, in
+# expected_contraction, averaged over exactly by a subset recursion.
 EXHAUSTIVE_LIMIT = 8
 
 # Largest batch of orders. An exhaustive batch holds the (n - 1)! orders with
@@ -534,19 +538,50 @@ def _contraction_gram(B, R, omega, perms):
     return Y.conj().T @ Y
 
 
+def _shuffled_average(R, omega):
+    """E_s[S_s* S_s] over all n! orders s, for B = R R* (R is n x r).
+
+    S_s = S_{s_n} ... S_{s_1} is the one-sweep error map in the range
+    coordinates of B (see :func:`expected_contraction`), with coordinate
+    steps S_i = I_r - w c_i c_i*, c_i = conj(R[i]). Each S_i is Hermitian,
+    so the average is F(all) of the recursion over index subsets
+    F({}) = I_r, F(S) = (1/|S|) sum_{i in S} S_i F(S - {i}) S_i: the first
+    index swept is uniform over S, and the rest is a uniform order of
+    S - {i}.
+    F is stored by bitmask and filled one subset size at a time, n 2^(n-1)
+    r x r products in all instead of n! forward substitutions.
+    """
+    n, r = R.shape
+    S = np.eye(r) - omega * R.conj()[:, :, None] * R[:, None, :]
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    F = np.zeros((1 << n, r, r), dtype=S.dtype)
+    F[0] = np.eye(r)
+    for k in range(1, n + 1):
+        level = masks[size == k]
+        for i in range(n):
+            sub = level[bits[level, i] == 1]
+            F[sub] += S[i] @ F[sub ^ (1 << i)] @ S[i]
+        F[level] /= k
+    return F[-1]
+
+
 def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float:
     """Tight expected one-sweep contraction factor of the shuffled iteration.
 
     The factor is the largest generalized Rayleigh quotient
     <M y, y> / <B y, y> over y outside the kernel of B, where M is the
-    average of Q_s* B Q_s over permutations s (all n! of them when n <= 8,
-    else `trials` Monte Carlo samples). It is computed in the range of B:
-    write B = R R* with R = V_r Lambda_r^{1/2} from the eigenpairs of the
-    rank-r range. In the basis W = V_r Lambda_r^{-1/2}, R* Q_s W is the r x r
-    matrix S_s = I_r - w R_s* Z_s with R_s = R[s] and (I + w L_s) Z_s = R_s,
-    so W* Q_s* B Q_s W = S_s* S_s and the factor is lambda_max of the mean of
-    S_s* S_s (summed by :func:`_contraction_gram`). B must be PSD with unit
-    diagonal; an indefinite B raises "matrix not PSD".
+    average of Q_s* B Q_s over uniform permutations s. It is computed in the
+    range of B: write B = R R* with R = V_r Lambda_r^{1/2} from the eigenpairs
+    of the rank-r range. In the basis W = V_r Lambda_r^{-1/2}, R* Q_s W is the
+    r x r matrix S_s = I_r - w R_s* Z_s with R_s = R[s] and
+    (I + w L_s) Z_s = R_s, so W* Q_s* B Q_s W = S_s* S_s and the factor is
+    lambda_max of the mean of S_s* S_s. For n <= EXHAUSTIVE_LIMIT the
+    mean over all n! orders is exact, by the subset recursion of
+    :func:`_shuffled_average`; above it, it is estimated from `trials` Monte
+    Carlo orders drawn from `rng` (summed by :func:`_contraction_gram`).
+    B must be PSD with unit diagonal; an indefinite B raises "matrix not PSD".
     """
     B = _as_square(B)
     _check_omega(omega)
@@ -555,12 +590,10 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
         raise ValueError("unit diagonal required; call rescale_unit_diagonal first")
     n = B.shape[0]
 
-    batches = _perm_batches(n) if n <= EXHAUSTIVE_LIMIT else _perm_batches(n, trials, rng)
     R = s.eigenvectors[:, :s.rank] * np.sqrt(s.eigenvalues[:s.rank])
-    acc = np.zeros((s.rank, s.rank), dtype=B.dtype)
-    count = 0
-    for perms in batches:
-        acc += _contraction_gram(B, R, omega, perms)
-        count += len(perms)
-    M = acc / count
+    if n <= EXHAUSTIVE_LIMIT:
+        M = _shuffled_average(R, omega)
+    else:
+        M = sum(_contraction_gram(B, R, omega, perms)
+                for perms in _perm_batches(n, trials, rng)) / trials
     return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[-1])

@@ -75,7 +75,8 @@ def read_history_csv(path):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"{path}: line 1: unexpected CSV header {header!r}, "
+                             f"expected {CSV_HEADER!r}")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -82,7 +82,8 @@ def read_matrix(path):
         dtype = np.complex128 if complex_field else np.float64
         M = np.zeros((rows, cols), dtype=dtype)
         if symmetry != "general" and rows != cols:
-            raise ValueError("symmetric/hermitian matrices must be square")
+            raise ValueError(f"{path}: symmetric/hermitian matrices must be square, "
+                             f"got {rows} x {cols}")
         entry_rows, entry_cols = _entry_order(rows, cols, symmetry)
         expected = len(entry_rows)
         for k, (i, j) in enumerate(zip(entry_rows, entry_cols)):
@@ -90,10 +91,14 @@ def read_matrix(path):
             if len(parts) < (2 if complex_field else 1):
                 raise ValueError(f"{path}: read {k} of {expected} expected entries; "
                                  f"entry {k + 1} is missing or incomplete")
-            if complex_field:
-                M[i, j] = float(parts[0]) + 1j * float(parts[1])
-            else:
-                M[i, j] = float(parts[0])
+            try:
+                if complex_field:
+                    M[i, j] = float(parts[0]) + 1j * float(parts[1])
+                else:
+                    M[i, j] = float(parts[0])
+            except ValueError:
+                raise ValueError(f"{path}: line {3 + len(comments) + k}: entry {k + 1} of "
+                                 f"{expected} is not a number: {' '.join(parts)!r}") from None
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: found more than {expected} expected entries")
     if symmetry == "symmetric":

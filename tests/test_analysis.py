@@ -508,6 +508,47 @@ def test_expected_contraction_matches_error_matrix_average(B):
         assert abs(expected_contraction(B, omega) - ref) <= 1e-12 * abs(ref) + 1e-14
 
 
+def _range_coordinates(B):
+    V, lam = _range_factor(B)
+    return V * np.sqrt(lam)
+
+
+@pytest.mark.parametrize("n, cplx, m", [
+    (7, False, None), (7, True, None), (7, True, 3),
+    (8, False, None), (8, True, None), (8, False, 4),
+], ids=["7-real", "7-complex", "7-complex-rank3", "8-real", "8-complex", "8-real-rank4"])
+def test_shuffled_average_equals_all_orders(n, cplx, m):
+    # the subset recursion against n! forward substitutions
+    B = random_psd_unit(n, make_rng(1300 + n), cplx, m=m)
+    R = _range_coordinates(B)
+    r = R.shape[1]
+    assert r == (m or n)
+    for omega in (0.5, 1.0, 1.5):
+        ref = sum(analysis._contraction_gram(B, R, omega, perms)
+                  for perms in _perm_batches(n)) / math.factorial(n)
+        got = analysis._shuffled_average(R, omega)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shuffled_average_beyond_exhaustive_limit():
+    # n = 10: relabeling invariance, the shuffled bound and a sampled mean
+    n = 10
+    rng = make_rng(1320)
+    B = random_psd_unit(n, rng, complex_entries=True)
+    tau = rng.permutation(n)
+    R = _range_coordinates(B)
+    R_tau = _range_coordinates(permute_conjugate(B, tau))
+    for omega in (0.5, 1.0, 1.5):
+        exact = np.linalg.eigvalsh(analysis._shuffled_average(R, omega))[-1]
+        relabeled = np.linalg.eigvalsh(analysis._shuffled_average(R_tau, omega))[-1]
+        assert abs(exact - relabeled) <= 1e-12 * exact
+        assert exact <= evaluate_rate_bounds(spectral_summary(B), omega).rate_shuffled
+    T = analysis._shuffled_average(R, 1.0)
+    sampled = rng.permuted(np.tile(np.arange(n), (20000, 1)), axis=1).astype(np.intp)
+    approx = analysis._contraction_gram(B, R, 1.0, sampled) / 20000
+    assert np.max(np.abs(T - approx)) <= 0.01
+
+
 def test_perm_batches_lexicographic():
     for n in range(1, 9):
         got = np.concatenate(list(_perm_batches(n)))

@@ -504,6 +504,19 @@ def test_plot_wrong_csv_header_fails(tmp_path, capsys):
     assert not (tmp_path / "p.svg").exists()
 
 
+def test_malformed_input_files_name_the_file(tmp_path, capsys):
+    mtx = tmp_path / "B.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nabc\n0.5\n1.0\n")
+    assert run_cli("bounds", "--matrix", mtx) == 1
+    assert capsys.readouterr().err == (f"error: {mtx}: line 4: entry 2 of 4 is not a number: "
+                                       f"'abc'\n")
+    csv = tmp_path / "h.csv"
+    csv.write_text("bogus\ncyclic,0,0,1.0,0.5\n")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert capsys.readouterr().err == (f"error: {csv}: line 1: unexpected CSV header 'bogus', "
+                                       f"expected {CSV_HEADER!r}\n")
+
+
 @pytest.mark.parametrize("row", [
     "cyclic,0,0,1.0",                # short
     "cyclic,0,0,1.0,0.5,7",          # long

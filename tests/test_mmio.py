@@ -127,3 +127,23 @@ def test_read_malformed_size_line_names_file_and_line(tmp_path, size_line, got):
         read_matrix(path)
     assert str(exc.value) == (f"{path}: line 3: expected the size line 'rows cols' "
                               f"(two non-negative integers), got {got}")
+
+
+@pytest.mark.parametrize("field, entries, line", [
+    ("real", "1.0\nabc\n0.5\n1.0\n", "'abc'"),
+    ("complex", "1.0 0.0\n0.5 x\n0.5 0.0\n1.0 0.0\n", "'0.5 x'"),
+])
+def test_read_non_numeric_entry_names_file_line_and_entry(tmp_path, field, entries, line):
+    path = tmp_path / "B.mtx"
+    path.write_text(f"%%MatrixMarket matrix array {field} general\n%c\n2 2\n" + entries)
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: line 5: entry 2 of 4 is not a number: {line}"
+
+
+def test_read_non_square_symmetric_names_file(tmp_path):
+    path = tmp_path / "B.mtx"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n1.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: symmetric/hermitian matrices must be square, got 2 x 3"
