@@ -32,7 +32,6 @@ import numpy as np
 
 from .linalg import (
     SpectralSummary,
-    _as_permutation,
     _as_square,
     _ordered_lower,
     hadamard,
@@ -40,6 +39,7 @@ from .linalg import (
     spectral_norm,
     spectral_summary,
 )
+from .orderings import check_permutation
 from .solvers import _check_omega
 
 # Largest n for which all n! permutations are enumerated (8! = 40320), or, in
@@ -218,7 +218,7 @@ def truncation_ratio(B, sigma) -> float:
     """||L_sigma|| / ||B||: relative norm of the reordered lower truncation."""
     B = _as_square(B)
     norm_b = _nonzero_norm(B)
-    sigma = _as_permutation(sigma, B.shape[0])
+    sigma = check_permutation(sigma, B.shape[0])
     return float(_batched_truncation_norms(B, sigma[None, :])[0]) / norm_b
 
 
@@ -465,12 +465,15 @@ def evaluate_rate_bounds(spectrum: SpectralSummary, omega: float, c0: float | No
 
     The bounds read B only through ``spectrum``, its :func:`spectral_summary`:
     n, L1 = lambda1, kbar = kappa_bar, the rank and the unit-diagonal flag.
+    The cyclic, shuffled and preshuffled bounds are one formula,
+    1 - (2-w) w L1 / ((1 + C w L1)^2 kbar), where C bounds the triangular
+    truncation ||L|| / ||B|| of the strategy's orders:
 
-    rate_cyclic        : 1 - (2-w) w L1 / ((1 + (1/2) floor(log2 2n) w L1)^2 kbar)
-    rate_cyclic_lowrank: same with (1/2) floor(log2 2n) replaced by c0 ln(rank)
-    rate_single_step   : (1 - (2-w) w L1 / (n kbar))^n  (one sweep = n picks)
-    rate_shuffled      : 1 - w (2-w) L1 / ((1 + w L1)^2 kbar)
-    rate_preshuffled   : 1 - w (2-w) L1 / ((1 + c1 w L1)^2 kbar)
+    rate_cyclic         : C = (1/2) floor(log2 2n)
+    rate_cyclic_lowrank : C = c0 ln(rank)
+    rate_shuffled       : C = 1
+    rate_preshuffled    : C = c1
+    rate_single_step_sweep is (1 - (2-w) w L1 / (n kbar))^n (one sweep = n picks).
     """
     _check_omega(omega)
     if not spectrum.unit_diagonal:
@@ -480,9 +483,10 @@ def evaluate_rate_bounds(spectrum: SpectralSummary, omega: float, c0: float | No
     n = len(spectrum.eigenvalues)
     gain = (2.0 - omega) * omega * lam
 
-    half_log = 0.5 * math.floor(math.log2(2 * n))
-    rate_cyclic = _check_rate(
-        "rate_cyclic", 1.0 - gain / ((1.0 + half_log * omega * lam) ** 2 * kap))
+    def rate(name, c):
+        return _check_rate(name, 1.0 - gain / ((1.0 + c * omega * lam) ** 2 * kap))
+
+    rate_cyclic = rate("rate_cyclic", 0.5 * math.floor(math.log2(2 * n)))
 
     lowrank = None
     if c0 is not None:
@@ -490,18 +494,14 @@ def evaluate_rate_bounds(spectrum: SpectralSummary, omega: float, c0: float | No
             raise ValueError("low-rank variant needs rank >= 2")
         if c0 <= 0:
             raise ValueError("c0 must be positive")
-        lowrank = _check_rate(
-            "rate_cyclic_lowrank",
-            1.0 - gain / ((1.0 + c0 * math.log(spectrum.rank) * omega * lam) ** 2 * kap))
+        lowrank = rate("rate_cyclic_lowrank", c0 * math.log(spectrum.rank))
 
     rate_single = _check_rate(
         "rate_single_step_sweep", (1.0 - gain / (n * kap)) ** n)
-    rate_shuffled = _check_rate(
-        "rate_shuffled", 1.0 - gain / ((1.0 + omega * lam) ** 2 * kap))
+    rate_shuffled = rate("rate_shuffled", 1.0)
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    rate_preshuffled = _check_rate(
-        "rate_preshuffled", 1.0 - gain / ((1.0 + c1 * omega * lam) ** 2 * kap))
+    rate_preshuffled = rate("rate_preshuffled", c1)
 
     return RateBounds(
         n=n,

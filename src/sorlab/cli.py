@@ -3,8 +3,8 @@ strategies over Monte Carlo trials, evaluate rate bounds, analyze
 reordering statistics, and emit CSV histories plus SVG semilog plots.
 
 Exit codes: 0 success, 2 usage error, 1 runtime or I/O error. Every
-command accepts ``--seed`` (default 0); together with the pinned PCG64
-generator this makes all outputs byte-reproducible.
+command accepts a non-negative ``--seed`` (default 0); together with the
+pinned PCG64 generator this makes all outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _history_rows(strategy_name, trial, history: IterationHistory):
 
 
 def _group_curves(rows):
-    """Group CSV rows into {strategy: {trial: [err_by_sweep]}}, order-preserving."""
+    """Group CSV rows into {strategy: [err_by_sweep of each trial]}, order-preserving."""
     curves: dict[str, dict[int, list[float]]] = {}
     for strategy, trial, sweep, err, _ in rows:
         trials = curves.setdefault(strategy, {})
@@ -105,7 +105,7 @@ def _group_curves(rows):
         if sweep != len(curve):
             raise ValueError("CSV rows out of order; sweeps must be contiguous per trial")
         curve.append(err)
-    return curves
+    return {strategy: list(trials.values()) for strategy, trials in curves.items()}
 
 
 # ---------------------------------------------------------------- generate
@@ -238,21 +238,16 @@ def cmd_compare(args, parser) -> int:
                                      for row in _history_rows(kind, trial, h)))
 
     summary = dataclasses.asdict(bounds) | {"trials": args.trials}
-    mean_curves = []
-    for kind in kinds:
-        mean = mean_error_curve(h.errors_sq for h in histories[kind])
-        mean_curves.append((kind, mean))
+    curves = {kind: [h.errors_sq for h in hs] for kind, hs in histories.items()}
+    mean_curves = [(kind, mean_error_curve(trials)) for kind, trials in curves.items()]
+    for kind, mean in mean_curves:
         window = max(1, min(args.rate_window, len(mean) - 2))
         summary[f"empirical_rate[{kind}]"] = empirical_rate(mean, window)
         summary[f"final_mean_error_sq[{kind}]"] = mean[-1]
-
     if args.out_svg:
-        per_trial = None
-        if args.per_trial:
-            per_trial = {kind: [list(h.errors_sq) for h in histories[kind]] for kind in kinds}
         svgplot.write_semilog(args.out_svg, mean_curves,
                               title=f"omega={args.omega} trials={args.trials}",
-                              per_trial=per_trial)
+                              per_trial=curves if args.per_trial else None)
 
     _emit(summary)
     print("mean_error_sq per sweep:")
@@ -345,11 +340,9 @@ def cmd_plot(args, parser) -> int:
     if not rows:
         raise ValueError(f"no data rows in {args.csv}")
     curves = _group_curves(rows)
-    series = [(kind, mean_error_curve(trials.values())) for kind, trials in curves.items()]
-    per_trial = None
-    if args.per_trial:
-        per_trial = {kind: list(trials.values()) for kind, trials in curves.items()}
-    svgplot.write_semilog(args.out, series, title=args.title, per_trial=per_trial)
+    series = [(kind, mean_error_curve(trials)) for kind, trials in curves.items()]
+    svgplot.write_semilog(args.out, series, title=args.title,
+                          per_trial=curves if args.per_trial else None)
     _emit({"svg": args.out})
     return 0
 
@@ -392,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run one solver and write the history CSV")
     _add_common_run_args(s)
-    s.add_argument("--strategy", required=True,
-                   help="cyclic | shuffled | preshuffled | singlestep | fixed")
+    s.add_argument("--strategy", required=True, help=" | ".join(_STRATEGY_ALIASES))
     s.add_argument("--out", required=True, help="history CSV path")
     s.set_defaults(func=cmd_solve)
 
@@ -439,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:  # before any command reads a file
+        parser.error("--seed must be >= 0")
     try:
         return args.func(args, parser)
     except (OSError, ValueError, RuntimeError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orderings import _as_indices, check_permutation
+from .orderings import check_permutation
 
 # Numerical rank cutoff, relative to the largest eigenvalue; used only by
 # spectral_summary, which every rank, PSD and range decision goes through.
@@ -60,6 +60,15 @@ def _as_matrix(M, name="matrix"):
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return M
+
+
+def _check_vector(v, n, name):
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return v
 
 
 def _as_square(M):
@@ -136,13 +145,6 @@ def _ordered_lower(B, perms):
     return np.where(pos[:, :, None] > pos[:, None, :], B, 0)
 
 
-def _as_permutation(sigma, n):
-    sigma = _as_indices(sigma)
-    if sigma.shape != (n,):
-        raise ValueError("permutation length does not match matrix size")
-    return check_permutation(sigma)
-
-
 def permute_conjugate(B, sigma) -> np.ndarray:
     """Simultaneous row/column reordering: out[i, j] = B[sigma[i], sigma[j]].
 
@@ -150,7 +152,7 @@ def permute_conjugate(B, sigma) -> np.ndarray:
     P[i, sigma[i]] = 1; the spectrum is preserved.
     """
     B = _as_matrix(B)
-    sigma = _as_permutation(sigma, B.shape[0])
+    sigma = check_permutation(sigma, B.shape[0])
     return B[np.ix_(sigma, sigma)]
 
 

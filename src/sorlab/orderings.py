@@ -58,10 +58,13 @@ def _as_indices(seq) -> np.ndarray:
     return a.astype(np.intp)
 
 
-def check_permutation(sigma) -> np.ndarray:
+def check_permutation(sigma, n: int | None = None) -> np.ndarray:
+    """sigma as an intp permutation of 0..len(sigma)-1, of length n if n is given."""
     sigma = _as_indices(sigma)
     if sigma.ndim != 1 or not np.array_equal(np.sort(sigma), np.arange(len(sigma))):
         raise ValueError("not a permutation of 0..n-1")
+    if n is not None and len(sigma) != n:
+        raise ValueError(f"permutation has length {len(sigma)}, expected {n}")
     return sigma
 
 
@@ -141,7 +144,4 @@ def parse_permutation(text: str, n: int | None = None) -> np.ndarray:
         sigma = np.array([int(tok) - 1 for tok in text.split(",")], dtype=np.intp)
     except ValueError as exc:
         raise ValueError(f"bad permutation string {text!r}") from exc
-    sigma = check_permutation(sigma)
-    if n is not None and len(sigma) != n:
-        raise ValueError(f"permutation has length {len(sigma)}, expected {n}")
-    return sigma
+    return check_permutation(sigma, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpectralSummary, hermitian_from_factor
+from .linalg import SpectralSummary, _check_vector, hermitian_from_factor
 
 # consistency_check accepts a residual outside Ran(B) up to this times ||b||.
 CONSISTENCY_TOL = 1e-10
@@ -126,9 +126,10 @@ def consistency_check(spectrum: SpectralSummary, b) -> bool:
 
     ``spectrum`` is :func:`spectral_summary` of B, which has already raised
     on an indefinite or zero B; its first ``rank`` eigenvectors assemble
-    the range projector. A zero b is always consistent.
+    the range projector. A zero b is always consistent. Raises ValueError
+    if b does not have length n or has a NaN or Inf entry.
     """
-    b = np.asarray(b)
+    b = _check_vector(b, len(spectrum.eigenvalues), "b")
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return True

@@ -34,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (_as_matrix, _as_permutation, _as_square, _ordered_lower, energy_seminorm_sq,
+from .linalg import (_as_matrix, _as_square, _check_vector, _ordered_lower, energy_seminorm_sq,
                      has_unit_diagonal)
-from .orderings import (OrderingStrategy, _as_indices, derive_seed, derived_rng, fixed, make_rng,
-                        preshuffled, sweep_order)
+from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive_seed, derived_rng,
+                        fixed, make_rng, preshuffled, sweep_order)
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
@@ -82,15 +82,6 @@ class IterationHistory:
 def _check_omega(omega):
     if not 0.0 < omega < 2.0:
         raise ValueError("omega must lie strictly in (0, 2)")
-
-
-def _check_vector(v, n, name):
-    v = np.asarray(v)
-    if v.shape != (n,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return v
 
 
 def _check_order(order, n):
@@ -302,7 +293,7 @@ def error_iteration_matrix(B, omega: float, sigma) -> np.ndarray:
     """
     B = _sor_inputs(B)[0]
     _check_omega(omega)
-    sigma = _as_permutation(sigma, B.shape[0])
+    sigma = check_permutation(sigma, B.shape[0])
     eye = np.eye(B.shape[0], dtype=B.dtype)
     return eye - omega * np.linalg.solve(eye + omega * _ordered_lower(B, sigma[None, :])[0], B)
 

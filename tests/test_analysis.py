@@ -22,6 +22,7 @@ from sorlab import (
     min_truncation_exhaustive,
     min_truncation_heuristic,
     permute_conjugate,
+    random_factor_problem,
     spectral_norm,
     spectral_summary,
     truncation_ratio,
@@ -400,6 +401,30 @@ def test_rate_bounds_validation():
 def test_rate_bounds_reject_non_positive_c1():
     with pytest.raises(ValueError, match="c1 must be positive"):
         evaluate_rate_bounds(spectral_summary(fan_problem(2).B), 1.0, c1=0)
+
+
+@pytest.mark.parametrize("case", ["fan", "real", "complex"])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("c0, c1", [(None, C1_DEFAULT), (1.0, 2.5)])
+def test_rate_bounds_equal_their_written_out_formulas(case, omega, c0, c1):
+    B = {"fan": fan_problem(4).B,
+         "real": random_factor_problem(9, 4, rng=make_rng(31)).B,
+         "complex": random_factor_problem(7, 3, True, make_rng(32)).B}[case]
+    s = spectral_summary(B)
+    rep = evaluate_rate_bounds(s, omega, c0=c0, c1=c1)
+    lam, kap, n = s.lambda1, s.kappa_bar, len(s.eigenvalues)
+    gain = (2.0 - omega) * omega * lam
+    half_log = 0.5 * math.floor(math.log2(2 * n))
+    # each bound written out in full, compared bit for bit
+    assert rep.rate_cyclic == 1.0 - gain / ((1.0 + half_log * omega * lam) ** 2 * kap)
+    if c0 is None:
+        assert rep.rate_cyclic_lowrank is None
+    else:
+        assert rep.rate_cyclic_lowrank == (
+            1.0 - gain / ((1.0 + c0 * math.log(s.rank) * omega * lam) ** 2 * kap))
+    assert rep.rate_single_step_sweep == (1.0 - gain / (n * kap)) ** n
+    assert rep.rate_shuffled == 1.0 - gain / ((1.0 + omega * lam) ** 2 * kap)
+    assert rep.rate_preshuffled == 1.0 - gain / ((1.0 + c1 * omega * lam) ** 2 * kap)
 
 
 @given(n=st.integers(2, 9), seed=st.integers(0, 10**6),

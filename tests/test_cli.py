@@ -162,6 +162,24 @@ def test_run_usage_errors_come_before_reading_files(tmp_path, capsys, args, mess
     assert not (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "compare", "analyze", "bounds", "plot"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    missing, out = tmp_path / "missing.mtx", tmp_path / "out"
+    system = ("--matrix", missing, "--rhs", missing, "--ybar", missing)
+    args = {"generate": ("--kind", "random", "--n", "4", "--m", "2", "--out-dir", out),
+            "solve": (*system, "--strategy", "cyclic", "--out", out),
+            "compare": (*system, "--strategies", "cyclic", "--out-csv", out),
+            "analyze": ("--matrix", missing),
+            "bounds": ("--matrix", missing),
+            "plot": ("--csv", missing, "--out", out)}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, "--seed", "-1")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed must be >= 0" in captured.err
+    assert not out.exists()
+
+
 def test_generate_random_requires_n(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "--kind", "random", "--m", "3", "--out-dir", tmp_path / "x")
@@ -242,6 +260,23 @@ def test_compare_indefinite_matrix_exits_1(indefinite_dir, tmp_path, capsys):
     assert run_cli("compare", *_system_args(indefinite_dir), "--y0", indefinite_dir / "y0.mtx",
                    "--strategies", "cyclic,shuffled", "--trials", "3", "--out-csv", out) == 1
     assert "matrix not PSD" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [("solve", ("--strategy", "cyclic", "--out")),
+                                           ("compare", ("--strategies", "cyclic", "--out-csv"))],
+                         ids=["solve", "compare"])
+@pytest.mark.parametrize("entries, message", [
+    (["1.0"] * 5, "b has shape (5,), expected (6,)"),
+    (["1.0"] * 5 + ["nan"], "b contains NaN or Inf entries"),
+], ids=["short", "nan"])
+def test_malformed_rhs_names_b(random_dir, tmp_path, capsys, command, args, entries, message):
+    rhs, out = tmp_path / "b.mtx", tmp_path / "h.csv"
+    rhs.write_text(f"%%MatrixMarket matrix array real general\n{len(entries)} 1\n"
+                   + "".join(e + "\n" for e in entries))
+    assert run_cli(command, "--matrix", random_dir / "B.mtx", "--rhs", rhs,
+                   "--ybar", random_dir / "ybar.mtx", *args, out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -485,15 +520,21 @@ def test_plot_empty_csv_fails(tmp_path):
 
 
 def test_plot_per_trial_redraws_compare_svg(fan_dir, tmp_path):
-    csv, cmp_svg, svg = tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "p.svg"
-    assert run_cli("compare", *_system_args(fan_dir), "--strategies", "cyclic,shuffled",
-                   "--trials", "3", "--sweeps", "6", "--out-csv", csv, "--out-svg", cmp_svg,
-                   "--per-trial") == 0
-    assert run_cli("plot", "--csv", csv, "--out", svg, "--per-trial",
-                   "--title", "omega=1.0 trials=3") == 0
-    text = svg.read_text()
-    assert text.count("<polyline") == 2 * 3 + 2
-    assert text == cmp_svg.read_text()
+    rc_dir = tmp_path / "rc"
+    assert run_cli("generate", "--kind", "random", "--n", "7", "--m", "5", "--complex",
+                   "--seed", "3", "--out-dir", rc_dir) == 0
+    cases = [(fan_dir, "cyclic,shuffled", ("--per-trial",), 2 * 3 + 2),
+             (rc_dir, "cyclic,shuffled,preshuffled", (), 3)]
+    for d, strategies, per_trial, polylines in cases:
+        csv, cmp_svg, svg = tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "p.svg"
+        assert run_cli("compare", *_system_args(d), "--strategies", strategies, "--seed", "0",
+                       "--trials", "3", "--sweeps", "6", "--out-csv", csv, "--out-svg", cmp_svg,
+                       *per_trial) == 0
+        assert run_cli("plot", "--csv", csv, "--out", svg, *per_trial,
+                       "--title", "omega=1.0 trials=3") == 0
+        text = svg.read_text()
+        assert text.count("<polyline") == polylines
+        assert text == cmp_svg.read_text()
 
 
 def test_plot_wrong_csv_header_fails(tmp_path, capsys):

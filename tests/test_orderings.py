@@ -7,6 +7,7 @@ from sorlab import (
     cyclic,
     derive_seed,
     derived_rng,
+    error_iteration_matrix,
     fixed,
     format_permutation,
     make_rng,
@@ -20,6 +21,7 @@ from sorlab import (
     sweep_order,
     truncation_ratio,
 )
+from sorlab.orderings import check_permutation
 
 
 def test_random_permutation_trivial():
@@ -178,3 +180,18 @@ def test_permutation_serialization_round_trip():
         parse_permutation("a,b")
     with pytest.raises(ValueError, match="expected 4"):
         parse_permutation("3,1,2", n=4)
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: check_permutation(s, 3),
+    lambda s: parse_permutation(",".join(str(i + 1) for i in s), 3),
+    lambda s: permute_conjugate(np.eye(3), s),
+    lambda s: truncation_ratio(np.eye(3), s),
+    lambda s: error_iteration_matrix(np.eye(3), 1.0, s),
+], ids=["check_permutation", "parse_permutation", "permute_conjugate", "truncation_ratio",
+        "error_iteration_matrix"])
+def test_permutation_checks_share_one_rule(check):
+    with pytest.raises(ValueError, match="^permutation has length 2, expected 3$"):
+        check([1, 0])
+    with pytest.raises(ValueError, match="^not a permutation of 0..n-1$"):
+        check([0, 0, 2])

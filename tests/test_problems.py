@@ -131,6 +131,14 @@ def test_consistency_check_cases():
         spectral_summary(np.zeros((2, 2)))
 
 
+def test_consistency_check_rejects_malformed_rhs():
+    s = spectral_summary(np.eye(3))
+    with pytest.raises(ValueError, match=r"^b has shape \(2,\), expected \(3,\)$"):
+        consistency_check(s, np.ones(2))
+    with pytest.raises(ValueError, match="^b contains NaN or Inf entries$"):
+        consistency_check(s, np.array([1.0, np.nan, 0.0]))
+
+
 def test_consistency_check_rejects_indefinite_matrix():
     # b = B ybar lies in Ran(B), but the projector of the positive part alone
     # used to call it inconsistent; an indefinite B is now reported as such
