@@ -94,6 +94,11 @@ class OrderingStrategy:
         elif self.sigma is not None:
             raise ValueError(f"{self.kind} ordering takes no permutation")
 
+    @property
+    def reuses_order(self) -> bool:
+        """True when every sweep uses the same order (cyclic and fixed)."""
+        return self.kind in ("cyclic", "fixed")
+
 
 def cyclic() -> OrderingStrategy:
     return OrderingStrategy("cyclic")

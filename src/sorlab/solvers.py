@@ -5,15 +5,23 @@ in the sweep order, the i-th coordinate is relaxed against the current
 residual. A pass does not loop over the coordinates in Python: the
 sequential increments of SWEEP_BLOCK consecutive steps solve one unit lower
 triangular system (the strictly lower part of the reordered block), so a
-block is one gather of rows, one matrix-vector product, one LAPACK forward
-substitution and one scatter-add, and the pass gives the
-coordinate-by-coordinate result up to rounding. For the natural order this
-is the classical forward-substitution form of one SOR step; the full error
-propagation matrix exists only in :func:`error_iteration_matrix`.
+block is one matrix-vector product, one LAPACK forward substitution and one
+scatter-add, and the pass gives the coordinate-by-coordinate result up to
+rounding. For the natural order this is the classical forward-substitution
+form of one SOR step; the full error propagation matrix exists only in
+:func:`error_iteration_matrix`.
+
+Each pass is a plan and its application. The plan of an order yields, per
+block, the indices, the gathered rows and the omega-scaled triangle;
+applying it to an iterate touches only the iterate and b. A strategy that
+reuses its order (cyclic, fixed and so preshuffled) has its plan built once
+per trial and kept, a gathered copy of B; a shuffled or single-step random
+trial builds one per sweep, with the same function, and holds one block at
+a time.
 
 :func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
-trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` run the
-same passes once, behind one input check per update rule. The LAPACK
+trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build
+and apply one plan, behind one input check per update rule. The LAPACK
 forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex iterate) is
 chosen once per trial or sweep call from the iterate's dtype, and SciPy's
 LAPACK wrappers are imported there, at the first sweep: importing sorlab
@@ -121,48 +129,67 @@ def _trtrs(v):
     return lapack.ztrtrs if np.iscomplexobj(v) else lapack.dtrtrs
 
 
-def _sor_pass(B, b, y, omega, order, trtrs):
-    """Relax the coordinates of y in place, in the given order.
+def _sor_plan(B, omega, order):
+    """The blocks of an SOR pass over order, yielded as (idx, rows, tri).
 
-    Step k sets y[i_k] += omega * (b[i_k] - B[i_k] @ y) with the latest y.
-    For a block of SWEEP_BLOCK consecutive steps the increments d solve
-    (I + omega L) d = omega (b - B y)[idx], where L is the strictly lower
-    part of B[idx][:, idx] (indices may repeat): one gather of rows, one
-    product, one forward substitution by ``trtrs`` (see :func:`_trtrs`;
-    it reads only the strictly lower part) and one scatter-add per block.
+    A block is SWEEP_BLOCK consecutive steps: their indices idx, the rows
+    B[idx] and tri = omega * B[idx][:, idx], stored in Fortran order so the
+    LAPACK solve takes it without a copy.
     """
     for start in range(0, len(order), SWEEP_BLOCK):
         idx = order[start:start + SWEEP_BLOCK]
         rows = B[idx]
-        d = trtrs(omega * rows[:, idx], omega * (b[idx] - rows @ y), lower=1, unitdiag=1)[0]
-        np.add.at(y, idx, d)
+        yield idx, rows, np.multiply(omega, rows[:, idx], order="F")
 
 
-def _kaczmarz_pass(A, b, x, omega, order, trtrs):
-    """Project x in place onto the row hyperplanes of A, in the given order.
+def _sor_pass(plan, b, y, omega, trtrs):
+    """Relax the coordinates of y in place, block by block of the plan.
+
+    Step k sets y[i_k] += omega * (b[i_k] - B[i_k] @ y) with the latest y.
+    For a block of SWEEP_BLOCK consecutive steps the increments d solve
+    (I + omega L) d = omega (b - B y)[idx], where L is the strictly lower
+    part of B[idx][:, idx] (indices may repeat): one product, one forward
+    substitution by ``trtrs`` (see :func:`_trtrs`; it reads only the
+    strictly lower part of the plan's tri) and one scatter-add per block.
+    """
+    for idx, rows, tri in plan:
+        np.add.at(y, idx, trtrs(tri, omega * (b[idx] - rows @ y), lower=1, unitdiag=1)[0])
+
+
+def _kaczmarz_plan(A, omega, order):
+    """The blocks of a Kaczmarz pass over order, yielded as (idx, rows, tri, rows^H).
+
+    tri = omega * rows @ rows^H, in Fortran order as in :func:`_sor_plan`.
+    """
+    for start in range(0, len(order), SWEEP_BLOCK):
+        idx = order[start:start + SWEEP_BLOCK]
+        rows = A[idx]
+        rows_h = rows.conj().T
+        yield idx, rows, np.multiply(omega, rows @ rows_h, order="F"), rows_h
+
+
+def _kaczmarz_pass(plan, b, x, omega, trtrs):
+    """Project x in place onto the row hyperplanes of the plan's blocks.
 
     Step k adds omega * (b[i_k] - a_k @ x) * conj(a_k) with the latest x;
     as in :func:`_sor_pass` each block of steps is one forward
     substitution, here with the Gram matrix of its rows a_k.
     """
-    for start in range(0, len(order), SWEEP_BLOCK):
-        idx = order[start:start + SWEEP_BLOCK]
-        rows = A[idx]
-        d = trtrs(omega * (rows @ rows.conj().T), omega * (b[idx] - rows @ x),
-                  lower=1, unitdiag=1)[0]
-        x += rows.conj().T @ d
+    for idx, rows, tri, rows_h in plan:
+        x += rows_h @ trtrs(tri, omega * (b[idx] - rows @ x), lower=1, unitdiag=1)[0]
 
 
 def sor_sweep(B, b, y, omega: float, order) -> np.ndarray:
     """One relaxation sweep of By = b over the given coordinate order.
 
     Sequentially, using latest values: y[i] += omega * (b[i] - <row_i(B), y>).
-    Requires unit diagonal. Returns a new vector.
+    Requires unit diagonal and omega in (0, 2). Returns a new vector.
     """
     B, b, y = _sor_inputs(B, b=b, y=y)
+    _check_omega(omega)
     order = _check_order(order, B.shape[0])
     y = np.array(y, dtype=np.result_type(B, b, y), copy=True)
-    _sor_pass(B, b, y, omega, order, _trtrs(y))
+    _sor_pass(_sor_plan(B, omega, order), b, y, omega, _trtrs(y))
     return y
 
 
@@ -170,40 +197,53 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     """One sweep of relaxed hyperplane projections for Ax = b.
 
     For each row index i in order: x += omega * (b[i] - <a_i, x>) * conj(a_i).
-    Rows of A must have unit Euclidean norm.
+    Rows of A must have unit Euclidean norm and omega lie in (0, 2).
     """
     A, b, x = _kaczmarz_inputs(A, b, x=x)
+    _check_omega(omega)
     order = _check_order(order, A.shape[0])
     x = np.array(x, dtype=np.result_type(A, b, x), copy=True)
-    _kaczmarz_pass(A, b, x, omega, order, _trtrs(x))
+    _kaczmarz_pass(_kaczmarz_plan(A, omega, order), b, x, omega, _trtrs(x))
     return x
 
 
-def _iterate(M, b, v, error, sweep, config: SolverConfig,
+def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
              strategy: OrderingStrategy) -> IterationHistory:
     """Sweep v in place until max_sweeps or until error(v) reaches the target.
 
-    Each sweep draws its order from the strategy (PCG64 stream seeded with
-    ``config.seed``) and runs ``sweep(M, b, v, omega, order, trtrs)`` with the
-    solver :func:`_trtrs` picks once for the trial; the error and
-    the residual ||b - M v|| are recorded before the first and after every
-    sweep. Raises ValueError once either is NaN or Inf.
+    Orders come from the strategy (PCG64 stream seeded with ``config.seed``).
+    When ``strategy.reuses_order`` (cyclic, fixed), its plan
+    ``plan(M, omega, order)`` is built once per trial and kept as a list;
+    otherwise an order is drawn and its plan built every sweep. Each sweep
+    runs ``sweep(plan, b, v, omega, trtrs)`` with the solver :func:`_trtrs`
+    picks once for the trial; the error and the residual ||b - M v|| are
+    recorded before the first and after every sweep. Raises ValueError once
+    either is NaN or Inf.
     """
     rng = make_rng(config.seed)
     trtrs = _trtrs(v)
+    n, omega = M.shape[0], config.omega
+    complex_v = np.iscomplexobj(v)  # b - M v has v's dtype
     errors: list[float] = []
     residuals: list[float] = []
 
     def record(sweep_no):
         errors.append(error(v))
-        residuals.append(float(np.linalg.norm(b - M @ v)))
+        # np.linalg.norm's own formula, without its wrapper
+        r = b - M @ v
+        residuals.append(math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) if complex_v
+                         else math.sqrt(r.dot(r)))
         if not (math.isfinite(errors[-1]) and math.isfinite(residuals[-1])):
             raise ValueError(f"error is not finite after sweep {sweep_no} "
                              f"(seed {config.seed})")
 
+    def new_plan():
+        return plan(M, omega, sweep_order(strategy, n, rng))
+
     record(0)
+    trial_plan = list(new_plan()) if strategy.reuses_order else None
     for sweep_no in range(1, config.max_sweeps + 1):
-        sweep(M, b, v, config.omega, sweep_order(strategy, M.shape[0], rng), trtrs)
+        sweep(new_plan() if trial_plan is None else trial_plan, b, v, omega, trtrs)
         record(sweep_no)
         if errors[-1] <= config.target_error_sq:
             break
@@ -221,7 +261,7 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
     """
     B, b, ybar, y0 = _sor_inputs(B, b=b, ybar=ybar, y0=y0)
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
-    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_pass,
+    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan, _sor_pass,
                     config, strategy)
 
 
@@ -264,8 +304,8 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,
     """
     A, b, xbar, x0 = _kaczmarz_inputs(A, b, xbar=xbar, x0=x0)
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
-    return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_pass,
-                    config, strategy)
+    return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_plan,
+                    _kaczmarz_pass, config, strategy)
 
 
 def mean_error_curve(curves) -> np.ndarray:
@@ -276,6 +316,8 @@ def mean_error_curve(curves) -> np.ndarray:
     pairwise, as ``np.mean`` may), which pins the bits of the result.
     """
     curves = [np.asarray(c, dtype=np.float64) for c in curves]
+    if not curves:
+        raise ValueError("mean_error_curve needs at least one curve, got none")
     acc = np.zeros(max(len(c) for c in curves))
     for c in curves:
         acc[:len(c)] += c

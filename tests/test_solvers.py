@@ -123,6 +123,14 @@ def test_kaczmarz_sweep_validates_like_run_kaczmarz():
         kaczmarz_sweep(A, np.zeros(2), np.zeros(2), 1.0, [0, 1])
 
 
+@pytest.mark.parametrize("omega", [np.nan, 0.0, 2.0, -1.0])
+def test_sweeps_reject_omega_outside_open_interval(omega):
+    with pytest.raises(ValueError, match=r"omega must lie strictly in \(0, 2\)"):
+        sor_sweep(np.eye(2), np.ones(2), np.zeros(2), omega, [0, 1])
+    with pytest.raises(ValueError, match=r"omega must lie strictly in \(0, 2\)"):
+        kaczmarz_sweep(np.eye(2), np.ones(2), np.zeros(2), omega, [0, 1])
+
+
 def test_kaczmarz_sweep_identity_rows():
     b = np.array([1.0, 2.0])
     x = kaczmarz_sweep(np.eye(2), b, np.zeros(2), 1.0, [0, 1])
@@ -213,6 +221,62 @@ def test_run_kaczmarz_replays_kaczmarz_sweep_bit_for_bit(complex_entries):
         assert np.array_equal(h.errors_sq, errors)
         assert np.array_equal(h.residuals, residuals)
         assert np.array_equal(h.final_iterate, x)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_multi_block_trials_replay_one_shot_sweeps_bit_for_bit(complex_entries):
+    # n = 150 is three blocks of SWEEP_BLOCK = 64 steps, the last of 22: the
+    # plan a cyclic or fixed trial builds once, and the plain scatter of
+    # permutation orders, must give the bits of one-shot sweeps
+    n = 150
+    inst = random_factor_problem(n, 100, complex_entries, make_rng(34))
+    A, B, b, ybar, xbar = inst.A, inst.B, inst.b, inst.ybar, inst.xbar
+    b_rows = A @ xbar
+    cfg = SolverConfig(omega=1.3, max_sweeps=6, target_error_sq=0.0, seed=19)
+    for strategy in _replay_strategies(n):
+        orders = _sweep_orders(strategy, n, cfg, cfg.max_sweeps)
+        h = run_solver(B, b, np.zeros(n), ybar, cfg, strategy)
+        hk = run_kaczmarz(A, b_rows, np.zeros(100), xbar, cfg, strategy)
+        y = np.zeros(n, dtype=B.dtype)
+        x = np.zeros(100, dtype=A.dtype)
+        errors, residuals = [energy_seminorm_sq(B, ybar - y)], [float(np.linalg.norm(b - B @ y))]
+        errors_k = [float(np.linalg.norm(xbar - x) ** 2)]
+        residuals_k = [float(np.linalg.norm(b_rows - A @ x))]
+        for order in orders:
+            y = sor_sweep(B, b, y, cfg.omega, order)
+            x = kaczmarz_sweep(A, b_rows, x, cfg.omega, order)
+            errors.append(energy_seminorm_sq(B, ybar - y))
+            residuals.append(float(np.linalg.norm(b - B @ y)))
+            errors_k.append(float(np.linalg.norm(xbar - x) ** 2))
+            residuals_k.append(float(np.linalg.norm(b_rows - A @ x)))
+        assert h.sweeps == hk.sweeps == cfg.max_sweeps
+        assert np.array_equal(h.errors_sq, errors)
+        assert np.array_equal(h.residuals, residuals)
+        assert np.array_equal(h.final_iterate, y)
+        assert np.array_equal(hk.errors_sq, errors_k)
+        assert np.array_equal(hk.residuals, residuals_k)
+        assert np.array_equal(hk.final_iterate, x)
+
+
+@pytest.mark.parametrize("kind, draws", [("cyclic", 1), ("fixed", 1), ("preshuffled", 1),
+                                         ("shuffled", 7), ("single_step_random", 7)])
+def test_fixed_order_trials_draw_one_order(monkeypatch, kind, draws):
+    # a cyclic or fixed (preshuffled) trial builds its plan from one order;
+    # the random kinds draw an order every sweep
+    calls = []
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order", lambda *a, **k: calls.append(1) or real(*a, **k))
+    B, b, y0, ybar = _trial_system()
+    config = SolverConfig(max_sweeps=7, target_error_sq=0.0)
+    h, = run_trials(B, b, y0, ybar, kind, 1, config, sigma=[5, 3, 1, 0, 2, 4])
+    assert h.sweeps == 7
+    assert len(calls) == draws
+    inst = random_factor_problem(6, 4, rng=make_rng(21))
+    strategy = (fixed([5, 3, 1, 0, 2, 4]) if kind in ("fixed", "preshuffled")
+                else OrderingStrategy(kind))
+    calls.clear()
+    run_kaczmarz(inst.A, inst.A @ inst.xbar, np.zeros(4), inst.xbar, config, strategy)
+    assert len(calls) == draws
 
 
 def _coordinate_sor_sweep(B, b, y, omega, order):
@@ -400,6 +464,11 @@ def test_run_trials_rejects_bad_arguments():
 def test_mean_error_curve_pads_with_last_value():
     mean = mean_error_curve([[4.0, 2.0, 1.0], [8.0], [2.0, 0.5]])
     assert np.array_equal(mean, np.array([14.0, 10.5, 9.5]) / 3)
+
+
+def test_mean_error_curve_rejects_no_curves():
+    with pytest.raises(ValueError, match="at least one curve, got none"):
+        mean_error_curve([])
 
 
 def test_mean_error_curve_sums_sequentially():
