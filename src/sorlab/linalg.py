@@ -243,10 +243,42 @@ def energy_seminorm_sq(B, y) -> float:
     y = np.asarray(y)
     if y.shape != (B.shape[0],):
         raise ValueError("vector length does not match matrix size")
-    val = float(np.vdot(y, B @ y).real)
+    return _clamp_energy(float(np.vdot(y, B @ y).real), B, y)
+
+
+def _clamp_energy(val, B, y):
+    """val = Re<By, y> clamped at zero; ValueError("matrix not PSD") when it
+    lies below the rounding allowance -ENERGY_NEGATIVE_TOL tr(B) ||y||^2."""
     if val < 0 and val < -ENERGY_NEGATIVE_TOL * B.trace().real * np.vdot(y, y).real:
         raise ValueError(f"matrix not PSD: Re<By, y> = {val!r} is below rounding level")
     return max(val, 0.0)
+
+
+# The stack functions below reduce each row on its own: einsum, which uses
+# no BLAS, on operands of one dtype (a cast would go through einsum's buffer,
+# whose chunks need not follow the rows). So a row's result does not depend
+# on how many rows the stack has.
+
+def _rows_times(B, Y):
+    """B @ y for each row y of the stack Y; B and Y share one dtype."""
+    return np.einsum("ij,tj->ti", B, Y, order="C")
+
+
+def _rows_dot(X, Y):
+    """Re <x, y> for each pair of rows of the equally shaped C-contiguous
+    stacks X and Y: a complex row is read as its interleaved real view."""
+    if np.iscomplexobj(X):
+        X, Y = X.view(np.float64), Y.view(np.float64)
+    return np.einsum("ij,ij->i", X, Y)
+
+
+def _energy_rows(B, E):
+    """energy_seminorm_sq(B, e) for each row e of the stack E, by row-wise
+    sums, with the same clamp and "matrix not PSD" rule."""
+    vals = _rows_dot(E, _rows_times(B, E))
+    for i in np.flatnonzero(vals < 0):
+        _clamp_energy(float(vals[i]), B, E[i])
+    return np.maximum(vals, 0.0)
 
 
 def has_unit_diagonal(B) -> bool:

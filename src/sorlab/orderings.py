@@ -133,8 +133,8 @@ def sweep_order(strategy: OrderingStrategy, n: int,
     if rng is None:
         raise ValueError(f"{strategy.kind} ordering needs an rng")
     if strategy.kind == "shuffled":
-        return rng.permutation(n).astype(np.intp)
-    return rng.integers(0, n, size=n).astype(np.intp)  # single_step_random
+        return rng.permutation(n).astype(np.intp, copy=False)
+    return rng.integers(0, n, size=n).astype(np.intp, copy=False)  # single_step_random
 
 
 def format_permutation(sigma) -> str:

@@ -2,33 +2,43 @@
 
 The sweep is implemented in projection (coordinate) form: for each index i
 in the sweep order, the i-th coordinate is relaxed against the current
-residual. A pass does not loop over the coordinates in Python: the
-sequential increments of SWEEP_BLOCK consecutive steps solve one unit lower
-triangular system (the strictly lower part of the reordered block), so a
-block is one matrix-vector product, one LAPACK forward substitution and one
-scatter-add, and the pass gives the coordinate-by-coordinate result up to
-rounding. For the natural order this is the classical forward-substitution
-form of one SOR step; the full error propagation matrix exists only in
-:func:`error_iteration_matrix`.
+residual. There are two kernels for it.
 
-Each pass is a plan and its application. The plan of an order yields, per
-block, the indices, the gathered rows and the omega-scaled triangle;
-applying it to an iterate touches only the iterate and b. A strategy that
-reuses its order (cyclic, fixed and so preshuffled) has its plan built once
-per trial and kept, a gathered copy of B; a shuffled or single-step random
-trial builds one per sweep, with the same function, and holds one block at
-a time.
+The block kernel runs one trial and does not loop over the coordinates in
+Python: the sequential increments of SWEEP_BLOCK consecutive steps solve one
+unit lower triangular system (the strictly lower part of the reordered
+block), so a block is one matrix-vector product, one LAPACK forward
+substitution and one scatter-add, and the pass gives the
+coordinate-by-coordinate result up to rounding. For the natural order this
+is the classical forward-substitution form of one SOR step; the full error
+propagation matrix exists only in :func:`error_iteration_matrix`. Each pass
+is a plan and its application. The plan of an order yields, per block, the
+indices, the gathered rows and the omega-scaled triangle; applying it to an
+iterate touches only the iterate and b. A strategy that reuses its order
+(cyclic, fixed and so preshuffled) has its plan built once per trial and
+kept, a gathered copy of B; a shuffled or single-step random trial builds
+one per sweep, with the same function, and holds one block at a time. The
+LAPACK forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex
+iterate) is chosen once per trial or sweep call from the iterate's dtype,
+and SciPy's LAPACK wrappers are imported there, at the first sweep:
+importing sorlab and the commands that never run the block kernel
+(generate, analyze, bounds, plot) do not load SciPy.
 
-:func:`run_solver` and :func:`run_kaczmarz` share one driver that runs a
-trial sweep by sweep, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build
-and apply one plan, behind one input check per update rule. The LAPACK
-forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex iterate) is
-chosen once per trial or sweep call from the iterate's dtype, and SciPy's
-LAPACK wrappers are imported there, at the first sweep: importing sorlab
-and the commands that never sweep (generate, analyze, bounds, plot) do
-not load SciPy.
-:func:`run_trials` runs seeded Monte Carlo trials of one ordering kind and
-owns their seed scheme.
+The stack kernel runs T trials of SOR together as the rows of one (T, n)
+array, one coordinate of every row per step: a row gather of B, a row-wise
+dot product and a scatter. Each row draws its own orders, and errors and
+residuals are row-wise sums (no matrix product over the stack), so a
+trial's history does not depend on T or on the other trials. Trials leave
+the stack as they reach the target. Its cost per step is paid n times per
+sweep and shared by the rows, so it is faster than the block kernel only
+for many trials; see STACK_MIN_TRIALS.
+
+:func:`run_solver` and :func:`run_kaczmarz` run the block kernel, and
+:func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one plan, behind
+one input check per update rule. :func:`run_trials` runs seeded Monte Carlo
+trials of one ordering kind and owns their seed scheme: trials that are
+identical by construction run once, the others one block-kernel trial each
+or, from STACK_MIN_TRIALS trials up, as one stack.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -42,8 +52,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (_as_matrix, _as_square, _check_vector, _ordered_lower, energy_seminorm_sq,
-                     has_unit_diagonal)
+from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
+                     _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
 from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive_seed, derived_rng,
                         fixed, make_rng, preshuffled, sweep_order)
 
@@ -53,6 +63,13 @@ SWEEP_BLOCK = 64
 # trial kinds of run_trials; a kind's position here is part of its derived
 # seeds, so the tuple is frozen and new kinds go at the end
 TRIAL_KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
+# run_trials steps randomized trials as one stack from this many trials up,
+# and runs fewer one block-kernel trial each. The stack pays a fixed cost per
+# step, n steps per sweep shared by its rows; the block kernel one per block
+# of each trial. Shuffled trials of random_factor_problem(n, n) broke even at
+# about 5, 12, 16, 8 and 7 trials for n = 16, 64, 256, 512 and 1024, and at
+# 32 trials the stack took 0.36 to 0.72 of the per-trial time.
+STACK_MIN_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -207,6 +224,25 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     return x
 
 
+def _stack_plan(b, orders):
+    """The steps of an SOR sweep of a stack whose row t sweeps over orders[t],
+    yielded as (idx, at, b[idx]): the index each row relaxes at one step, its
+    position in the flattened stack, and its entry of b."""
+    steps = np.stack(orders, axis=1)
+    return zip(steps, steps + len(b) * np.arange(len(orders)), b[steps])
+
+
+def _stack_pass(steps, B_conj, V, omega):
+    """Relax the rows of the C-contiguous stack V in place, one coordinate of
+    every row per step: V[t, i] += omega * (b[i] - B[i] @ V[t]) with the
+    latest V[t]. B_conj is B conjugated, as ``np.vecdot`` conjugates its
+    first operand; it takes one dot product per row, so a row's result does
+    not depend on the other rows."""
+    flat = V.reshape(-1)
+    for idx, at, b_idx in steps:
+        flat[at] += omega * (b_idx - np.vecdot(B_conj.take(idx, axis=0), V))
+
+
 def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
              strategy: OrderingStrategy) -> IterationHistory:
     """Sweep v in place until max_sweeps or until error(v) reaches the target.
@@ -250,6 +286,14 @@ def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
     return IterationHistory(np.array(errors), np.array(residuals), v)
 
 
+def _run_sor(B, b, y0, ybar, config: SolverConfig,
+             strategy: OrderingStrategy) -> IterationHistory:
+    """:func:`run_solver` on checked inputs."""
+    y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
+    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan, _sor_pass,
+                    config, strategy)
+
+
 def run_solver(B, b, y0, ybar, config: SolverConfig,
                strategy: OrderingStrategy) -> IterationHistory:
     """Iterate SOR sweeps on By = b, tracking the energy error to ybar.
@@ -260,20 +304,86 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
     ValueError on non-finite input or once the error becomes NaN or Inf.
     """
     B, b, ybar, y0 = _sor_inputs(B, b=b, ybar=ybar, y0=y0)
-    y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
-    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan, _sor_pass,
-                    config, strategy)
+    return _run_sor(B, b, y0, ybar, config, strategy)
+
+
+def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
+               seeds) -> list[IterationHistory]:
+    """SOR trials on checked inputs as the rows of one (T, n) stack.
+
+    Trial t sweeps from y0 with orders from ``strategies[t]``, fed by a
+    PCG64 stream seeded with ``seeds[t]``, and stops as :func:`run_solver`
+    does; a stopped trial leaves the stack. When every strategy reuses its
+    order (preshuffled) the steps are built once, and again when trials
+    leave. Errors and residuals are row-wise sums, so trial t's history
+    does not depend on the other trials.
+    """
+    dtype = np.result_type(B, b, y0, ybar)
+    B, b, ybar = (np.asarray(a, dtype=dtype) for a in (B, b, ybar))
+    B_conj = B.conj() if np.iscomplexobj(B) else B
+    n, omega = len(b), config.omega
+    V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
+    rngs = [make_rng(seed) for seed in seeds]
+    rows = list(range(len(seeds)))  # the trial of each row of V
+    errors: list[list[float]] = [[] for _ in seeds]
+    residuals: list[list[float]] = [[] for _ in seeds]
+    finals: list = [None] * len(seeds)
+
+    def record(sweep_no):
+        """Record the rows; return which of them are still above the target."""
+        errs = _energy_rows(B, ybar - V)
+        r = b - _rows_times(B, V)
+        for t, err, res in zip(rows, errs.tolist(), np.sqrt(_rows_dot(r, r)).tolist()):
+            errors[t].append(err)
+            residuals[t].append(res)
+            if not (math.isfinite(err) and math.isfinite(res)):
+                raise ValueError(f"error is not finite after sweep {sweep_no} "
+                                 f"(seed {seeds[t]})")
+        return errs > config.target_error_sq
+
+    def new_plan():
+        return _stack_plan(b, [sweep_order(strategies[t], n, rngs[t]) for t in rows])
+
+    record(0)
+    reuse = all(s.reuses_order for s in strategies)
+    plan = list(new_plan()) if reuse else None
+    for sweep_no in range(1, config.max_sweeps + 1):
+        _stack_pass(new_plan() if plan is None else plan, B_conj, V, omega)
+        going = record(sweep_no)
+        if going.all():
+            continue
+        for t, row, on in zip(rows, V, going):
+            if not on:
+                finals[t] = row.copy()
+        V = V[going]
+        rows = [t for t, on in zip(rows, going) if on]
+        if not rows:
+            break
+        if reuse:
+            plan = list(new_plan())
+    for t, row in zip(rows, V):
+        finals[t] = row
+    return [IterationHistory(np.array(e), np.array(r), v)
+            for e, r, v in zip(errors, residuals, finals)]
 
 
 def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
                sigma=None) -> list[IterationHistory]:
-    """Run ``trials`` seeded :func:`run_solver` trials of one ordering kind.
+    """Run ``trials`` seeded SOR trials of one ordering kind.
 
     ``kind`` is one of TRIAL_KINDS and k its position there. Trial t sweeps
     with the seed ``derive_seed(config.seed, k, t, 0)``; a preshuffled trial
     draws its order from ``derived_rng(config.seed, k, t, 1)`` unless
     ``sigma`` pins it. ``fixed`` requires ``sigma``; cyclic, shuffled and
     single_step_random ignore it. Returns one history per trial, in order.
+
+    The inputs are checked once. Trials that are identical by construction
+    (cyclic, and fixed or preshuffled with ``sigma``) run once and each gets
+    its own copy of that history. The others run one :func:`run_solver`
+    trial each below STACK_MIN_TRIALS trials and as one stack from there
+    up. Either way trial t's history does not depend on how many trials run
+    with it on the same side of STACK_MIN_TRIALS; across it the two kernels
+    agree up to rounding.
     """
     if kind not in TRIAL_KINDS:
         raise ValueError(f"unknown trial kind {kind!r}; choose from {', '.join(TRIAL_KINDS)}")
@@ -281,18 +391,24 @@ def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
         raise ValueError("trials must be >= 1")
     if kind == "fixed" and sigma is None:
         raise ValueError("kind 'fixed' requires sigma")
+    B, b, ybar, y0 = _sor_inputs(B, b=b, ybar=ybar, y0=y0)
     index = TRIAL_KINDS.index(kind)
-    histories = []
-    for t in range(trials):
-        if sigma is not None and kind in ("fixed", "preshuffled"):
-            strategy = fixed(sigma)
-        elif kind == "preshuffled":
-            strategy = preshuffled(len(b), derived_rng(config.seed, index, t, 1))
-        else:
-            strategy = OrderingStrategy(kind)
-        trial_config = replace(config, seed=derive_seed(config.seed, index, t, 0))
-        histories.append(run_solver(B, b, y0, ybar, trial_config, strategy))
-    return histories
+    if kind == "cyclic" or sigma is not None and kind in ("fixed", "preshuffled"):
+        strategy = OrderingStrategy("cyclic") if kind == "cyclic" else fixed(sigma)
+        h = _run_sor(B, b, y0, ybar, replace(config, seed=derive_seed(config.seed, index, 0, 0)),
+                     strategy)
+        return [h] + [IterationHistory(h.errors_sq.copy(), h.residuals.copy(),
+                                       h.final_iterate.copy()) for _ in range(trials - 1)]
+    if kind == "preshuffled":
+        strategies = [preshuffled(len(b), derived_rng(config.seed, index, t, 1))
+                      for t in range(trials)]
+    else:
+        strategies = [OrderingStrategy(kind)] * trials
+    seeds = [derive_seed(config.seed, index, t, 0) for t in range(trials)]
+    if trials >= STACK_MIN_TRIALS:
+        return _run_stack(B, b, y0, ybar, config, strategies, seeds)
+    return [_run_sor(B, b, y0, ybar, replace(config, seed=seed), strategy)
+            for seed, strategy in zip(seeds, strategies)]
 
 
 def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,

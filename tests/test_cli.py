@@ -734,16 +734,14 @@ def random_dir(tmp_path):
     return d
 
 
-def _run_library(d, kind, seed, trial, max_sweeps):
-    """run_solver as the CLI runs it: its derived seeds are
-    (base, strategy index, trial, 0), the index being 0 for cyclic, 1 for shuffled."""
-    from sorlab import SolverConfig, cyclic, derive_seed, shuffled, run_solver
+def _run_library(d, kind, seed, trials, max_sweeps):
+    """The histories of run_trials as the CLI calls it, with `trials` trials."""
+    from sorlab import SolverConfig, run_trials
     from sorlab.linalg import hermitian
     B = hermitian(read_matrix(d / "B.mtx")[0])
     b, ybar = read_vector(d / "b.mtx")[0], read_vector(d / "ybar.mtx")[0]
-    index, strategy = {"cyclic": (0, cyclic()), "shuffled": (1, shuffled())}[kind]
-    config = SolverConfig(max_sweeps=max_sweeps, seed=derive_seed(seed, index, trial, 0))
-    return run_solver(B, b, np.zeros(6), ybar, config, strategy)
+    config = SolverConfig(max_sweeps=max_sweeps, seed=seed)
+    return run_trials(B, b, np.zeros(6), ybar, kind, trials, config)
 
 
 def test_solve_report_layout(random_dir, tmp_path, capsys):
@@ -751,7 +749,7 @@ def test_solve_report_layout(random_dir, tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run_cli("solve", *_system_args(random_dir), "--strategy", "shuffled",
                    "--sweeps", "8", "--seed", "4", "--out", out) == 0
-    h = _run_library(random_dir, "shuffled", 4, 0, 8)
+    h, = _run_library(random_dir, "shuffled", 4, 1, 8)
     _check_lines(capsys.readouterr().out.splitlines(), [
         ("strategy", "shuffled"), ("sweeps", h.sweeps), ("final_error_sq", h.errors_sq[-1]),
         ("empirical_rate", empirical_rate(h, min(10, h.sweeps - 1))), ("csv", out)])
@@ -770,8 +768,7 @@ def test_compare_report_layout(random_dir, tmp_path, capsys):
     expected = _bounds_expected(report) + [("trials", 2)]
     means = []
     for kind in ("cyclic", "shuffled"):
-        mean = mean_error_curve(_run_library(random_dir, kind, 3, t, 5).errors_sq
-                                for t in range(2))
+        mean = mean_error_curve(h.errors_sq for h in _run_library(random_dir, kind, 3, 2, 5))
         means.append(mean)
         expected += [(f"empirical_rate[{kind}]", empirical_rate(mean, min(10, len(mean) - 2))),
                      (f"final_mean_error_sq[{kind}]", mean[-1])]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,19 +414,24 @@ def _trial_system():
                                          ("single_step_random", 3)])
 def test_run_trials_seed_scheme(kind, index):
     # trial t sweeps with derive_seed(seed, index, t, 0); a preshuffled trial
-    # draws its order from derived_rng(seed, index, t, 1)
+    # draws its order from derived_rng(seed, index, t, 1). Randomized trials
+    # run one run_solver trial each below STACK_MIN_TRIALS, else as one stack
+    # (the private _run_stack)
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0, seed=11)
-    histories = run_trials(B, b, y0, ybar, kind, 3, config)
-    assert len(histories) == 3
-    for t, h in enumerate(histories):
-        strategy = (preshuffled(6, derived_rng(11, index, t, 1)) if kind == "preshuffled"
-                    else OrderingStrategy(kind))
-        ref = run_solver(B, b, y0, ybar, SolverConfig(max_sweeps=7, target_error_sq=0.0,
-                                                      seed=derive_seed(11, index, t, 0)),
-                         strategy)
-        assert np.array_equal(h.errors_sq, ref.errors_sq)
-        assert np.array_equal(h.final_iterate, ref.final_iterate)
+    for trials in (3, solvers.STACK_MIN_TRIALS):
+        histories = run_trials(B, b, y0, ybar, kind, trials, config)
+        assert len(histories) == trials
+        seeds = [derive_seed(11, index, t, 0) for t in range(trials)]
+        strategies = [preshuffled(6, derived_rng(11, index, t, 1)) if kind == "preshuffled"
+                      else OrderingStrategy(kind) for t in range(trials)]
+        if kind == "cyclic" or trials < solvers.STACK_MIN_TRIALS:
+            refs = [run_solver(B, b, y0, ybar, replace(config, seed=seed), strategy)
+                    for seed, strategy in zip(seeds, strategies)]
+        else:
+            refs = solvers._run_stack(B, b, y0, ybar, config, strategies, seeds)
+        for h, ref in zip(histories, refs, strict=True):
+            _assert_same_history(h, ref)
 
 
 def test_run_trials_sigma_pins_fixed_and_preshuffled():
@@ -440,14 +447,163 @@ def test_run_trials_sigma_pins_fixed_and_preshuffled():
     assert np.array_equal(cyc.errors_sq, run_solver(B, b, y0, ybar, config, cyclic()).errors_sq)
 
 
-def test_run_trials_calls_run_solver_once_per_trial(monkeypatch):
+def test_run_trials_runs_identical_trials_once(monkeypatch):
+    # cyclic, and fixed or preshuffled with sigma, are one block-kernel trial
+    # copied T times; randomized kinds run one such trial each below
+    # STACK_MIN_TRIALS trials and one stack from there up
     calls = []
-    real = solvers.run_solver
-    monkeypatch.setattr(solvers, "run_solver", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def counted(name):
+        real = getattr(solvers, name)
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("_run_sor", "_run_stack"):
+        monkeypatch.setattr(solvers, name, counted(name))
     B, b, y0, ybar = _trial_system()
+    config = SolverConfig(max_sweeps=3)
+    sigma = [5, 3, 1, 0, 2, 4]
+    stack_min = solvers.STACK_MIN_TRIALS
+    for trials in (1, 5, stack_min - 1, stack_min):
+        for kind, pin in (("cyclic", None), ("fixed", sigma), ("preshuffled", sigma)):
+            calls.clear()
+            histories = run_trials(B, b, y0, ybar, kind, trials, config, pin)
+            assert calls == ["_run_sor"]
+            assert len(histories) == trials
+            for h in histories[1:]:
+                assert np.array_equal(h.errors_sq, histories[0].errors_sq)
+                assert np.array_equal(h.final_iterate, histories[0].final_iterate)
+                assert h.errors_sq is not histories[0].errors_sq
+                assert h.final_iterate is not histories[0].final_iterate
+        for kind in ("shuffled", "preshuffled", "single_step_random"):
+            calls.clear()
+            assert len(run_trials(B, b, y0, ybar, kind, trials, config)) == trials
+            assert calls == (["_run_stack"] if trials >= stack_min else ["_run_sor"] * trials)
+
+
+def _stack_instances():
+    """(name, B, b, y0, ybar, config) of the trial-count and agreement tests."""
+    real = random_factor_problem(6, 4, False, make_rng(51))
+    cplx = random_factor_problem(6, 4, True, make_rng(52))
+    fan = fan_problem(32)  # n = 64, rank 2; b = ybar = 0, so start from e_1
+    y0 = np.zeros(64)
+    y0[1] = 1.0
+    target_0 = SolverConfig(omega=1.1, max_sweeps=12, target_error_sq=0.0, seed=5)
+    return [("real", real.B, real.b, np.zeros(6), real.ybar, target_0),
+            ("complex", cplx.B, cplx.b, np.zeros(6), cplx.ybar, target_0),
+            ("fan32", fan.B, fan.b, y0, fan.ybar, SolverConfig(max_sweeps=60, seed=3))]
+
+
+def _assert_same_history(h, ref):
+    assert np.array_equal(h.errors_sq, ref.errors_sq)
+    assert np.array_equal(h.residuals, ref.residuals)
+    assert np.array_equal(h.final_iterate, ref.final_iterate)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["real", "complex", "fan32"])
+def test_run_trials_do_not_depend_on_the_trial_count(case):
+    # trial t of T trials has the bits of trial t of T' trials when T and T'
+    # lie on the same side of STACK_MIN_TRIALS, and a stacked randomized
+    # trial has the bits of that trial run alone in the stack
+    name, B, b, y0, ybar, config = _stack_instances()[case]
+    n = len(b)
+    sigma = np.arange(n)[::-1]
+    stack_min = solvers.STACK_MIN_TRIALS
+    for index, kind in enumerate(solvers.TRIAL_KINDS):
+        runs = {T: run_trials(B, b, y0, ybar, kind, T, config, sigma if kind == "fixed" else None)
+                for T in (1, 7, stack_min, 50)}
+        for T, histories in runs.items():
+            assert len(histories) == T
+            for t, h in enumerate(histories):
+                _assert_same_history(h, runs[50 if T >= stack_min else 7][t])
+        if kind in ("cyclic", "fixed"):
+            continue
+        for t, h in enumerate(runs[50]):
+            strategy = (preshuffled(n, derived_rng(config.seed, index, t, 1))
+                        if kind == "preshuffled" else OrderingStrategy(kind))
+            alone, = solvers._run_stack(B, b, y0, ybar, config, [strategy],
+                                        [derive_seed(config.seed, index, t, 0)])
+            _assert_same_history(h, alone)
+        if name == "fan32":
+            # rounding-noise stops: the stack drops trials at different sweeps
+            assert len({h.sweeps for h in runs[50]}) > 1
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n, m", [(6, 9), (9, 3)], ids=["full_rank", "rank_3"])
+def test_stack_trials_agree_with_run_solver(complex_entries, n, m):
+    # the stack kernel against the block kernel on the same seeds and
+    # orders; the floor covers the cancellation of <B e, e> near zero
+    inst = random_factor_problem(n, m, complex_entries, make_rng(53))
+    B, b, ybar = inst.B, inst.b, inst.ybar
+    y0 = make_rng(54).standard_normal(n)
+    config = SolverConfig(omega=1.2, max_sweeps=25, target_error_sq=1e-26, seed=6)
+    floor = 1e-15 * B.trace().real * np.vdot(ybar - y0, ybar - y0).real
+    for kind in ("shuffled", "preshuffled", "single_step_random"):
+        index = solvers.TRIAL_KINDS.index(kind)
+        histories = run_trials(B, b, y0, ybar, kind, solvers.STACK_MIN_TRIALS, config)
+        for t, h in enumerate(histories):
+            strategy = (preshuffled(n, derived_rng(config.seed, index, t, 1))
+                        if kind == "preshuffled" else OrderingStrategy(kind))
+            ref = run_solver(B, b, y0, ybar,
+                             replace(config, seed=derive_seed(config.seed, index, t, 0)),
+                             strategy)
+            # a stop on rounding noise may come a sweep apart: compare the
+            # curves padded with their last value, as compare averages them
+            length = max(h.sweeps, ref.sweeps) + 1
+            got, want = (np.pad(c, (0, length - len(c)), mode="edge")
+                         for c in (h.errors_sq, ref.errors_sq))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + floor)
+
+
+@pytest.mark.parametrize("trials", [7, solvers.STACK_MIN_TRIALS])
+def test_run_trials_reject_indefinite_matrix(trials):
+    # a unit-diagonal matrix with lambda_min = -0.1 lambda_max: every kind,
+    # on either kernel, fails with the message of energy_seminorm_sq
+    G = random_psd_unit(6, make_rng(55))
+    w = np.linalg.eigvalsh(G)
+    c = (w[0] + 0.1 * w[-1]) / 1.1
+    B = (G - c * np.eye(6)) / (1 - c)
+    np.fill_diagonal(B, 1.0)
+    w = np.linalg.eigvalsh(B)
+    assert w[0] == pytest.approx(-0.1 * w[-1])
+    y0 = make_rng(56).standard_normal(6)
     for kind in solvers.TRIAL_KINDS[:-1]:
-        run_trials(B, b, y0, ybar, kind, 5, SolverConfig(max_sweeps=3))
-    assert len(calls) == 20
+        with pytest.raises(ValueError, match=r"matrix not PSD: Re<By, y> = -"):
+            run_trials(B, np.zeros(6), y0, np.zeros(6), kind, trials, SolverConfig())
+
+
+def test_run_trials_clamp_rounding_noise_at_zero():
+    # on the rank-2 fan the energy of a converged stacked trial cancels to
+    # rounding level; a value that rounds below zero is clamped and stops
+    # the trial
+    fan = fan_problem(32)
+    y0 = np.zeros(64)
+    y0[1] = 1.0
+    config = SolverConfig(max_sweeps=60, target_error_sq=0.0, seed=2)
+    histories = run_trials(fan.B, fan.b, y0, fan.ybar, "shuffled", solvers.STACK_MIN_TRIALS,
+                           config)
+    assert all(np.all(h.errors_sq >= 0) for h in histories)
+    assert any(h.errors_sq[-1] == 0.0 and h.sweeps < 60 for h in histories)
+
+
+@pytest.mark.parametrize("trials", [8, solvers.STACK_MIN_TRIALS])
+@pytest.mark.parametrize("kind", ["shuffled", "preshuffled"])
+def test_run_trials_stop_on_non_finite_error(kind, trials):
+    # the natural order converges in one sweep, the reverse order overflows;
+    # on either kernel the message names the sweep and the derived seed of
+    # the first trial that swept in reverse
+    B = np.array([[1.0, 1e150], [1e150, 1.0]])
+    index = solvers.TRIAL_KINDS.index(kind)
+    config = SolverConfig(max_sweeps=5, seed=3)
+    if kind == "shuffled":
+        first = [make_rng(derive_seed(3, index, t, 0)).permutation(2) for t in range(trials)]
+    else:
+        first = [derived_rng(3, index, t, 1).permutation(2) for t in range(trials)]
+    t = next(t for t, order in enumerate(first) if order[0] == 1)
+    with pytest.raises(ValueError, match=rf"error is not finite after sweep 1 "
+                                         rf"\(seed {derive_seed(3, index, t, 0)}\)"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_trials(B, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), kind, trials, config)
 
 
 def test_run_trials_rejects_bad_arguments():

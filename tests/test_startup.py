@@ -1,4 +1,4 @@
-"""Commands that never sweep run without SciPy.
+"""Commands that never run the block kernel run without SciPy.
 
 Each case runs the CLI in a fresh interpreter; with blocking on, a
 ``sys.meta_path`` finder refuses every import of scipy or a submodule, so a
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from sorlab.cli import main
+from sorlab.solvers import STACK_MIN_TRIALS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,6 +100,13 @@ def _cases(d):
                     "--c0", "0.5"], []),
         "plot": (["plot", "--csv", d / "h.csv", "--out", d / "h.svg", "--per-trial",
                   "--title", "t"], [d / "h.svg"]),
+        # this many randomized trials run as one stack, without LAPACK
+        "compare-randomized": (["compare", "--matrix", d / "random" / "B.mtx", "--rhs",
+                                d / "random" / "b.mtx", "--ybar", d / "random" / "ybar.mtx",
+                                "--strategies", "shuffled,singlestep", "--trials",
+                                str(STACK_MIN_TRIALS), "--sweeps", "6", "--seed", "2",
+                                "--out-csv", d / "cs.csv", "--out-svg", d / "cs.svg"],
+                               [d / "cs.csv", d / "cs.svg"]),
     })
     return cases
 
@@ -109,7 +117,8 @@ def test_import_sorlab_loads_no_scipy():
 
 
 @pytest.mark.parametrize("case", ["generate-fan", "generate-random", "generate-lowrank",
-                                  "analyze-exhaustive", "analyze-heuristic", "bounds", "plot"])
+                                  "analyze-exhaustive", "analyze-heuristic", "bounds", "plot",
+                                  "compare-randomized"])
 def test_command_runs_with_scipy_blocked(work, case):
     argv, files = _cases(work)[case]
     expected = _in_process(argv)
