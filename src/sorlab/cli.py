@@ -27,7 +27,7 @@ from .problems import (
     low_rank_problem,
     random_factor_problem,
 )
-from .solvers import (TRIAL_KINDS, IterationHistory, SolverConfig, empirical_rate,
+from .solvers import (TRIAL_KINDS, SolverConfig, empirical_rate,
                       mean_error_curve, run_trials)
 # bound here only for perfbench/selftest.py, which checks that the tracer
 # wraps and restores a function at each module that imported it
@@ -63,10 +63,18 @@ def _emit(report) -> None:
 
 # ---------------------------------------------------------------- CSV I/O
 
-def write_history_csv(path, rows) -> None:
+def write_history_csv(path, histories) -> None:
+    """Write {strategy: [history of each trial]} as CSV rows, one per sweep.
+
+    Values print as the repr of a Python float, as :func:`_fmt_float` does.
+    """
     lines = [CSV_HEADER]
-    for strategy, trial, sweep, err, resid in rows:
-        lines.append(f"{strategy},{int(trial)},{int(sweep)},{_fmt_float(err)},{_fmt_float(resid)}")
+    for strategy, trials in histories.items():
+        for trial, h in enumerate(trials):
+            errs, resids = (np.asarray(a, dtype=np.float64).tolist()
+                            for a in (h.errors_sq, h.residuals))
+            lines += [f"{strategy},{trial},{sweep},{err!r},{resid!r}"
+                      for sweep, (err, resid) in enumerate(zip(errs, resids))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -89,11 +97,6 @@ def read_history_csv(path):
                 raise ValueError(f"{path}: line {lineno}: expected a row {CSV_HEADER} with "
                                  f"integer trial and sweep, got {line!r}") from None
     return rows
-
-
-def _history_rows(strategy_name, trial, history: IterationHistory):
-    for sweep, (err, resid) in enumerate(zip(history.errors_sq, history.residuals)):
-        yield strategy_name, trial, sweep, err, resid
 
 
 def _group_curves(rows):
@@ -212,7 +215,7 @@ def cmd_solve(args, parser) -> int:
     B, b, ybar, y0, _ = _load_system(args, parser)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     history = run_trials(B, b, y0, ybar, kind, 1, _run_config(args), sigma)[0]
-    write_history_csv(args.out, _history_rows(kind, 0, history))
+    write_history_csv(args.out, {kind: [history]})
     rate = empirical_rate(history, max(1, min(args.rate_window, history.sweeps - 1)))
     _emit({"strategy": kind, "sweeps": history.sweeps, "final_error_sq": history.errors_sq[-1],
            "empirical_rate": rate, "csv": args.out})
@@ -233,9 +236,7 @@ def cmd_compare(args, parser) -> int:
     config = _run_config(args)
     histories = {kind: run_trials(B, b, y0, ybar, kind, args.trials, config, sigma)
                  for kind in kinds}
-    write_history_csv(args.out_csv, (row for kind in kinds
-                                     for trial, h in enumerate(histories[kind])
-                                     for row in _history_rows(kind, trial, h)))
+    write_history_csv(args.out_csv, histories)
 
     summary = dataclasses.asdict(bounds) | {"trials": args.trials}
     curves = {kind: [h.errors_sq for h in hs] for kind, hs in histories.items()}

@@ -6,6 +6,12 @@ seed. ``Generator.permutation`` performs a Fisher-Yates shuffle and
 ``Generator.integers`` uses rejection sampling, so permutations are exactly
 uniform and integer draws carry no modulo bias. Parallel or repeated trials
 use :func:`derive_seed` so streams are independent and order-insensitive.
+
+The orders of k consecutive sweeps can be drawn in one call
+(``sweep_order(..., sweeps=k)``): a PCG64 ``permuted`` over k rows, or one
+``integers`` call of shape (k, n), consumes the stream exactly as k single
+draws do, so it returns the same orders and leaves the generator in the
+same state.
 """
 
 from __future__ import annotations
@@ -122,19 +128,29 @@ def fixed(sigma) -> OrderingStrategy:
 
 
 def sweep_order(strategy: OrderingStrategy, n: int,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Index sequence (length n) for one sweep under the given strategy."""
+                rng: np.random.Generator | None = None, sweeps: int | None = None) -> np.ndarray:
+    """Index sequence (length n) for one sweep under the given strategy.
+
+    With ``sweeps=k``, the (k, n) orders of k consecutive sweeps: the rows
+    equal k single calls, and rng ends in the same state.
+    """
+    if strategy.kind in ("shuffled", "single_step_random"):
+        if rng is None:
+            raise ValueError(f"{strategy.kind} ordering needs an rng")
+        k = 1 if sweeps is None else sweeps
+        if strategy.kind == "shuffled":
+            orders = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        else:
+            orders = rng.integers(0, n, size=(k, n))
+        orders = orders.astype(np.intp, copy=False)
+        return orders[0] if sweeps is None else orders
     if strategy.kind == "cyclic":
-        return np.arange(n, dtype=np.intp)
-    if strategy.kind == "fixed":
+        order = np.arange(n, dtype=np.intp)
+    else:  # fixed
         if len(strategy.sigma) != n:
             raise ValueError("stored permutation length does not match n")
-        return strategy.sigma.copy()
-    if rng is None:
-        raise ValueError(f"{strategy.kind} ordering needs an rng")
-    if strategy.kind == "shuffled":
-        return rng.permutation(n).astype(np.intp, copy=False)
-    return rng.integers(0, n, size=n).astype(np.intp, copy=False)  # single_step_random
+        order = strategy.sigma.copy()
+    return order if sweeps is None else np.tile(order, (sweeps, 1))
 
 
 def format_permutation(sigma) -> str:

@@ -24,6 +24,13 @@ and SciPy's LAPACK wrappers are imported there, at the first sweep:
 importing sorlab and the commands that never run the block kernel
 (generate, analyze, bounds, plot) do not load SciPy.
 
+Both kernels draw a shuffled or single-step random trial's orders ahead, in
+chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK) indices and
+never past max_sweeps (:func:`_orders`). A chunk of k sweeps is one
+:func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
+stream exactly as k single draws do, so the orders, and every output byte,
+are those of one draw per sweep.
+
 The stack kernel runs T trials of SOR together as the rows of one (T, n)
 array, one coordinate of every row per step: a row gather of B, a row-wise
 dot product and a scatter. Each row draws its own orders, and errors and
@@ -60,15 +67,19 @@ from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
 SWEEP_BLOCK = 64
+# a randomized trial draws its orders ahead in chunks of 1, 2, 4, ... sweeps,
+# at most max(1, ORDER_CHUNK // n) sweeps, so max(n, ORDER_CHUNK) indices
+ORDER_CHUNK = 4096
 # trial kinds of run_trials; a kind's position here is part of its derived
 # seeds, so the tuple is frozen and new kinds go at the end
 TRIAL_KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
 # run_trials steps randomized trials as one stack from this many trials up,
 # and runs fewer one block-kernel trial each. The stack pays a fixed cost per
 # step, n steps per sweep shared by its rows; the block kernel one per block
-# of each trial. Shuffled trials of random_factor_problem(n, n) broke even at
-# about 5, 12, 16, 8 and 7 trials for n = 16, 64, 256, 512 and 1024, and at
-# 32 trials the stack took 0.36 to 0.72 of the per-trial time.
+# of each trial. With both kernels drawing orders per chunk, shuffled trials
+# of random_factor_problem(n, n) broke even at about 6, 12, 12, 12 and 6
+# trials for n = 16, 64, 256, 512 and 1024, and at 32 trials the stack took
+# 0.32 to 0.71 of the per-trial time.
 STACK_MIN_TRIALS = 32
 
 
@@ -243,6 +254,21 @@ def _stack_pass(steps, B_conj, V, omega):
         flat[at] += omega * (b_idx - np.vecdot(B_conj.take(idx, axis=0), V))
 
 
+def _orders(strategy: OrderingStrategy, n, rng, max_sweeps):
+    """The orders of a randomized trial's sweeps, one per sweep, up to max_sweeps.
+
+    They are drawn through :func:`sweep_order` in chunks of 1, 2, 4, ...
+    sweeps, at most max(1, ORDER_CHUNK // n); the orders do not depend on
+    the chunks, so a trial sweeps as if it drew one order per sweep.
+    """
+    cap, k, drawn = max(1, ORDER_CHUNK // n), 1, 0
+    while drawn < max_sweeps:
+        k = min(k, cap, max_sweeps - drawn)
+        yield from sweep_order(strategy, n, rng, sweeps=k)
+        drawn += k
+        k *= 2
+
+
 def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
              strategy: OrderingStrategy) -> IterationHistory:
     """Sweep v in place until max_sweeps or until error(v) reaches the target.
@@ -250,11 +276,11 @@ def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
     Orders come from the strategy (PCG64 stream seeded with ``config.seed``).
     When ``strategy.reuses_order`` (cyclic, fixed), its plan
     ``plan(M, omega, order)`` is built once per trial and kept as a list;
-    otherwise an order is drawn and its plan built every sweep. Each sweep
-    runs ``sweep(plan, b, v, omega, trtrs)`` with the solver :func:`_trtrs`
-    picks once for the trial; the error and the residual ||b - M v|| are
-    recorded before the first and after every sweep. Raises ValueError once
-    either is NaN or Inf.
+    otherwise the orders come from :func:`_orders` and a plan is built
+    every sweep. Each sweep runs ``sweep(plan, b, v, omega, trtrs)`` with
+    the solver :func:`_trtrs` picks once for the trial; the error and the
+    residual ||b - M v|| are recorded before the first and after every
+    sweep. Raises ValueError once either is NaN or Inf.
     """
     rng = make_rng(config.seed)
     trtrs = _trtrs(v)
@@ -273,13 +299,14 @@ def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
             raise ValueError(f"error is not finite after sweep {sweep_no} "
                              f"(seed {config.seed})")
 
-    def new_plan():
-        return plan(M, omega, sweep_order(strategy, n, rng))
-
     record(0)
-    trial_plan = list(new_plan()) if strategy.reuses_order else None
+    if strategy.reuses_order:
+        trial_plan = list(plan(M, omega, sweep_order(strategy, n, rng)))
+    else:
+        trial_plan, orders = None, _orders(strategy, n, rng, config.max_sweeps)
     for sweep_no in range(1, config.max_sweeps + 1):
-        sweep(new_plan() if trial_plan is None else trial_plan, b, v, omega, trtrs)
+        sweep(plan(M, omega, next(orders)) if trial_plan is None else trial_plan,
+              b, v, omega, trtrs)
         record(sweep_no)
         if errors[-1] <= config.target_error_sq:
             break
@@ -312,46 +339,61 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
     """SOR trials on checked inputs as the rows of one (T, n) stack.
 
     Trial t sweeps from y0 with orders from ``strategies[t]``, fed by a
-    PCG64 stream seeded with ``seeds[t]``, and stops as :func:`run_solver`
-    does; a stopped trial leaves the stack. When every strategy reuses its
-    order (preshuffled) the steps are built once, and again when trials
-    leave. Errors and residuals are row-wise sums, so trial t's history
-    does not depend on the other trials.
+    PCG64 stream seeded with ``seeds[t]`` and drawn as :func:`_iterate`
+    draws them, and stops as :func:`run_solver` does; a stopped trial
+    leaves the stack. When every strategy reuses its order (preshuffled)
+    the steps are built once, and again when trials leave. Errors and
+    residuals are row-wise sums, so trial t's history does not depend on
+    the other trials.
     """
     dtype = np.result_type(B, b, y0, ybar)
     B, b, ybar = (np.asarray(a, dtype=dtype) for a in (B, b, ybar))
     B_conj = B.conj() if np.iscomplexobj(B) else B
     n, omega = len(b), config.omega
     V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
-    rngs = [make_rng(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the trial of each row of V
     errors: list[list[float]] = [[] for _ in seeds]
     residuals: list[list[float]] = [[] for _ in seeds]
     finals: list = [None] * len(seeds)
+    recorded: list = []  # (errors, residuals) of the rows, per sweep since rows last changed
 
     def record(sweep_no):
         """Record the rows; return which of them are still above the target."""
         errs = _energy_rows(B, ybar - V)
         r = b - _rows_times(B, V)
-        for t, err, res in zip(rows, errs.tolist(), np.sqrt(_rows_dot(r, r)).tolist()):
-            errors[t].append(err)
-            residuals[t].append(res)
-            if not (math.isfinite(err) and math.isfinite(res)):
-                raise ValueError(f"error is not finite after sweep {sweep_no} "
-                                 f"(seed {seeds[t]})")
+        res = np.sqrt(_rows_dot(r, r))
+        recorded.append((errs, res))
+        finite = np.isfinite(errs) & np.isfinite(res)
+        if not finite.all():
+            raise ValueError(f"error is not finite after sweep {sweep_no} "
+                             f"(seed {seeds[rows[int(np.argmin(finite))]]})")
         return errs > config.target_error_sq
 
-    def new_plan():
-        return _stack_plan(b, [sweep_order(strategies[t], n, rngs[t]) for t in rows])
+    def flush():
+        """Move the recorded sweeps into the histories of the rows' trials."""
+        if recorded:
+            errs, res = (np.array(a).T.tolist() for a in zip(*recorded))
+            for t, e, r in zip(rows, errs, res):
+                errors[t].extend(e)
+                residuals[t].extend(r)
+            recorded.clear()
+
+    def reused_plan():
+        return list(_stack_plan(b, [sweep_order(strategies[t], n) for t in rows]))
 
     record(0)
-    reuse = all(s.reuses_order for s in strategies)
-    plan = list(new_plan()) if reuse else None
+    if all(s.reuses_order for s in strategies):
+        orders, plan = None, reused_plan()
+    else:
+        orders = [_orders(s, n, make_rng(seed), config.max_sweeps)
+                  for s, seed in zip(strategies, seeds)]
     for sweep_no in range(1, config.max_sweeps + 1):
-        _stack_pass(new_plan() if plan is None else plan, B_conj, V, omega)
+        _stack_pass(plan if orders is None else _stack_plan(b, [next(orders[t]) for t in rows]),
+                    B_conj, V, omega)
         going = record(sweep_no)
         if going.all():
             continue
+        flush()
         for t, row, on in zip(rows, V, going):
             if not on:
                 finals[t] = row.copy()
@@ -359,8 +401,9 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
         rows = [t for t, on in zip(rows, going) if on]
         if not rows:
             break
-        if reuse:
-            plan = list(new_plan())
+        if orders is None:
+            plan = reused_plan()
+    flush()
     for t, row in zip(rows, V):
         finals[t] = row
     return [IterationHistory(np.array(e), np.array(r), v)

@@ -24,20 +24,14 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"]
 _FLOOR_EXP = -320  # everything positive representable lies above this
 
 
-def _axis_range(series, per_trial):
-    vals = []
-    for _, ys in series:
-        vals.extend(float(v) for v in ys)
-    if per_trial:
-        for curves in per_trial.values():
-            for ys in curves:
-                vals.extend(float(v) for v in ys)
-    pos = [v for v in vals if v > 0]
-    if not pos:
+def _axis_range(curves):
+    vals = np.concatenate([np.asarray(ys, dtype=np.float64) for ys in curves])
+    pos = vals[vals > 0]
+    if not pos.size:
         lo_exp, hi_exp = -1, 0
     else:
-        lo_exp = math.floor(math.log10(min(pos)))
-        hi_exp = math.ceil(math.log10(max(pos)))
+        lo_exp = math.floor(math.log10(pos.min()))
+        hi_exp = math.ceil(math.log10(pos.max()))
         if hi_exp <= lo_exp:
             hi_exp = lo_exp + 1
     # widen to a span divisible by N_YTICKS - 1 so tick exponents are integers
@@ -68,8 +62,16 @@ class _Canvas:
         return self.y0 + (self.y1 - self.y0) * (e - self.lo) / (self.hi - self.lo)
 
 
-def _polyline(canvas, ys, color, width, opacity=None):
-    pts = " ".join(f"{_fmt(canvas.x(k))},{_fmt(canvas.y(v))}" for k, v in enumerate(ys))
+def _polyline(canvas, xs, ys, color, width, opacity=None):
+    """Polyline through (xs[k], canvas.y(ys[k])), xs being formatted x coordinates.
+
+    canvas.y is inlined, term for term, on Python floats.
+    """
+    y0, dy, lo, hi = canvas.y0, canvas.y1 - canvas.y0, canvas.lo, canvas.hi
+    span = hi - lo
+    exps = (min(max(math.log10(v) if v > 0 else _FLOOR_EXP, lo), hi)
+            for v in np.asarray(ys, dtype=np.float64).tolist())
+    pts = " ".join(f"{x},{y0 + dy * (e - lo) / span:.2f}" for x, e in zip(xs, exps))
     op = f' stroke-opacity="{opacity}"' if opacity is not None else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{op} '
             f'points="{pts}"/>')
@@ -83,9 +85,12 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     """
     if not series:
         raise ValueError("nothing to plot")
-    max_sweep = max(len(ys) - 1 for _, ys in series)
-    lo, hi, step = _axis_range(series, per_trial)
-    cv = _Canvas(lo, hi, max_sweep)
+    curves = [ys for _, ys in series]
+    if per_trial:
+        curves += [ys for trial_curves in per_trial.values() for ys in trial_curves]
+    lo, hi, step = _axis_range(curves)
+    cv = _Canvas(lo, hi, max(len(ys) - 1 for _, ys in series))
+    xs = [_fmt(cv.x(k)) for k in range(max(len(ys) for ys in curves))]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -131,9 +136,9 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
         for idx, (label, _) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
             for ys in per_trial.get(label, ()):
-                parts.append(_polyline(cv, ys, color, 1, opacity="0.25"))
+                parts.append(_polyline(cv, xs, ys, color, 1, opacity="0.25"))
     for idx, (label, ys) in enumerate(series):
-        parts.append(_polyline(cv, ys, PALETTE[idx % len(PALETTE)], 2))
+        parts.append(_polyline(cv, xs, ys, PALETTE[idx % len(PALETTE)], 2))
 
     # legend, top right
     lx = cv.x1 - 230

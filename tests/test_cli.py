@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sorlab.cli import main, read_history_csv, CSV_HEADER
+from sorlab.cli import main, read_history_csv, write_history_csv, CSV_HEADER
 from sorlab.mmio import read_matrix, read_vector, write_matrix, write_vector
+from sorlab.solvers import IterationHistory
 
 
 def run_cli(*args):
@@ -24,6 +25,29 @@ def identity_dir(tmp_path):
     write_vector(d / "b.mtx", np.array([1.0, 2.0, 3.0]))
     write_vector(d / "ybar.mtx", np.array([1.0, 2.0, 3.0]))
     return d
+
+
+# ---------------------------------------------------------------- CSV
+
+def test_history_csv_matches_per_row_formula(tmp_path):
+    # one row per sweep, values as repr(float(v)); histories of unequal
+    # length, numpy arrays as the solvers return them and plain lists
+    extremes = [1e300, 1e-300, 0.0, 5e-324, 0.1, 1.0 / 3.0, 2.0]
+    histories = {
+        "cyclic": [IterationHistory(np.array(extremes), np.array(extremes[::-1]), None),
+                   IterationHistory(np.array([4.0]), np.array([0.0]), None)],
+        "single_step_random": [IterationHistory([0.5, 5e-324], [1e300, 1e-300], None)],
+    }
+    out = tmp_path / "h.csv"
+    write_history_csv(out, histories)
+    ref = [CSV_HEADER]
+    for strategy, trials in histories.items():
+        for trial, h in enumerate(trials):
+            for sweep, (err, res) in enumerate(zip(h.errors_sq, h.residuals)):
+                ref.append(f"{strategy},{int(trial)},{int(sweep)},{repr(float(err))},"
+                           f"{repr(float(res))}")
+    assert out.read_text() == "\n".join(ref) + "\n"
+    assert [r[3] for r in read_history_csv(out)] == extremes + [4.0, 0.5, 5e-324]
 
 
 # ---------------------------------------------------------------- generate

@@ -21,6 +21,7 @@ from sorlab import (
     sweep_order,
     truncation_ratio,
 )
+from sorlab.analysis import _perm_batches
 from sorlab.orderings import check_permutation
 
 
@@ -158,6 +159,37 @@ def test_sweep_order_single_step_marginals_and_repeats():
     p = 1.0 / n
     sigma = np.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) <= 5 * sigma)
+
+
+@pytest.mark.parametrize("k", [1, 3, 50])
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 64, 257])
+@pytest.mark.parametrize("strat", [shuffled(), single_step_random()], ids=lambda s: s.kind)
+def test_sweep_order_of_k_sweeps_equals_k_single_draws(strat, n, k):
+    # one call for k sweeps consumes the PCG64 stream as k single calls do
+    for seed in (0, 5):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        orders = sweep_order(strat, n, rng, sweeps=k)
+        ref = np.array([sweep_order(strat, n, ref_rng) for _ in range(k)])
+        assert orders.dtype == ref.dtype == np.intp
+        assert np.array_equal(orders, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sweep_order_of_k_sweeps_repeats_fixed_orders():
+    sigma = np.array([2, 0, 1])
+    assert np.array_equal(sweep_order(fixed(sigma), 3, sweeps=2), [sigma, sigma])
+    assert np.array_equal(sweep_order(cyclic(), 3, sweeps=2), [[0, 1, 2]] * 2)
+
+
+@pytest.mark.parametrize("n, trials", [(1, 3), (5, 40), (64, 200)])
+def test_perm_batches_draws_do_not_depend_on_the_batch_size(n, trials):
+    # n = 64 makes batches of 78 orders, so 200 trials take three batches
+    rng, ref_rng = make_rng(8), make_rng(8)
+    batches = list(_perm_batches(n, trials, rng))
+    assert len(batches) == (3 if n == 64 else 1)
+    ref = np.array([ref_rng.permutation(n) for _ in range(trials)])
+    assert np.array_equal(np.concatenate(batches), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -264,21 +264,80 @@ def test_multi_block_trials_replay_one_shot_sweeps_bit_for_bit(complex_entries):
                                          ("shuffled", 7), ("single_step_random", 7)])
 def test_fixed_order_trials_draw_one_order(monkeypatch, kind, draws):
     # a cyclic or fixed (preshuffled) trial builds its plan from one order;
-    # the random kinds draw an order every sweep
+    # the random kinds draw one order per sweep, in chunks of 1, 2 and 4
+    # sweeps, and none beyond max_sweeps
     calls = []
+
+    def counted(strategy, n, rng=None, sweeps=None):
+        orders = real(strategy, n, rng, sweeps=sweeps)
+        calls.append(1 if sweeps is None else len(orders))
+        return orders
+
     real = solvers.sweep_order
-    monkeypatch.setattr(solvers, "sweep_order", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(solvers, "sweep_order", counted)
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0)
     h, = run_trials(B, b, y0, ybar, kind, 1, config, sigma=[5, 3, 1, 0, 2, 4])
     assert h.sweeps == 7
-    assert len(calls) == draws
+    assert sum(calls) == draws
+    assert len(calls) == (1 if draws == 1 else 3)
     inst = random_factor_problem(6, 4, rng=make_rng(21))
     strategy = (fixed([5, 3, 1, 0, 2, 4]) if kind in ("fixed", "preshuffled")
                 else OrderingStrategy(kind))
     calls.clear()
     run_kaczmarz(inst.A, inst.A @ inst.xbar, np.zeros(4), inst.xbar, config, strategy)
-    assert len(calls) == draws
+    assert sum(calls) == draws
+    assert len(calls) == (1 if draws == 1 else 3)
+
+
+@pytest.mark.parametrize("max_sweeps, chunks", [(1, [1]), (2, [1, 1]),
+                                               (150, [1, 2, 4, 8, 16, 32, 64, 23])])
+@pytest.mark.parametrize("trials", [3, solvers.STACK_MIN_TRIALS], ids=["block", "stack"])
+@pytest.mark.parametrize("kind", ["shuffled", "single_step_random"])
+def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, trials, max_sweeps, chunks):
+    # n = 64 caps a chunk at ORDER_CHUNK // 64 = 64 sweeps; on either kernel
+    # each trial's orders are those of one draw per sweep from its derived
+    # stream, and none is drawn beyond max_sweeps
+    drawn = {}  # rng -> chunks drawn from it; holding the rng keeps ids apart
+
+    def recording(strategy, n, rng=None, sweeps=None):
+        orders = real(strategy, n, rng, sweeps=sweeps)
+        drawn.setdefault(rng, []).append(orders)
+        return orders
+
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order", recording)
+    n = 64
+    inst = random_factor_problem(n, n, rng=make_rng(57))
+    config = SolverConfig(omega=1.2, max_sweeps=max_sweeps, target_error_sq=0.0, seed=8)
+    histories = run_trials(inst.B, inst.b, np.zeros(n), inst.ybar, kind, trials, config)
+    assert [h.sweeps for h in histories] == [max_sweeps] * trials
+    assert len(drawn) == trials
+    index = solvers.TRIAL_KINDS.index(kind)
+    strategy = OrderingStrategy(kind)
+    for t, got in enumerate(drawn.values()):
+        assert [len(c) for c in got] == chunks
+        cfg = replace(config, seed=derive_seed(8, index, t, 0))
+        orders = _sweep_orders(strategy, n, cfg, max_sweeps)
+        assert np.array_equal(np.concatenate(got), orders)
+        if t == 0 and trials < solvers.STACK_MIN_TRIALS:
+            y = np.zeros(n)
+            for order in orders:
+                y = sor_sweep(inst.B, inst.b, y, config.omega, order)
+            assert np.array_equal(histories[0].final_iterate, y)
+
+
+@pytest.mark.parametrize("n, chunks", [(1, [1, 2, 4]), (2048, [1, 2, 2, 2]),
+                                       (4096, [1] * 7), (5000, [1] * 7)])
+def test_order_chunks_hold_at_most_max_n_4096_indices(monkeypatch, n, chunks):
+    drawn = []
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order",
+                        lambda *a, **k: drawn.append(real(*a, **k)) or drawn[-1])
+    orders = list(solvers._orders(shuffled(), n, make_rng(0), 7))
+    assert len(orders) == 7
+    assert [len(c) for c in drawn] == chunks
+    assert max(c.size for c in drawn) <= max(n, solvers.ORDER_CHUNK)
 
 
 def _coordinate_sor_sweep(B, b, y, omega, order):
