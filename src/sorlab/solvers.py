@@ -22,7 +22,8 @@ LAPACK forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex
 iterate) is chosen once per trial or sweep call from the iterate's dtype,
 and SciPy's LAPACK wrappers are imported there, at the first sweep:
 importing sorlab and the commands that never run the block kernel
-(generate, analyze, bounds, plot) do not load SciPy.
+(generate, analyze, bounds, plot, and solve or compare with randomized
+strategies only) do not load SciPy.
 
 Both kernels draw a shuffled or single-step random trial's orders ahead, in
 chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK) indices and
@@ -36,16 +37,14 @@ array, one coordinate of every row per step: a row gather of B, a row-wise
 dot product and a scatter. Each row draws its own orders, and errors and
 residuals are row-wise sums (no matrix product over the stack), so a
 trial's history does not depend on T or on the other trials. Trials leave
-the stack as they reach the target. Its cost per step is paid n times per
-sweep and shared by the rows, so it is faster than the block kernel only
-for many trials; see STACK_MIN_TRIALS.
+the stack as they reach the target. The stack never imports SciPy.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block kernel, and
 :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one plan, behind
 one input check per update rule. :func:`run_trials` runs seeded Monte Carlo
 trials of one ordering kind and owns their seed scheme: trials that are
-identical by construction run once, the others one block-kernel trial each
-or, from STACK_MIN_TRIALS trials up, as one stack.
+identical by construction run once in the block kernel, the others as one
+stack, at every trial count.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -73,14 +72,6 @@ ORDER_CHUNK = 4096
 # trial kinds of run_trials; a kind's position here is part of its derived
 # seeds, so the tuple is frozen and new kinds go at the end
 TRIAL_KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
-# run_trials steps randomized trials as one stack from this many trials up,
-# and runs fewer one block-kernel trial each. The stack pays a fixed cost per
-# step, n steps per sweep shared by its rows; the block kernel one per block
-# of each trial. With both kernels drawing orders per chunk, shuffled trials
-# of random_factor_problem(n, n) broke even at about 6, 12, 12, 12 and 6
-# trials for n = 16, 64, 256, 512 and 1024, and at 32 trials the stack took
-# 0.32 to 0.71 of the per-trial time.
-STACK_MIN_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -421,12 +412,10 @@ def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
     single_step_random ignore it. Returns one history per trial, in order.
 
     The inputs are checked once. Trials that are identical by construction
-    (cyclic, and fixed or preshuffled with ``sigma``) run once and each gets
-    its own copy of that history. The others run one :func:`run_solver`
-    trial each below STACK_MIN_TRIALS trials and as one stack from there
-    up. Either way trial t's history does not depend on how many trials run
-    with it on the same side of STACK_MIN_TRIALS; across it the two kernels
-    agree up to rounding.
+    (cyclic, and fixed or preshuffled with ``sigma``) run once, as in
+    :func:`run_solver`, and each gets its own copy of that history. The
+    others run as one stack, so trial t's history does not depend on how
+    many trials run with it.
     """
     if kind not in TRIAL_KINDS:
         raise ValueError(f"unknown trial kind {kind!r}; choose from {', '.join(TRIAL_KINDS)}")
@@ -448,10 +437,7 @@ def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
     else:
         strategies = [OrderingStrategy(kind)] * trials
     seeds = [derive_seed(config.seed, index, t, 0) for t in range(trials)]
-    if trials >= STACK_MIN_TRIALS:
-        return _run_stack(B, b, y0, ybar, config, strategies, seeds)
-    return [_run_sor(B, b, y0, ybar, replace(config, seed=seed), strategy)
-            for seed, strategy in zip(seeds, strategies)]
+    return _run_stack(B, b, y0, ybar, config, strategies, seeds)
 
 
 def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,

@@ -315,24 +315,28 @@ def test_solve_extra_vector_entries_exit_1(fan_dir, tmp_path, capsys):
 # ---------------------------------------------------------------- compare
 
 def test_compare_summary_and_trial0_matches_solve(fan_dir, tmp_path, capsys):
+    # randomized trials run in one kernel at every trial count, so solve is
+    # trial 0 of compare whether compare runs 3 trials or 32
     solve_csv = tmp_path / "solve.csv"
     run_cli("solve", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
             "--ybar", fan_dir / "ybar.mtx", "--strategy", "shuffled",
             "--sweeps", "10", "--seed", "5", "--out", solve_csv)
     capsys.readouterr()
-    cmp_csv = tmp_path / "cmp.csv"
-    code = run_cli("compare", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
-                   "--ybar", fan_dir / "ybar.mtx", "--strategies", "cyclic,shuffled",
-                   "--trials", "3", "--sweeps", "10", "--seed", "5", "--out-csv", cmp_csv)
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "rate_shuffled: 0.84" in printed
-    assert "empirical_rate[cyclic]:" in printed
-    assert "mean_error_sq per sweep:" in printed
-    rows = read_history_csv(cmp_csv)
     solve_rows = read_history_csv(solve_csv)
-    shuffled_trial0 = [r for r in rows if r[0] == "shuffled" and r[1] == 0]
-    assert shuffled_trial0 == solve_rows
+    for trials in (3, 32):
+        cmp_csv = tmp_path / f"cmp{trials}.csv"
+        code = run_cli("compare", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
+                       "--ybar", fan_dir / "ybar.mtx", "--strategies", "cyclic,shuffled",
+                       "--trials", trials, "--sweeps", "10", "--seed", "5",
+                       "--out-csv", cmp_csv)
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "rate_shuffled: 0.84" in printed
+        assert "empirical_rate[cyclic]:" in printed
+        assert "mean_error_sq per sweep:" in printed
+        rows = read_history_csv(cmp_csv)
+        shuffled_trial0 = [r for r in rows if r[0] == "shuffled" and r[1] == 0]
+        assert shuffled_trial0 == solve_rows
 
 
 def test_compare_rejects_bad_omega(fan_dir, tmp_path):

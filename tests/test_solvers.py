@@ -292,12 +292,13 @@ def test_fixed_order_trials_draw_one_order(monkeypatch, kind, draws):
 
 @pytest.mark.parametrize("max_sweeps, chunks", [(1, [1]), (2, [1, 1]),
                                                (150, [1, 2, 4, 8, 16, 32, 64, 23])])
-@pytest.mark.parametrize("trials", [3, solvers.STACK_MIN_TRIALS], ids=["block", "stack"])
+@pytest.mark.parametrize("kernel", ["block", "stack"])
 @pytest.mark.parametrize("kind", ["shuffled", "single_step_random"])
-def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, trials, max_sweeps, chunks):
-    # n = 64 caps a chunk at ORDER_CHUNK // 64 = 64 sweeps; on either kernel
-    # each trial's orders are those of one draw per sweep from its derived
-    # stream, and none is drawn beyond max_sweeps
+def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, kernel, max_sweeps, chunks):
+    # n = 64 caps a chunk at ORDER_CHUNK // 64 = 64 sweeps; each trial's
+    # orders are those of one draw per sweep from its derived stream, and
+    # none is drawn beyond max_sweeps. The block kernel draws them so in
+    # run_solver, the stack in run_trials at 3 and 32 trials
     drawn = {}  # rng -> chunks drawn from it; holding the rng keeps ids apart
 
     def recording(strategy, n, rng=None, sweeps=None):
@@ -310,17 +311,23 @@ def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, trials, max_
     n = 64
     inst = random_factor_problem(n, n, rng=make_rng(57))
     config = SolverConfig(omega=1.2, max_sweeps=max_sweeps, target_error_sq=0.0, seed=8)
-    histories = run_trials(inst.B, inst.b, np.zeros(n), inst.ybar, kind, trials, config)
-    assert [h.sweeps for h in histories] == [max_sweeps] * trials
-    assert len(drawn) == trials
     index = solvers.TRIAL_KINDS.index(kind)
     strategy = OrderingStrategy(kind)
-    for t, got in enumerate(drawn.values()):
-        assert [len(c) for c in got] == chunks
-        cfg = replace(config, seed=derive_seed(8, index, t, 0))
-        orders = _sweep_orders(strategy, n, cfg, max_sweeps)
-        assert np.array_equal(np.concatenate(got), orders)
-        if t == 0 and trials < solvers.STACK_MIN_TRIALS:
+    for trials in ((1,) if kernel == "block" else (3, 32)):
+        drawn.clear()
+        if kernel == "block":
+            cfg = replace(config, seed=derive_seed(8, index, 0, 0))
+            histories = [run_solver(inst.B, inst.b, np.zeros(n), inst.ybar, cfg, strategy)]
+        else:
+            histories = run_trials(inst.B, inst.b, np.zeros(n), inst.ybar, kind, trials, config)
+        assert [h.sweeps for h in histories] == [max_sweeps] * trials
+        assert len(drawn) == trials
+        for t, got in enumerate(drawn.values()):
+            assert [len(c) for c in got] == chunks
+            cfg = replace(config, seed=derive_seed(8, index, t, 0))
+            orders = _sweep_orders(strategy, n, cfg, max_sweeps)
+            assert np.array_equal(np.concatenate(got), orders)
+        if kernel == "block":
             y = np.zeros(n)
             for order in orders:
                 y = sor_sweep(inst.B, inst.b, y, config.omega, order)
@@ -474,17 +481,16 @@ def _trial_system():
 def test_run_trials_seed_scheme(kind, index):
     # trial t sweeps with derive_seed(seed, index, t, 0); a preshuffled trial
     # draws its order from derived_rng(seed, index, t, 1). Randomized trials
-    # run one run_solver trial each below STACK_MIN_TRIALS, else as one stack
-    # (the private _run_stack)
+    # run as one stack (the private _run_stack) at every trial count
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0, seed=11)
-    for trials in (3, solvers.STACK_MIN_TRIALS):
+    for trials in (3, 32):
         histories = run_trials(B, b, y0, ybar, kind, trials, config)
         assert len(histories) == trials
         seeds = [derive_seed(11, index, t, 0) for t in range(trials)]
         strategies = [preshuffled(6, derived_rng(11, index, t, 1)) if kind == "preshuffled"
                       else OrderingStrategy(kind) for t in range(trials)]
-        if kind == "cyclic" or trials < solvers.STACK_MIN_TRIALS:
+        if kind == "cyclic":
             refs = [run_solver(B, b, y0, ybar, replace(config, seed=seed), strategy)
                     for seed, strategy in zip(seeds, strategies)]
         else:
@@ -508,8 +514,7 @@ def test_run_trials_sigma_pins_fixed_and_preshuffled():
 
 def test_run_trials_runs_identical_trials_once(monkeypatch):
     # cyclic, and fixed or preshuffled with sigma, are one block-kernel trial
-    # copied T times; randomized kinds run one such trial each below
-    # STACK_MIN_TRIALS trials and one stack from there up
+    # copied T times; randomized kinds run as one stack at every T
     calls = []
 
     def counted(name):
@@ -521,8 +526,7 @@ def test_run_trials_runs_identical_trials_once(monkeypatch):
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=3)
     sigma = [5, 3, 1, 0, 2, 4]
-    stack_min = solvers.STACK_MIN_TRIALS
-    for trials in (1, 5, stack_min - 1, stack_min):
+    for trials in (1, 5, 31, 32):
         for kind, pin in (("cyclic", None), ("fixed", sigma), ("preshuffled", sigma)):
             calls.clear()
             histories = run_trials(B, b, y0, ybar, kind, trials, config, pin)
@@ -536,7 +540,7 @@ def test_run_trials_runs_identical_trials_once(monkeypatch):
         for kind in ("shuffled", "preshuffled", "single_step_random"):
             calls.clear()
             assert len(run_trials(B, b, y0, ybar, kind, trials, config)) == trials
-            assert calls == (["_run_stack"] if trials >= stack_min else ["_run_sor"] * trials)
+            assert calls == ["_run_stack"]
 
 
 def _stack_instances():
@@ -560,20 +564,19 @@ def _assert_same_history(h, ref):
 
 @pytest.mark.parametrize("case", range(3), ids=["real", "complex", "fan32"])
 def test_run_trials_do_not_depend_on_the_trial_count(case):
-    # trial t of T trials has the bits of trial t of T' trials when T and T'
-    # lie on the same side of STACK_MIN_TRIALS, and a stacked randomized
-    # trial has the bits of that trial run alone in the stack
+    # trial t of T trials has the bits of trial t of 50 trials at every T,
+    # and a stacked randomized trial has the bits of that trial run alone in
+    # the stack
     name, B, b, y0, ybar, config = _stack_instances()[case]
     n = len(b)
     sigma = np.arange(n)[::-1]
-    stack_min = solvers.STACK_MIN_TRIALS
     for index, kind in enumerate(solvers.TRIAL_KINDS):
         runs = {T: run_trials(B, b, y0, ybar, kind, T, config, sigma if kind == "fixed" else None)
-                for T in (1, 7, stack_min, 50)}
+                for T in (1, 7, 32, 50)}
         for T, histories in runs.items():
             assert len(histories) == T
             for t, h in enumerate(histories):
-                _assert_same_history(h, runs[50 if T >= stack_min else 7][t])
+                _assert_same_history(h, runs[50][t])
         if kind in ("cyclic", "fixed"):
             continue
         for t, h in enumerate(runs[50]):
@@ -599,8 +602,8 @@ def test_stack_trials_agree_with_run_solver(complex_entries, n, m):
     floor = 1e-15 * B.trace().real * np.vdot(ybar - y0, ybar - y0).real
     for kind in ("shuffled", "preshuffled", "single_step_random"):
         index = solvers.TRIAL_KINDS.index(kind)
-        histories = run_trials(B, b, y0, ybar, kind, solvers.STACK_MIN_TRIALS, config)
-        for t, h in enumerate(histories):
+        for t, h in ((t, h) for trials in (1, 32)
+                     for t, h in enumerate(run_trials(B, b, y0, ybar, kind, trials, config))):
             strategy = (preshuffled(n, derived_rng(config.seed, index, t, 1))
                         if kind == "preshuffled" else OrderingStrategy(kind))
             ref = run_solver(B, b, y0, ybar,
@@ -614,10 +617,11 @@ def test_stack_trials_agree_with_run_solver(complex_entries, n, m):
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + floor)
 
 
-@pytest.mark.parametrize("trials", [7, solvers.STACK_MIN_TRIALS])
+@pytest.mark.parametrize("trials", [1, 7, 32])
 def test_run_trials_reject_indefinite_matrix(trials):
     # a unit-diagonal matrix with lambda_min = -0.1 lambda_max: every kind,
-    # on either kernel, fails with the message of energy_seminorm_sq
+    # on either kernel and at every trial count, fails with the message of
+    # energy_seminorm_sq
     G = random_psd_unit(6, make_rng(55))
     w = np.linalg.eigvalsh(G)
     c = (w[0] + 0.1 * w[-1]) / 1.1
@@ -639,18 +643,17 @@ def test_run_trials_clamp_rounding_noise_at_zero():
     y0 = np.zeros(64)
     y0[1] = 1.0
     config = SolverConfig(max_sweeps=60, target_error_sq=0.0, seed=2)
-    histories = run_trials(fan.B, fan.b, y0, fan.ybar, "shuffled", solvers.STACK_MIN_TRIALS,
-                           config)
+    histories = run_trials(fan.B, fan.b, y0, fan.ybar, "shuffled", 32, config)
     assert all(np.all(h.errors_sq >= 0) for h in histories)
     assert any(h.errors_sq[-1] == 0.0 and h.sweeps < 60 for h in histories)
 
 
-@pytest.mark.parametrize("trials", [8, solvers.STACK_MIN_TRIALS])
+@pytest.mark.parametrize("trials", [8, 32])
 @pytest.mark.parametrize("kind", ["shuffled", "preshuffled"])
 def test_run_trials_stop_on_non_finite_error(kind, trials):
     # the natural order converges in one sweep, the reverse order overflows;
-    # on either kernel the message names the sweep and the derived seed of
-    # the first trial that swept in reverse
+    # the message names the sweep and the derived seed of the first trial
+    # that swept in reverse
     B = np.array([[1.0, 1e150], [1e150, 1.0]])
     index = solvers.TRIAL_KINDS.index(kind)
     config = SolverConfig(max_sweeps=5, seed=3)

@@ -1,8 +1,11 @@
 """Commands that never run the block kernel run without SciPy.
 
-Each case runs the CLI in a fresh interpreter; with blocking on, a
-``sys.meta_path`` finder refuses every import of scipy or a submodule, so a
-command that reaches SciPy fails. Stdout and written files must equal those
+The block kernel runs cyclic, fixed and ``--sigma`` trials; randomized
+trials (shuffled, single-step random, preshuffled without ``--sigma``) run
+in the stack kernel at every trial count, so ``solve`` and an all-randomized
+``compare`` run without SciPy too. Each case runs the CLI in a fresh
+interpreter; with blocking on, a ``sys.meta_path`` finder refuses every
+import of scipy or a submodule, so a command that reaches SciPy fails. Stdout and written files must equal those
 of the same command run in-process.
 """
 
@@ -17,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from sorlab.cli import main
-from sorlab.solvers import STACK_MIN_TRIALS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +90,10 @@ def work(tmp_path_factory):
 
 
 def _cases(d):
+    def system(kind):
+        return ["--matrix", d / kind / "B.mtx", "--rhs", d / kind / "b.mtx",
+                "--ybar", d / kind / "ybar.mtx"]
+
     cases = {f"generate-{kind}": (["generate", *args, "--seed", "3", "--out-dir", d / kind],
                                   [d / kind / f for f in ("B.mtx", "b.mtx", "ybar.mtx",
                                                           "meta.txt")])
@@ -100,14 +106,17 @@ def _cases(d):
                     "--c0", "0.5"], []),
         "plot": (["plot", "--csv", d / "h.csv", "--out", d / "h.svg", "--per-trial",
                   "--title", "t"], [d / "h.svg"]),
-        # this many randomized trials run as one stack, without LAPACK
-        "compare-randomized": (["compare", "--matrix", d / "random" / "B.mtx", "--rhs",
-                                d / "random" / "b.mtx", "--ybar", d / "random" / "ybar.mtx",
-                                "--strategies", "shuffled,singlestep", "--trials",
-                                str(STACK_MIN_TRIALS), "--sweeps", "6", "--seed", "2",
-                                "--out-csv", d / "cs.csv", "--out-svg", d / "cs.svg"],
+        # randomized trials run as one stack, without LAPACK
+        "compare-randomized": (["compare", *system("random"), "--strategies",
+                                "shuffled,singlestep", "--trials", "3", "--sweeps", "6",
+                                "--seed", "2", "--out-csv", d / "cs.csv", "--out-svg",
+                                d / "cs.svg"],
                                [d / "cs.csv", d / "cs.svg"]),
     })
+    cases.update({f"solve-{strategy}": (["solve", *system("fan"), "--strategy", strategy,
+                                         "--sweeps", "5", "--seed", "2", "--out",
+                                         d / f"s-{strategy}.csv"], [d / f"s-{strategy}.csv"])
+                  for strategy in ("shuffled", "singlestep", "preshuffled")})
     return cases
 
 
@@ -118,7 +127,8 @@ def test_import_sorlab_loads_no_scipy():
 
 @pytest.mark.parametrize("case", ["generate-fan", "generate-random", "generate-lowrank",
                                   "analyze-exhaustive", "analyze-heuristic", "bounds", "plot",
-                                  "compare-randomized"])
+                                  "compare-randomized", "solve-shuffled", "solve-singlestep",
+                                  "solve-preshuffled"])
 def test_command_runs_with_scipy_blocked(work, case):
     argv, files = _cases(work)[case]
     expected = _in_process(argv)
@@ -130,9 +140,10 @@ def test_command_runs_with_scipy_blocked(work, case):
 
 
 def test_solve_loads_lapack_at_its_first_sweep(work):
+    # a cyclic trial runs in the block kernel
     fan = work / "fan"
     argv = ["solve", "--matrix", fan / "B.mtx", "--rhs", fan / "b.mtx", "--ybar",
-            fan / "ybar.mtx", "--strategy", "shuffled", "--sweeps", "5", "--out",
+            fan / "ybar.mtx", "--strategy", "cyclic", "--sweeps", "5", "--out",
             work / "s.csv"]
     expected = _in_process(argv)
     stdout, scipy = _fresh(argv, block=False)
