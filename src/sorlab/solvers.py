@@ -27,17 +27,21 @@ strategies only) do not load SciPy.
 
 Both kernels draw a shuffled or single-step random trial's orders ahead, in
 chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK) indices and
-never past max_sweeps (:func:`_orders`). A chunk of k sweeps is one
+never past max_sweeps (:func:`_order_chunks`). A chunk of k sweeps is one
 :func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
 stream exactly as k single draws do, so the orders, and every output byte,
 are those of one draw per sweep.
 
 The stack kernel runs T trials of SOR together as the rows of one (T, n)
 array, one coordinate of every row per step: a row gather of B, a row-wise
-dot product and a scatter. Each row draws its own orders, and errors and
-residuals are row-wise sums (no matrix product over the stack), so a
-trial's history does not depend on T or on the other trials. Trials leave
-the stack as they reach the target. The stack never imports SciPy.
+dot product and a scatter. Each row draws its own orders from its own
+stream, and errors and residuals are row-wise sums (no matrix product over
+the stack), so a trial's history does not depend on T or on the other
+trials. All rows share one chunk schedule: at each chunk boundary every
+live row draws its next chunk, and the draws are stacked into one
+(rows, k, n) array whose column j holds the steps of the chunk's sweep j.
+Trials leave the stack, with their rows of the chunk, as they reach the
+target. The stack never imports SciPy.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block kernel, and
 :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one plan, behind
@@ -229,8 +233,9 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
 def _stack_plan(b, orders):
     """The steps of an SOR sweep of a stack whose row t sweeps over orders[t],
     yielded as (idx, at, b[idx]): the index each row relaxes at one step, its
-    position in the flattened stack, and its entry of b."""
-    steps = np.stack(orders, axis=1)
+    position in the flattened stack, and its entry of b. orders is a (T, n)
+    array."""
+    steps = np.ascontiguousarray(orders.T)
     return zip(steps, steps + len(b) * np.arange(len(orders)), b[steps])
 
 
@@ -245,19 +250,26 @@ def _stack_pass(steps, B_conj, V, omega):
         flat[at] += omega * (b_idx - np.vecdot(B_conj.take(idx, axis=0), V))
 
 
-def _orders(strategy: OrderingStrategy, n, rng, max_sweeps):
-    """The orders of a randomized trial's sweeps, one per sweep, up to max_sweeps.
-
-    They are drawn through :func:`sweep_order` in chunks of 1, 2, 4, ...
-    sweeps, at most max(1, ORDER_CHUNK // n); the orders do not depend on
-    the chunks, so a trial sweeps as if it drew one order per sweep.
-    """
+def _order_chunks(n, max_sweeps):
+    """The sweep counts of a randomized trial's order draws: 1, 2, 4, ...,
+    at most max(1, ORDER_CHUNK // n) and never past max_sweeps in all."""
     cap, k, drawn = max(1, ORDER_CHUNK // n), 1, 0
     while drawn < max_sweeps:
         k = min(k, cap, max_sweeps - drawn)
-        yield from sweep_order(strategy, n, rng, sweeps=k)
+        yield k
         drawn += k
         k *= 2
+
+
+def _orders(strategy: OrderingStrategy, n, rng, max_sweeps):
+    """The orders of a randomized trial's sweeps, one per sweep, up to max_sweeps.
+
+    They are drawn through :func:`sweep_order` in the chunks of
+    :func:`_order_chunks`; the orders do not depend on the chunks, so a
+    trial sweeps as if it drew one order per sweep.
+    """
+    for k in _order_chunks(n, max_sweeps):
+        yield from sweep_order(strategy, n, rng, sweeps=k)
 
 
 def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
@@ -330,12 +342,13 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
     """SOR trials on checked inputs as the rows of one (T, n) stack.
 
     Trial t sweeps from y0 with orders from ``strategies[t]``, fed by a
-    PCG64 stream seeded with ``seeds[t]`` and drawn as :func:`_iterate`
-    draws them, and stops as :func:`run_solver` does; a stopped trial
-    leaves the stack. When every strategy reuses its order (preshuffled)
-    the steps are built once, and again when trials leave. Errors and
-    residuals are row-wise sums, so trial t's history does not depend on
-    the other trials.
+    PCG64 stream seeded with ``seeds[t]`` and drawn in the chunks of
+    :func:`_order_chunks`, one (rows, k, n) array per chunk for the stack,
+    and stops as :func:`run_solver` does; a stopped trial leaves the stack
+    with its rng and its rows of the chunk. When every strategy reuses its
+    order (preshuffled) the steps are built once, and again when trials
+    leave. Errors and residuals are row-wise sums, so trial t's history
+    does not depend on the other trials.
     """
     dtype = np.result_type(B, b, y0, ybar)
     B, b, ybar = (np.asarray(a, dtype=dtype) for a in (B, b, ybar))
@@ -370,17 +383,22 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
             recorded.clear()
 
     def reused_plan():
-        return list(_stack_plan(b, [sweep_order(strategies[t], n) for t in rows]))
+        return list(_stack_plan(b, np.array([sweep_order(strategies[t], n) for t in rows])))
 
     record(0)
     if all(s.reuses_order for s in strategies):
-        orders, plan = None, reused_plan()
+        rngs, plan = None, reused_plan()
     else:
-        orders = [_orders(s, n, make_rng(seed), config.max_sweeps)
-                  for s, seed in zip(strategies, seeds)]
+        rngs = [make_rng(seed) for seed in seeds]
+        chunks, chunk = _order_chunks(n, config.max_sweeps), np.empty((len(seeds), 0, n))
     for sweep_no in range(1, config.max_sweeps + 1):
-        _stack_pass(plan if orders is None else _stack_plan(b, [next(orders[t]) for t in rows]),
-                    B_conj, V, omega)
+        if rngs is not None:
+            if not chunk.shape[1]:
+                k = next(chunks)
+                chunk = np.array([sweep_order(strategies[t], n, rng, sweeps=k)
+                                  for t, rng in zip(rows, rngs)])
+            plan, chunk = _stack_plan(b, chunk[:, 0]), chunk[:, 1:]
+        _stack_pass(plan, B_conj, V, omega)
         going = record(sweep_no)
         if going.all():
             continue
@@ -392,8 +410,10 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
         rows = [t for t, on in zip(rows, going) if on]
         if not rows:
             break
-        if orders is None:
+        if rngs is None:
             plan = reused_plan()
+        else:
+            chunk, rngs = chunk[going], [rng for rng, on in zip(rngs, going) if on]
     flush()
     for t, row in zip(rows, V):
         finals[t] = row

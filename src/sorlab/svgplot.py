@@ -3,7 +3,9 @@
 No plotting dependency: elements are emitted directly with fixed coordinate
 formatting, so identical input always produces identical bytes. The y axis
 is log10 of the squared error with exactly 10 ticks; zero values are
-clipped to the plot floor.
+clipped to the plot floor. A curve's points are computed as float64 arrays;
+a per-trial curve whose float64 values are byte-equal to the previous
+curve of its strategy reuses that curve's polyline.
 """
 
 from __future__ import annotations
@@ -65,13 +67,17 @@ class _Canvas:
 def _polyline(canvas, xs, ys, color, width, opacity=None):
     """Polyline through (xs[k], canvas.y(ys[k])), xs being formatted x coordinates.
 
-    canvas.y is inlined, term for term, on Python floats.
+    canvas.y is applied to the whole curve as float64 arrays, term for term
+    in its order; the exponents come from math.log10, as in canvas.y, since
+    np.log10 need not match it to the last bit.
     """
-    y0, dy, lo, hi = canvas.y0, canvas.y1 - canvas.y0, canvas.lo, canvas.hi
-    span = hi - lo
-    exps = (min(max(math.log10(v) if v > 0 else _FLOOR_EXP, lo), hi)
-            for v in np.asarray(ys, dtype=np.float64).tolist())
-    pts = " ".join(f"{x},{y0 + dy * (e - lo) / span:.2f}" for x, e in zip(xs, exps))
+    ys = np.asarray(ys, dtype=np.float64)
+    pos = ys > 0
+    exps = np.full(len(ys), float(_FLOOR_EXP))
+    exps[pos] = list(map(math.log10, ys[pos].tolist()))
+    exps = np.minimum(np.maximum(exps, canvas.lo), canvas.hi)
+    y = canvas.y0 + (canvas.y1 - canvas.y0) * (exps - canvas.lo) / (canvas.hi - canvas.lo)
+    pts = " ".join(map("{},{:.2f}".format, xs, y.tolist()))
     op = f' stroke-opacity="{opacity}"' if opacity is not None else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{op} '
             f'points="{pts}"/>')
@@ -135,8 +141,12 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     if per_trial:
         for idx, (label, _) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
+            last = None
             for ys in per_trial.get(label, ()):
-                parts.append(_polyline(cv, xs, ys, color, 1, opacity="0.25"))
+                key = np.asarray(ys, dtype=np.float64).tobytes()
+                if key != last:  # a curve byte-equal to the previous one reuses its line
+                    last, line = key, _polyline(cv, xs, ys, color, 1, opacity="0.25")
+                parts.append(line)
     for idx, (label, ys) in enumerate(series):
         parts.append(_polyline(cv, xs, ys, PALETTE[idx % len(PALETTE)], 2))
 

@@ -50,6 +50,32 @@ def test_history_csv_matches_per_row_formula(tmp_path):
     assert [r[3] for r in read_history_csv(out)] == extremes + [4.0, 0.5, 5e-324]
 
 
+def test_history_csv_reuses_rows_of_byte_equal_trials(tmp_path):
+    # consecutive identical trials (as run_trials returns cyclic), a trial
+    # equal to the previous in errors but not in residuals, one that differs
+    # only by -0.0 against 0.0, and a repeat after it: every row still
+    # follows the per-row formula under its own strategy and trial
+    errs, res = np.array([1.0, 0.25, 0.0]), np.array([2.0, 0.5, 1e-300])
+    same = [IterationHistory(errs.copy(), res.copy(), None) for _ in range(3)]
+    histories = {
+        "cyclic": same + [IterationHistory(errs.copy(), np.array([2.0, 0.5, 5e-324]), None),
+                          IterationHistory(errs.copy(), np.array([2.0, 0.5, 5e-324]), None)],
+        "shuffled": [IterationHistory(errs.copy(), res.copy(), None),
+                     IterationHistory(np.array([1.0, 0.25, -0.0]), res.copy(), None),
+                     IterationHistory([1.0, 0.25, -0.0], list(res), None),
+                     IterationHistory([1.0, 0.25], [2.0, 0.5], None)],
+    }
+    out = tmp_path / "h.csv"
+    write_history_csv(out, histories)
+    ref = [CSV_HEADER]
+    for strategy, trials in histories.items():
+        for trial, h in enumerate(trials):
+            for sweep, (err, res_) in enumerate(zip(h.errors_sq, h.residuals)):
+                ref.append(f"{strategy},{trial},{sweep},{repr(float(err))},{repr(float(res_))}")
+    assert out.read_text() == "\n".join(ref) + "\n"
+    assert "shuffled,1,2,-0.0,1e-300" in ref and "shuffled,0,2,0.0,1e-300" in ref
+
+
 # ---------------------------------------------------------------- generate
 
 def test_generate_fan_files(fan_dir):

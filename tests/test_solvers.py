@@ -334,6 +334,50 @@ def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, kernel, max_
             assert np.array_equal(histories[0].final_iterate, y)
 
 
+@pytest.mark.parametrize("kind", ["shuffled", "single_step_random"])
+def test_stack_draws_one_chunk_per_live_trial(monkeypatch, kind):
+    # the stack draws each live trial's next chunk at the chunk boundary:
+    # n = 16 and 50 sweeps make chunks 1, 2, 4, 8, 16, 19, so 32 trials that
+    # run every sweep make 32 x 6 draws; on the fan, where trials stop early,
+    # a trial draws no chunk past the sweep it stopped in. Either way trial
+    # t's orders are one draw per sweep from its derived stream
+    drawn = {}  # rng -> chunks drawn from it; holding the rng keeps ids apart
+
+    def recording(strategy, n, rng=None, sweeps=None):
+        orders = real(strategy, n, rng, sweeps=sweeps)
+        drawn.setdefault(rng, []).append(orders)
+        return orders
+
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order", recording)
+    index = solvers.TRIAL_KINDS.index(kind)
+    strategy = OrderingStrategy(kind)
+    inst = random_factor_problem(16, 16, rng=make_rng(58))
+    fan = fan_problem(32)
+    y0 = np.zeros(64)
+    y0[1] = 1.0
+    for B, b, y, ybar, config in [
+            (inst.B, inst.b, np.zeros(16), inst.ybar,
+             SolverConfig(max_sweeps=50, target_error_sq=0.0, seed=9)),
+            (fan.B, fan.b, y0, fan.ybar, SolverConfig(max_sweeps=60, seed=4))]:
+        drawn.clear()
+        n = len(b)
+        histories = run_trials(B, b, y, ybar, kind, 32, config)
+        assert len(drawn) == 32
+        ends = np.cumsum(list(solvers._order_chunks(n, config.max_sweeps)))
+        if n == 16:
+            assert [h.sweeps for h in histories] == [50] * 32
+            assert sum(map(len, drawn.values())) == 32 * 6
+            assert list(ends) == [1, 3, 7, 15, 31, 50]
+        else:
+            assert min(h.sweeps for h in histories) < 60
+        for t, (h, got) in enumerate(zip(histories, drawn.values())):
+            assert len(np.concatenate(got)) == ends[np.searchsorted(ends, h.sweeps)]
+            cfg = replace(config, seed=derive_seed(config.seed, index, t, 0))
+            assert np.array_equal(np.concatenate(got),
+                                  _sweep_orders(strategy, n, cfg, sum(map(len, got))))
+
+
 @pytest.mark.parametrize("n, chunks", [(1, [1, 2, 4]), (2048, [1, 2, 2, 2]),
                                        (4096, [1] * 7), (5000, [1] * 7)])
 def test_order_chunks_hold_at_most_max_n_4096_indices(monkeypatch, n, chunks):

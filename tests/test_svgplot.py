@@ -106,6 +106,24 @@ def test_polylines_match_per_point_formulas(series, per_trial, as_array):
                                                        for t in range(svgplot.N_YTICKS)]
 
 
+def test_repeated_per_trial_curves_match_per_point_formulas():
+    # byte-equal consecutive curves share one polyline; a curve that differs
+    # only in its last value, or only by -0.0 against 0.0, is drawn anew
+    base = EXTREMES + [0.25]
+    neg = [-0.0 if v == 0.0 else v for v in base]
+    trials = [np.array(base), np.array(base), list(base), list(base),
+              np.array(base[:-1] + [0.5]), neg, base, np.array(neg), neg]
+    series = [("a", base), ("b", [1.0, 0.5])]
+    per_trial = {"a": trials, "b": [[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]]}
+    svg = render_semilog(series, per_trial=per_trial)
+    lo, hi, _ = _ref_axis([ys for _, ys in series] + trials + per_trial["b"])
+    max_sweep = len(base) - 1
+    drawn = trials + per_trial["b"] + [ys for _, ys in series]
+    assert re.findall(r'points="([^"]*)"', svg) == [_ref_points(ys, lo, hi, max_sweep)
+                                                   for ys in drawn]
+    assert svg.count('stroke="#1f77b4" stroke-width="1"') == len(trials)
+
+
 def test_polyline_clips_at_floor_and_ceiling():
     canvas = svgplot._Canvas(-2, 1, 4)
     ys = [1e300, 10.0, 0.5, 1e-300, 0.0]
