@@ -237,6 +237,8 @@ def cmd_compare(args, parser) -> int:
     _check_omega(args, parser)
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    if args.per_trial and not args.out_svg:
+        parser.error("--per-trial requires --out-svg")
     _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategies, args, parser)
     B, b, ybar, y0, spectrum = _load_system(args, parser)

@@ -2,53 +2,47 @@
 
 The sweep is implemented in projection (coordinate) form: for each index i
 in the sweep order, the i-th coordinate is relaxed against the current
-residual. There are two kernels for it.
+residual. One driver, :func:`_sweeps`, runs every trial as a row of a stack
+of iterates, and there are two passes for it to apply.
 
-The block kernel runs one trial and does not loop over the coordinates in
+The block pass sweeps one iterate and does not loop over the coordinates in
 Python: the sequential increments of SWEEP_BLOCK consecutive steps solve one
 unit lower triangular system (the strictly lower part of the reordered
 block), so a block is one matrix-vector product, one LAPACK forward
 substitution and one scatter-add, and the pass gives the
 coordinate-by-coordinate result up to rounding. For the natural order this
 is the classical forward-substitution form of one SOR step; the full error
-propagation matrix exists only in :func:`error_iteration_matrix`. Each pass
-is a plan and its application. The plan of an order yields, per block, the
-indices, the gathered rows and the omega-scaled triangle; applying it to an
-iterate touches only the iterate and b. A strategy that reuses its order
-(cyclic, fixed and so preshuffled) has its plan built once per trial and
-kept, a gathered copy of B; a shuffled or single-step random trial builds
-one per sweep, with the same function, and holds one block at a time. The
-LAPACK forward substitution (``dtrtrs``, or ``ztrtrs`` for a complex
-iterate) is chosen once per trial or sweep call from the iterate's dtype,
-and SciPy's LAPACK wrappers are imported there, at the first sweep:
-importing sorlab and the commands that never run the block kernel
-(generate, analyze, bounds, plot, and solve or compare with randomized
-strategies only) do not load SciPy.
+propagation matrix exists only in :func:`error_iteration_matrix`. The plan
+of an order yields, per block, the indices, the gathered rows and the
+omega-scaled triangle; applying it to an iterate touches only the iterate
+and b. The LAPACK forward substitution (``dtrtrs``, or ``ztrtrs`` for a
+complex iterate) is chosen once per trial or sweep call from the iterate's
+dtype, and SciPy's LAPACK wrappers are imported there, at the first sweep:
+importing sorlab and the commands that never run the block pass (generate,
+analyze, bounds, plot, and solve or compare with randomized strategies
+only) do not load SciPy.
 
-Both kernels draw a shuffled or single-step random trial's orders ahead, in
-chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK) indices and
-never past max_sweeps (:func:`_order_chunks`). A chunk of k sweeps is one
-:func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
-stream exactly as k single draws do, so the orders, and every output byte,
-are those of one draw per sweep.
-
-The stack kernel runs T trials of SOR together as the rows of one (T, n)
+The stack pass runs T trials of SOR together as the rows of one (T, n)
 array, one coordinate of every row per step: a row gather of B, a row-wise
-dot product and a scatter. Each row draws its own orders from its own
-stream, and errors and residuals are row-wise sums (no matrix product over
-the stack), so a trial's history does not depend on T or on the other
-trials. All rows share one chunk schedule: at each chunk boundary every
-live row draws its next chunk, and the draws are stacked into one
-(rows, k, n) array whose column j holds the steps of the chunk's sweep j.
-Trials leave the stack, with their rows of the chunk, as they reach the
-target. The stack never imports SciPy.
+dot product and a scatter. Errors and residuals are row-wise sums (no
+matrix product over the stack), so a trial's history does not depend on T
+or on the other trials. It never imports SciPy.
 
-:func:`run_solver` and :func:`run_kaczmarz` run the block kernel, and
-:func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one plan, behind
-one input check per update rule. :func:`run_trials` runs seeded Monte Carlo
-trials of one ordering kind and owns their seed scheme: trials that are
-identical by construction run once in the block kernel, the others as one
-stack, at every trial count.
+The driver builds the plan of a strategy that reuses its order (cyclic,
+fixed and so preshuffled) once per trial, a gathered copy of B. A shuffled
+or single-step random trial gets a plan per sweep, and its orders are drawn
+ahead, in chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK)
+indices and never past max_sweeps (:func:`_order_chunks`). A chunk of k
+sweeps is one :func:`~sorlab.orderings.sweep_order` call that consumes the
+trial's PCG64 stream exactly as k single draws do, so the orders, and every
+output byte, are those of one draw per sweep.
+
+:func:`run_solver` and :func:`run_kaczmarz` run the block pass on a one-row
+stack, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one
+plan, behind one input check per update rule. :func:`run_trials` runs
+seeded Monte Carlo trials of one ordering kind and owns their seed scheme:
+trials that are identical by construction run once through the block pass,
+the others as one stack, at every trial count.
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -261,67 +255,123 @@ def _order_chunks(n, max_sweeps):
         k *= 2
 
 
-def _orders(strategy: OrderingStrategy, n, rng, max_sweeps):
-    """The orders of a randomized trial's sweeps, one per sweep, up to max_sweeps.
+def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
+            seeds) -> list[IterationHistory]:
+    """Sweep the rows of the C-contiguous (T, w) stack V in place, trial t in
+    row t, over orders of n indices; return one history per trial.
 
-    They are drawn through :func:`sweep_order` in the chunks of
-    :func:`_order_chunks`; the orders do not depend on the chunks, so a
-    trial sweeps as if it drew one order per sweep.
+    Trial t draws its orders from ``strategies[t]``, fed by a PCG64 stream
+    seeded with ``seeds[t]``, in the chunks of :func:`_order_chunks`: one
+    (k, rows, n) array per chunk for the live rows. When every strategy
+    reuses its order (cyclic, fixed and so preshuffled) the plan is built
+    once, and again when trials leave; otherwise one is built per sweep.
+    ``plan(orders)`` builds the plan of a (rows, n) array of orders and
+    ``sweep(plan, V)`` applies it. ``measure(V)`` returns the rows' errors
+    and residuals as two lists of floats, recorded before the first and
+    after every sweep. Raises ValueError once one is NaN or Inf, naming the
+    sweep and the trial's seed. A trial stops after ``config.max_sweeps``
+    sweeps or once its error reaches ``config.target_error_sq``, and leaves
+    the stack with its rng and its rows of the chunk.
     """
-    for k in _order_chunks(n, max_sweeps):
-        yield from sweep_order(strategy, n, rng, sweeps=k)
-
-
-def _iterate(M, b, v, error, plan, sweep, config: SolverConfig,
-             strategy: OrderingStrategy) -> IterationHistory:
-    """Sweep v in place until max_sweeps or until error(v) reaches the target.
-
-    Orders come from the strategy (PCG64 stream seeded with ``config.seed``).
-    When ``strategy.reuses_order`` (cyclic, fixed), its plan
-    ``plan(M, omega, order)`` is built once per trial and kept as a list;
-    otherwise the orders come from :func:`_orders` and a plan is built
-    every sweep. Each sweep runs ``sweep(plan, b, v, omega, trtrs)`` with
-    the solver :func:`_trtrs` picks once for the trial; the error and the
-    residual ||b - M v|| are recorded before the first and after every
-    sweep. Raises ValueError once either is NaN or Inf.
-    """
-    rng = make_rng(config.seed)
-    trtrs = _trtrs(v)
-    n, omega = M.shape[0], config.omega
-    complex_v = np.iscomplexobj(v)  # b - M v has v's dtype
-    errors: list[float] = []
-    residuals: list[float] = []
+    rows = list(range(len(seeds)))  # the trial of each row of V
+    errors: list[list[float]] = [[] for _ in seeds]
+    residuals: list[list[float]] = [[] for _ in seeds]
+    finals: list = [None] * len(seeds)
+    recorded: list = []  # measure(V) per sweep since rows last changed
+    target = config.target_error_sq
 
     def record(sweep_no):
-        errors.append(error(v))
-        # np.linalg.norm's own formula, without its wrapper
-        r = b - M @ v
-        residuals.append(math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) if complex_v
-                         else math.sqrt(r.dot(r)))
-        if not (math.isfinite(errors[-1]) and math.isfinite(residuals[-1])):
-            raise ValueError(f"error is not finite after sweep {sweep_no} "
-                             f"(seed {config.seed})")
+        """Record the rows; return their errors."""
+        errs, res = measured = measure(V)
+        recorded.append(measured)
+        # the entries are >= 0 or NaN: the sums are finite unless an entry
+        # is not or they overflow, and only then is each row looked at
+        if not math.isfinite(sum(errs) + sum(res)):
+            for t, e, r in zip(rows, errs, res):
+                if not (math.isfinite(e) and math.isfinite(r)):
+                    raise ValueError(f"error is not finite after sweep {sweep_no} "
+                                     f"(seed {seeds[t]})")
+        return errs
+
+    def flush():
+        """Move the recorded sweeps into the histories of the rows' trials."""
+        if recorded:
+            errs, res = zip(*recorded)
+            for t, e, r in zip(rows, zip(*errs), zip(*res)):
+                errors[t].extend(e)
+                residuals[t].extend(r)
+            recorded.clear()
+
+    def reused_plan():
+        return list(plan(np.array([sweep_order(strategies[t], n) for t in rows])))
 
     record(0)
-    if strategy.reuses_order:
-        trial_plan = list(plan(M, omega, sweep_order(strategy, n, rng)))
+    if all(s.reuses_order for s in strategies):
+        rngs, trial_plan = None, reused_plan()
     else:
-        trial_plan, orders = None, _orders(strategy, n, rng, config.max_sweeps)
+        rngs = [make_rng(seed) for seed in seeds]
+        # chunk[j] holds the live rows' orders of the chunk's sweep j
+        chunks, chunk, j = _order_chunks(n, config.max_sweeps), (), 0
     for sweep_no in range(1, config.max_sweeps + 1):
-        sweep(plan(M, omega, next(orders)) if trial_plan is None else trial_plan,
-              b, v, omega, trtrs)
-        record(sweep_no)
-        if errors[-1] <= config.target_error_sq:
+        if rngs is not None:
+            if j == len(chunk):
+                k, j = next(chunks), 0
+                chunk = np.array([sweep_order(strategies[t], n, rng, sweeps=k)
+                                  for t, rng in zip(rows, rngs)]).transpose(1, 0, 2)
+            trial_plan, j = plan(chunk[j]), j + 1
+        sweep(trial_plan, V)
+        errs = record(sweep_no)
+        if min(errs) > target:
+            continue
+        flush()
+        going = [e > target for e in errs]
+        for t, row, on in zip(rows, V, going):
+            if not on:
+                finals[t] = row.copy()
+        V = V[going]
+        rows = [t for t, on in zip(rows, going) if on]
+        if not rows:
             break
-    return IterationHistory(np.array(errors), np.array(residuals), v)
+        if rngs is None:
+            trial_plan = reused_plan()
+        else:
+            chunk, rngs = chunk[:, going], [rng for rng, on in zip(rngs, going) if on]
+    flush()
+    for t, row in zip(rows, V):
+        finals[t] = row
+    return [IterationHistory(np.array(e), np.array(r), v)
+            for e, r, v in zip(errors, residuals, finals)]
+
+
+def _block_trial(M, b, v, error, plan, sweep, config: SolverConfig,
+                 strategy: OrderingStrategy) -> IterationHistory:
+    """One trial of the block pass, v swept in place as the one row of a
+    :func:`_sweeps` stack seeded with ``config.seed``: its plans are
+    ``plan(M, omega, order)``, its sweeps ``sweep(plan, b, v, omega, trtrs)``
+    with the solver :func:`_trtrs` picks, its errors ``error(v)`` and its
+    residuals ||b - M v||."""
+    trtrs = _trtrs(v)
+    omega = config.omega
+    complex_v = np.iscomplexobj(v)  # b - M v has v's dtype
+
+    # measure and sweep read v itself: the one row leaves the stack only at the end
+    def measure(_):
+        # np.linalg.norm's own formula, without its wrapper
+        r = b - M @ v
+        return [error(v)], [math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) if complex_v
+                            else math.sqrt(r.dot(r))]
+
+    h, = _sweeps(v[None], M.shape[0], measure, lambda orders: plan(M, omega, orders[0]),
+                 lambda p, _: sweep(p, b, v, omega, trtrs), config, [strategy], [config.seed])
+    return h
 
 
 def _run_sor(B, b, y0, ybar, config: SolverConfig,
              strategy: OrderingStrategy) -> IterationHistory:
     """:func:`run_solver` on checked inputs."""
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
-    return _iterate(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan, _sor_pass,
-                    config, strategy)
+    return _block_trial(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan,
+                        _sor_pass, config, strategy)
 
 
 def run_solver(B, b, y0, ybar, config: SolverConfig,
@@ -339,86 +389,25 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
 
 def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
                seeds) -> list[IterationHistory]:
-    """SOR trials on checked inputs as the rows of one (T, n) stack.
+    """SOR trials on checked inputs as the rows of one (T, n) :func:`_sweeps`
+    stack, trial t with ``strategies[t]`` and ``seeds[t]``.
 
-    Trial t sweeps from y0 with orders from ``strategies[t]``, fed by a
-    PCG64 stream seeded with ``seeds[t]`` and drawn in the chunks of
-    :func:`_order_chunks`, one (rows, k, n) array per chunk for the stack,
-    and stops as :func:`run_solver` does; a stopped trial leaves the stack
-    with its rng and its rows of the chunk. When every strategy reuses its
-    order (preshuffled) the steps are built once, and again when trials
-    leave. Errors and residuals are row-wise sums, so trial t's history
-    does not depend on the other trials.
+    Errors and residuals are row-wise sums, so trial t's history does not
+    depend on the other trials.
     """
     dtype = np.result_type(B, b, y0, ybar)
     B, b, ybar = (np.asarray(a, dtype=dtype) for a in (B, b, ybar))
     B_conj = B.conj() if np.iscomplexobj(B) else B
-    n, omega = len(b), config.omega
-    V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
-    rows = list(range(len(seeds)))  # the trial of each row of V
-    errors: list[list[float]] = [[] for _ in seeds]
-    residuals: list[list[float]] = [[] for _ in seeds]
-    finals: list = [None] * len(seeds)
-    recorded: list = []  # (errors, residuals) of the rows, per sweep since rows last changed
+    omega = config.omega
 
-    def record(sweep_no):
-        """Record the rows; return which of them are still above the target."""
-        errs = _energy_rows(B, ybar - V)
+    def measure(V):
         r = b - _rows_times(B, V)
-        res = np.sqrt(_rows_dot(r, r))
-        recorded.append((errs, res))
-        finite = np.isfinite(errs) & np.isfinite(res)
-        if not finite.all():
-            raise ValueError(f"error is not finite after sweep {sweep_no} "
-                             f"(seed {seeds[rows[int(np.argmin(finite))]]})")
-        return errs > config.target_error_sq
+        return _energy_rows(B, ybar - V).tolist(), np.sqrt(_rows_dot(r, r)).tolist()
 
-    def flush():
-        """Move the recorded sweeps into the histories of the rows' trials."""
-        if recorded:
-            errs, res = (np.array(a).T.tolist() for a in zip(*recorded))
-            for t, e, r in zip(rows, errs, res):
-                errors[t].extend(e)
-                residuals[t].extend(r)
-            recorded.clear()
-
-    def reused_plan():
-        return list(_stack_plan(b, np.array([sweep_order(strategies[t], n) for t in rows])))
-
-    record(0)
-    if all(s.reuses_order for s in strategies):
-        rngs, plan = None, reused_plan()
-    else:
-        rngs = [make_rng(seed) for seed in seeds]
-        chunks, chunk = _order_chunks(n, config.max_sweeps), np.empty((len(seeds), 0, n))
-    for sweep_no in range(1, config.max_sweeps + 1):
-        if rngs is not None:
-            if not chunk.shape[1]:
-                k = next(chunks)
-                chunk = np.array([sweep_order(strategies[t], n, rng, sweeps=k)
-                                  for t, rng in zip(rows, rngs)])
-            plan, chunk = _stack_plan(b, chunk[:, 0]), chunk[:, 1:]
-        _stack_pass(plan, B_conj, V, omega)
-        going = record(sweep_no)
-        if going.all():
-            continue
-        flush()
-        for t, row, on in zip(rows, V, going):
-            if not on:
-                finals[t] = row.copy()
-        V = V[going]
-        rows = [t for t, on in zip(rows, going) if on]
-        if not rows:
-            break
-        if rngs is None:
-            plan = reused_plan()
-        else:
-            chunk, rngs = chunk[going], [rng for rng, on in zip(rngs, going) if on]
-    flush()
-    for t, row in zip(rows, V):
-        finals[t] = row
-    return [IterationHistory(np.array(e), np.array(r), v)
-            for e, r, v in zip(errors, residuals, finals)]
+    V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
+    return _sweeps(V, len(b), measure, lambda orders: _stack_plan(b, orders),
+                   lambda steps, V: _stack_pass(steps, B_conj, V, omega), config, strategies,
+                   seeds)
 
 
 def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
@@ -469,8 +458,8 @@ def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,
     """
     A, b, xbar, x0 = _kaczmarz_inputs(A, b, xbar=xbar, x0=x0)
     x = np.array(x0, dtype=np.result_type(A, b, x0, xbar), copy=True)
-    return _iterate(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2), _kaczmarz_plan,
-                    _kaczmarz_pass, config, strategy)
+    return _block_trial(A, b, x, lambda v: float(np.linalg.norm(xbar - v) ** 2),
+                        _kaczmarz_plan, _kaczmarz_pass, config, strategy)
 
 
 def mean_error_curve(curves) -> np.ndarray:

@@ -212,6 +212,17 @@ def test_run_usage_errors_come_before_reading_files(tmp_path, capsys, args, mess
     assert not (tmp_path / "h.csv").exists()
 
 
+def test_compare_per_trial_requires_out_svg(tmp_path, capsys):
+    # the faint per-trial curves go only into the SVG
+    missing = tmp_path / "missing.mtx"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--matrix", missing, "--rhs", missing, "--ybar", missing,
+                "--strategies", "cyclic", "--per-trial", "--out-csv", tmp_path / "h.csv")
+    assert exc.value.code == 2
+    assert "--per-trial requires --out-svg" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "compare", "analyze", "bounds", "plot"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     missing, out = tmp_path / "missing.mtx", tmp_path / "out"

@@ -380,15 +380,11 @@ def test_stack_draws_one_chunk_per_live_trial(monkeypatch, kind):
 
 @pytest.mark.parametrize("n, chunks", [(1, [1, 2, 4]), (2048, [1, 2, 2, 2]),
                                        (4096, [1] * 7), (5000, [1] * 7)])
-def test_order_chunks_hold_at_most_max_n_4096_indices(monkeypatch, n, chunks):
-    drawn = []
-    real = solvers.sweep_order
-    monkeypatch.setattr(solvers, "sweep_order",
-                        lambda *a, **k: drawn.append(real(*a, **k)) or drawn[-1])
-    orders = list(solvers._orders(shuffled(), n, make_rng(0), 7))
-    assert len(orders) == 7
-    assert [len(c) for c in drawn] == chunks
-    assert max(c.size for c in drawn) <= max(n, solvers.ORDER_CHUNK)
+def test_order_chunks_hold_at_most_max_n_4096_indices(n, chunks):
+    got = list(solvers._order_chunks(n, 7))
+    assert got == chunks
+    assert sum(got) == 7
+    assert max(k * n for k in got) <= max(n, solvers.ORDER_CHUNK)
 
 
 def _coordinate_sor_sweep(B, b, y, omega, order):
@@ -499,6 +495,26 @@ def test_run_solver_stops_on_non_finite_error():
     with pytest.raises(ValueError, match=r"error is not finite after sweep 1 \(seed 3\)"), \
             np.errstate(over="ignore", invalid="ignore"):
         run_solver(*args, fixed([1, 0]))
+    # Kaczmarz measures ||xbar - x||^2, which overflows before the first sweep
+    A = np.array([[0.6, 0.8], [1.0, 0.0]])
+    config = SolverConfig(max_sweeps=5, seed=4)
+    for strategy in (cyclic(), shuffled()):
+        with pytest.raises(ValueError, match=r"error is not finite after sweep 0 \(seed 4\)"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_kaczmarz(A, np.zeros(2), np.array([1e200, 0.0]), np.zeros(2), config, strategy)
+
+
+@pytest.mark.parametrize("strategy", [cyclic(), shuffled()], ids=["cyclic", "shuffled"])
+def test_run_kaczmarz_stops_at_first_sweep_to_reach_target(strategy):
+    inst = random_factor_problem(8, 6, rng=make_rng(35))
+    args = (inst.A, inst.A @ inst.xbar, np.zeros(6), inst.xbar)
+    full = run_kaczmarz(*args, SolverConfig(max_sweeps=30, target_error_sq=0.0, seed=6), strategy)
+    target = full.errors_sq[5]
+    first = next(k for k in range(1, 31) if full.errors_sq[k] <= target)
+    h = run_kaczmarz(*args, SolverConfig(max_sweeps=30, target_error_sq=target, seed=6), strategy)
+    assert 0 < target and h.sweeps == first < 30
+    assert np.array_equal(h.errors_sq, full.errors_sq[:first + 1])
+    assert np.array_equal(h.residuals, full.residuals[:first + 1])
 
 
 def test_run_solver_rejects_indefinite_matrix():
