@@ -34,6 +34,7 @@ from .linalg import (
     SpectralSummary,
     _as_square,
     _ordered_lower,
+    _top_singular_values,
     hadamard,
     min_index_matrix,
     spectral_norm,
@@ -59,8 +60,11 @@ C1_DEFAULT = 32.42
 C2_DEFAULT = 2907.0
 
 # Relative margin by which a lower bound must exceed a norm before the
-# heuristic drops a swap unscored; about 1e4 times the rounding of the bound
-# and of the SVD (see min_truncation_heuristic).
+# heuristic drops a swap unscored. It must clear the rounding of the bound
+# (about n u, u = 2**-53) plus that of the norm from the Gram, about
+# n (n + 1) u / 2 (see linalg._top_singular_values): 5.9e-14 at n = 32 and
+# 3.6e-12 at n = 256, which 1e-10 clears by factors of about 1700 and 28
+# (see min_truncation_heuristic).
 _PRUNE_MARGIN = 1e-10
 
 
@@ -69,6 +73,16 @@ def _nonzero_norm(B) -> float:
     if norm_b == 0:
         raise ValueError("zero matrix has no truncation ratio")
     return norm_b
+
+
+def _as_hermitian(B):
+    """``_as_square`` for an exactly Hermitian B, as the n! oracle and the
+    exhaustive search (one order of each reversal pair) and the heuristic's
+    swap bounds (a skew-Hermitian E_k) assume."""
+    B = _as_square(B)
+    if not np.array_equal(B, B.conj().T):
+        raise ValueError("matrix is not Hermitian")
+    return B
 
 
 def _check_rng(rng):
@@ -110,15 +124,34 @@ def _lower_gram_terms(B, perms):
 
 
 def expected_lower_gram_bruteforce(B) -> np.ndarray:
-    """Exact average of P* L_s L_s* P over all n! reorderings (n <= 8)."""
-    B = _as_square(B)
+    """Exact average of P* L_s L_s* P over all n! reorderings (n <= 8).
+
+    B must be exactly Hermitian. Then the reversed order r of s has the
+    ordered truncation M_r = M_s*: M_r[a, b] = B[a, b] when a precedes b in
+    s, and B[a, b] = conj(B[b, a]) = conj(M_s[b, a]). So only the orders with
+    s[0] <= s[-1] are enumerated, one of each reversal pair, and each adds
+    M_s M_s* + M_s* M_s, the terms of both.
+    """
+    B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive averaging; use montecarlo")
     acc = np.zeros((n, n), dtype=B.dtype)
     for perms in _perm_batches(n):
-        acc += _lower_gram_terms(B, perms).sum(axis=0)
+        acc += _paired_lower_gram_sum(B, perms[perms[:, 0] <= perms[:, -1]])
     return acc / math.factorial(n)
+
+
+def _paired_lower_gram_sum(B, perms):
+    """Sum of M_s M_s* + M_s* M_s over the rows s of perms (M_s the ordered
+    truncation), as two GEMMs: of the M_s side by side, and stacked. A
+    function of its own so that a batch's stacks are freed on return, before
+    the next batch's are built."""
+    n = B.shape[0]
+    M = _ordered_lower(B, perms)
+    side = M.transpose(1, 0, 2).reshape(n, -1)  # [M_1 ... M_k], a copy
+    stacked = M.reshape(-1, n)                  # [M_1; ...; M_k], a view
+    return side @ side.conj().T + stacked.conj().T @ stacked
 
 
 def expected_lower_gram_closed(B) -> np.ndarray:
@@ -211,7 +244,7 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
 def _batched_truncation_norms(B, perms):
     """||L_s|| for each row s of perms, L_s gathered in the reordered indexing."""
     L = np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
-    return np.linalg.svd(L, compute_uv=False)[:, 0]
+    return _top_singular_values(L)
 
 
 def truncation_ratio(B, sigma) -> float:
@@ -244,11 +277,12 @@ class TruncationStats:
 def min_truncation_exhaustive(B) -> TruncationStats:
     """Exact min/mean/max of the truncation ratio over all n! orderings (n <= 8).
 
-    The reversed ordering has L_rev = J L_sigma* J (J the exchange matrix),
-    so the same norm: only orderings with sigma[0] <= sigma[-1] are scored,
-    one of each reversal pair. ``samples`` still counts all n! orderings.
+    B must be exactly Hermitian (else "matrix is not Hermitian"). Then the
+    reversed ordering has L_rev = J L_sigma* J (J the exchange matrix), so
+    the same norm: only orderings with sigma[0] <= sigma[-1] are scored, one
+    of each reversal pair. ``samples`` still counts all n! orderings.
     """
-    B = _as_square(B)
+    B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
@@ -343,23 +377,25 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     From each uniformly drawn starting permutation, repeatedly applies the
     best norm-decreasing swap of neighboring positions until none improves;
     ties go to the leftmost swap. Deterministic given the rng seed. The
-    result is an upper bound on the exhaustive minimum.
+    result is an upper bound on the exhaustive minimum. B must be exactly
+    Hermitian (else "matrix is not Hermitian"): the swap bounds rely on it.
 
-    Each step scores the n - 1 neighbors exactly but runs few SVDs:
+    Each step scores the n - 1 neighbors exactly but computes few norms:
     :func:`_swap_bounds` gives a lower bound b_k <= ||L_k|| for every swap
     from a vector carried over from the previous step (the top right
     singular vector at the start, then the accepted swap's Ritz vector).
     Swaps with b_k > cur (1 + _PRUNE_MARGIN) are dropped, where cur is the
-    current norm; the swap with the smallest bound gets an exact SVD, norm
-    m; swaps with b_k > min(m, cur) (1 + _PRUNE_MARGIN) are dropped too;
-    the rest get exact SVDs. The margin is about 1e4 times the rounding of
-    the bound and of the SVD, so every dropped swap has a computed norm
-    strictly above a norm that is kept or above cur: it can be neither the
-    best swap nor tied with it. The norms that decide come from the same
-    SVDs of the same matrices as scoring every neighbor, so the descent
-    path and every statistic are the same, bit for bit.
+    current norm; the swap with the smallest bound gets an exact norm m;
+    swaps with b_k > min(m, cur) (1 + _PRUNE_MARGIN) are dropped too; the
+    rest get exact norms. The margin clears the rounding of the bound and of
+    the exact norm from the Gram (see _PRUNE_MARGIN), so every dropped swap
+    has a computed norm strictly above a norm that is kept or above cur: it
+    can be neither the best swap nor tied with it. The norms that decide
+    come from the same kernel on the same matrices as scoring every
+    neighbor, so the descent path and every statistic are the same, bit for
+    bit.
     """
-    B = _as_square(B)
+    B = _as_hermitian(B)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     _check_rng(rng)

@@ -614,6 +614,29 @@ def test_exhaustive_truncation_matches_full_enumeration(cplx):
             assert stats.argmin_sigma.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_paired_oracle_matches_full_enumeration(cplx):
+    # one order of each reversal pair adds M M* + M* M; must equal the n! sum
+    for n in range(1, 8):
+        B = random_psd_unit(n, make_rng(820 + n), cplx)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        ref = _lower_gram_terms(B, perms).sum(axis=0) / math.factorial(n)
+        scale = max(spectral_norm(B) ** 2, 1.0)
+        assert np.max(np.abs(expected_lower_gram_bruteforce(B) - ref)) <= 1e-14 * scale
+
+
+def test_reversal_pairing_rejects_non_hermitian_matrix():
+    B = np.random.default_rng(5).standard_normal((5, 5))
+    # the reversed order has another truncation norm, so pairs cannot share one
+    ident, rev = _batched_truncation_norms(B, np.array([np.arange(5), np.arange(5)[::-1]]))
+    assert abs(ident - rev) > 1e-3
+    for call in (lambda: min_truncation_exhaustive(B),
+                 lambda: expected_lower_gram_bruteforce(B),
+                 lambda: min_truncation_heuristic(B, 2, make_rng(0))):
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            call()
+
+
 def test_expected_contraction_rejects_indefinite_matrix():
     B = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     with pytest.raises(ValueError, match="matrix not PSD"):

@@ -16,6 +16,7 @@ from sorlab import (
     strict_lower,
     fan_problem,
 )
+from sorlab.linalg import _top_singular_values
 from helpers import charpoly_eigs_bisect, random_hermitian, random_psd_unit
 
 
@@ -236,6 +237,35 @@ def test_spectral_norm_cases():
     assert spectral_norm(strict_lower(np.array([[1.0, 1.0], [1.0, 1.0]]))) == pytest.approx(1.0)
     assert spectral_norm(fan_problem(4).B) == pytest.approx(4.0, rel=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+    rng = np.random.default_rng(32)
+    for shape in ((3, 7), (7, 3), (1, 5), (32, 32)):
+        M = rng.standard_normal(shape)
+        assert abs(spectral_norm(M) - _svd_top(M)) <= 1e-14 * _svd_top(M)
+        assert spectral_norm(M) == _top_singular_values(M[None])[0]
+
+
+def _svd_top(M):
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_top_singular_values_match_svd(cplx):
+    rng = np.random.default_rng(31)
+    for k, n in ((50, 8), (7, 32), (3, 1)):
+        M = rng.standard_normal((k, n, n))
+        if cplx:
+            M = M + 1j * rng.standard_normal((k, n, n))
+        for stack in (M, np.tril(M, -1)):
+            ref = _svd_top(stack)
+            got = _top_singular_values(stack)
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    u, v = rng.standard_normal(6), rng.standard_normal(6)
+    rank_one = np.outer(u + (1j * v if cplx else 0), v)[None]
+    assert abs(_top_singular_values(rank_one)[0] - _svd_top(rank_one)[0]) \
+        <= 1e-14 * _svd_top(rank_one)[0]
+    zero = np.zeros((2, 4, 4), complex if cplx else float)
+    assert _top_singular_values(zero).tolist() == [0.0, 0.0]
+    assert not np.signbit(_top_singular_values(zero)).any()
 
 
 def test_spectral_summary_fan():
