@@ -28,7 +28,14 @@ from sorlab import (
     truncation_ratio,
 )
 from sorlab import analysis
-from sorlab.analysis import _batched_truncation_norms, _lower_gram_terms, _perm_batches, _swap_bounds
+from sorlab.analysis import (
+    _batched_truncation_norms,
+    _lower_gram_terms,
+    _perm_batches,
+    _swap_bounds,
+    _swap_in_place,
+    _top_eigenvector,
+)
 from helpers import random_hermitian, random_psd_unit
 
 
@@ -288,7 +295,8 @@ def test_heuristic_batch_matches_neighbor_loop_bit_for_bit(complex_entries):
     (2, True, None, False),
     (6, False, None, True),  # zero truncation: every bound is 0
     (24, True, 5, False),
-], ids=["n1", "n2-real", "n2-complex", "identity", "n24-rank5-complex"])
+    (32, False, 6, False),  # the shape of the analyze-heuristic32 benchmark
+], ids=["n1", "n2-real", "n2-complex", "identity", "n24-rank5-complex", "n32-rank6-real"])
 def test_pruned_heuristic_matches_neighbor_loop_bit_for_bit(monkeypatch, n, complex_entries, m,
                                                             identity):
     B = np.eye(n) if identity else random_psd_unit(n, make_rng(20 + n), complex_entries, m)
@@ -306,6 +314,7 @@ def test_pruned_heuristic_matches_neighbor_loop_bit_for_bit(monkeypatch, n, comp
     assert stats.mean_ratio == float((np.array(starts) / norm_b).mean())
     if not identity:  # about one exact SVD per step, besides the 3 starts and the identity
         assert sum(rows) <= 2 * len(rounds) + 4
+    assert all(rows)  # no call scores an empty stack
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,6 +339,33 @@ def test_swap_bounds_never_exceed_exact_norms(n, seed, cplx, deficient):
             L_i = np.tril(permute_conjugate(B, swapped[i]), -1)
             assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
             assert np.linalg.norm(L_i @ x) == pytest.approx(bounds[i], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_swap_in_place_equals_gather_bit_for_bit(cplx):
+    n = 12
+    B = random_psd_unit(n, make_rng(31), cplx)
+    sigma = make_rng(32).permutation(n)
+    # exactly Hermitian under ==, yet conj(B[j, k]) != B[k, j] bit for bit: the
+    # new (i + 1, i) entry must come from B, not from the old (i + 1, i)
+    B[sigma[2], sigma[3]], B[sigma[3], sigma[2]] = -0.0, 0.0
+    B[sigma[5], sigma[6]] = B[sigma[6], sigma[5]] = 0.5  # conj flips a complex zero's sign
+    for i in range(n - 1):
+        s, L = sigma.copy(), np.tril(B[np.ix_(sigma, sigma)], -1)
+        _swap_in_place(B, s, L, i)
+        assert s.tolist() == [*sigma[:i], sigma[i + 1], sigma[i], *sigma[i + 2:]]
+        assert L.tobytes() == np.tril(B[np.ix_(s, s)], -1).tobytes()
+
+
+@pytest.mark.parametrize("a, b, d", [
+    (1.0, 0.0, 2.0), (2.0, 0.0, 2.0), (3.0, 0.0, 2.0), (0.0, 0.0, 0.0),
+    (1.0, 0.5, 2.0), (2.0, -1e-9, 2.0), (5.0, 2.0 - 1.0j, 1.0), (1e-20, 3e-10j, 1.0),
+])
+def test_top_eigenvector_closed_form_matches_eigh(a, b, d):
+    V = np.linalg.eigh(np.array([[a, b], [np.conj(b), d]]))[1]
+    x = np.array(_top_eigenvector(a, b, d))
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
+    assert abs(np.vdot(V[:, -1], x)) == pytest.approx(1.0, rel=1e-12)  # equal up to a unit phase
 
 
 def test_expected_truncation_norm_basics():
