@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# End-to-end checks of the installed `sorlab` console script (the
+# [project.scripts] entry point), run without PYTHONPATH in WORK_DIR
+# (default: a new temporary directory):
+# - solve reproduces trial 0 of a 32-trial compare;
+# - plot redraws compare's per-trial SVG from its CSV byte for byte;
+# - analyze prints the same bytes twice, on the exhaustive path (n = 8)
+#   and on the heuristic path (n = 12).
+# Usage: scripts/check_console_script.sh [WORK_DIR]
+set -euo pipefail
+work=${1:-$(mktemp -d)}
+mkdir -p "$work"
+cd "$work"
+unset PYTHONPATH
+sorlab generate --kind fan --m 4 --out-dir fan
+system="--matrix fan/B.mtx --rhs fan/b.mtx --ybar fan/ybar.mtx"
+sorlab solve $system --strategy shuffled --seed 5 --out solve.csv
+sorlab compare $system --strategies shuffled --trials 32 --seed 5 --out-csv compare.csv \
+  --per-trial --out-svg c.svg
+grep '^shuffled,0,' compare.csv | diff - <(tail -n +2 solve.csv)
+sorlab plot --csv compare.csv --per-trial --title "omega=1.0 trials=32" --out p.svg
+cmp c.svg p.svg
+sorlab analyze --matrix fan/B.mtx > a1.txt
+sorlab analyze --matrix fan/B.mtx > a2.txt
+cmp a1.txt a2.txt
+sorlab generate --kind random --n 12 --m 12 --out-dir random
+sorlab analyze --matrix random/B.mtx > h1.txt
+sorlab analyze --matrix random/B.mtx > h2.txt
+cmp h1.txt h2.txt
+echo "console script checks passed in $work"

@@ -287,32 +287,20 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
     norm_b = _nonzero_norm(B)
-    best = np.inf
-    best_sigma = None
-    total_sum = 0.0
-    worst = 0.0
-    identity_ratio = None
-    scored = 0
+    norms, firsts = [], []  # per non-empty batch: its norms, its first order of least norm
     for perms in _perm_batches(n):
         perms = perms[perms[:, 0] <= perms[:, -1]]
-        if not len(perms):
-            continue
-        norms = _batched_truncation_norms(B, perms)
-        if identity_ratio is None:
-            identity_ratio = float(norms[0]) / norm_b  # lexicographic first = identity
-        i = int(np.argmin(norms))
-        if norms[i] < best:
-            best = float(norms[i])
-            best_sigma = perms[i].copy()
-        worst = max(worst, float(norms.max()))
-        total_sum += float(norms.sum())
-        scored += len(perms)
+        if len(perms):
+            norms.append(_batched_truncation_norms(B, perms))
+            firsts.append(perms[np.argmin(norms[-1])].copy())
+    k = int(np.argmin([batch.min() for batch in norms]))  # first batch holding the least norm
     return TruncationStats(
-        ratio_identity=identity_ratio,
-        min_ratio=best / norm_b,
-        argmin_sigma=best_sigma,
-        mean_ratio=total_sum / scored / norm_b,  # both orders of a pair share one norm
-        max_ratio=worst / norm_b,
+        ratio_identity=float(norms[0][0]) / norm_b,  # lexicographic first = identity
+        min_ratio=float(norms[k].min()) / norm_b,
+        argmin_sigma=firsts[k],
+        # both orders of a pair share one norm
+        mean_ratio=sum(float(batch.sum()) for batch in norms) / sum(map(len, norms)) / norm_b,
+        max_ratio=max(float(batch.max()) for batch in norms) / norm_b,
         method="exhaustive",
         samples=math.factorial(n),
     )

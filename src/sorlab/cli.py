@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -103,10 +104,14 @@ def read_history_csv(path):
                 continue
             try:
                 strategy, trial, sweep, err, resid = line.split(",")
-                rows.append((strategy, int(trial), int(sweep), float(err), float(resid)))
+                row = (strategy, int(trial), int(sweep), float(err), float(resid))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected a row {CSV_HEADER} with "
                                  f"integer trial and sweep, got {line!r}") from None
+            if not all(0.0 <= v < math.inf for v in row[3:]):  # also rejects NaN
+                raise ValueError(f"{path}: line {lineno}: error_sq and residual must be "
+                                 f"finite and >= 0, got {line!r}")
+            rows.append(row)
     return rows
 
 
@@ -161,7 +166,7 @@ def cmd_generate(args, parser) -> int:
 
 # ---------------------------------------------------------------- solve / compare
 
-def _load_system(args, parser):
+def _load_system(args):
     B, _ = mmio.read_matrix(args.matrix)
     B = hermitian(B)
     b, _ = mmio.read_vector(args.rhs)
@@ -202,28 +207,12 @@ def _run_config(args):
                         seed=0 if args.seed is None else args.seed)
 
 
-def _check_omega(args, parser):
-    if not 0.0 < args.omega < 2.0:
-        parser.error("--omega must lie strictly in (0, 2)")
-
-
-def _check_run_counts(args, parser):
-    if args.sweeps < 1:
-        parser.error("--sweeps must be >= 1")
-    if args.rate_window < 1:
-        parser.error("--rate-window must be >= 1")
-    if not args.target_error_sq >= 0:  # also rejects NaN
-        parser.error("--target-error-sq must be >= 0")
-
-
 def cmd_solve(args, parser) -> int:
-    _check_omega(args, parser)
-    _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategy, args, parser)
     if len(kinds) > 1:
         parser.error("solve runs one strategy; use compare for several")
     kind = kinds[0]
-    B, b, ybar, y0, _ = _load_system(args, parser)
+    B, b, ybar, y0, _ = _load_system(args)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     history = run_trials(B, b, y0, ybar, kind, 1, _run_config(args), sigma)[0]
     write_history_csv(args.out, {kind: [history]})
@@ -234,14 +223,10 @@ def cmd_solve(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    _check_omega(args, parser)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     if args.per_trial and not args.out_svg:
         parser.error("--per-trial requires --out-svg")
-    _check_run_counts(args, parser)
     kinds = _parse_strategies(args.strategies, args, parser)
-    B, b, ybar, y0, spectrum = _load_system(args, parser)
+    B, b, ybar, y0, spectrum = _load_system(args)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
     # raises on a non-unit diagonal or bad c0/c1 before any trial runs
     bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
@@ -277,10 +262,6 @@ def cmd_compare(args, parser) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args, parser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.restarts < 1:
-        parser.error("--restarts must be >= 1")
     seed = args.seed if args.seed is not None else 0
     B, _ = mmio.read_matrix(args.matrix)
     B = hermitian(B)
@@ -292,8 +273,9 @@ def cmd_analyze(args, parser) -> int:
         w, _ = eigen_hermitian(B)
         rank, kappa_bar = (0 if not B.any() else "n/a (matrix not PSD)"), None
         psd_unit = False
+    norm_b = max(abs(w[0]), abs(w[-1]))  # the one ||B|| of the report
     report = {"n": n, "lambda_max": w[0], "lambda_min": w[-1],
-              "spectral_norm": max(abs(w[0]), abs(w[-1])), "rank": rank, "kappa_bar": kappa_bar}
+              "spectral_norm": norm_b, "rank": rank, "kappa_bar": kappa_bar}
 
     if not B.any():
         _emit(report | {"truncation": "zero matrix, all ratios 0", "avg_lower_gram_norm": 0.0})
@@ -312,7 +294,7 @@ def cmd_analyze(args, parser) -> int:
     weighted = analysis.expected_lower_gram_weighted(B)
     dev = np.abs(oracle - weighted)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    flagged = dev[i, j] > 1e-10 * max(gram.norm_b ** 2, 1.0)
+    flagged = dev[i, j] > 1e-10 * max(norm_b ** 2, 1.0)
     _emit(report | {
         "truncation_method": stats.method,
         "truncation_samples": stats.samples,
@@ -324,7 +306,7 @@ def cmd_analyze(args, parser) -> int:
         "expected_truncation_ratio": expected,
         "expected_truncation_ratio_se": se,
         "avg_lower_gram_norm": gram.norm_avg,
-        "norm_b_squared": gram.norm_b ** 2,
+        "norm_b_squared": norm_b ** 2,
         "bound_general_ok": gram.general_ok,
         "psd_unit_diagonal": psd_unit,
         # the paper proves the strict bound only for PSD unit-diagonal B
@@ -341,7 +323,6 @@ def cmd_analyze(args, parser) -> int:
 # ---------------------------------------------------------------- bounds / plot
 
 def cmd_bounds(args, parser) -> int:
-    _check_omega(args, parser)
     B, _ = mmio.read_matrix(args.matrix)
     spectrum = spectral_summary(hermitian(B))
     bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
@@ -362,6 +343,19 @@ def cmd_plot(args, parser) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+# (option, test, requirement) of each single-option usage rule: main exits 2
+# with "<option> must <requirement>" when a command's value fails the test.
+_OPTION_RULES = (
+    ("--seed", lambda v: v >= 0, "be >= 0"),
+    ("--omega", lambda v: 0.0 < v < 2.0, "lie strictly in (0, 2)"),
+    ("--trials", lambda v: v >= 1, "be >= 1"),
+    ("--restarts", lambda v: v >= 1, "be >= 1"),
+    ("--sweeps", lambda v: v >= 1, "be >= 1"),
+    ("--rate-window", lambda v: v >= 1, "be >= 1"),
+    ("--target-error-sq", lambda v: v >= 0, "be >= 0"),  # False for NaN
+)
+
 
 def _add_common_run_args(p):
     p.add_argument("--matrix", required=True, help="MatrixMarket file with B")
@@ -445,8 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and args.seed < 0:  # before any command reads a file
-        parser.error("--seed must be >= 0")
+    for option, holds, requirement in _OPTION_RULES:  # before any command reads a file
+        value = getattr(args, option[2:].replace("-", "_"), None)
+        if value is not None and not holds(value):
+            parser.error(f"{option} must {requirement}")
     try:
         return args.func(args, parser)
     except (OSError, ValueError, RuntimeError) as exc:

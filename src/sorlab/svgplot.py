@@ -58,26 +58,21 @@ class _Canvas:
     def x(self, sweep):
         return self.x0 + (self.x1 - self.x0) * sweep / self.max_sweep
 
-    def y(self, value):
-        e = math.log10(value) if value > 0 else _FLOOR_EXP
-        e = min(max(e, self.lo), self.hi)
-        return self.y0 + (self.y1 - self.y0) * (e - self.lo) / (self.hi - self.lo)
+    def y(self, values):
+        """Pixel y of each value as a float64 array: its log10 (_FLOOR_EXP
+        for values <= 0) clipped to [lo, hi]. The exponents come from
+        math.log10, since np.log10 need not match it to the last bit."""
+        values = np.asarray(values, dtype=np.float64)
+        pos = values > 0
+        exps = np.full(len(values), float(_FLOOR_EXP))
+        exps[pos] = list(map(math.log10, values[pos].tolist()))
+        exps = np.minimum(np.maximum(exps, self.lo), self.hi)
+        return self.y0 + (self.y1 - self.y0) * (exps - self.lo) / (self.hi - self.lo)
 
 
 def _polyline(canvas, xs, ys, color, width, opacity=None):
-    """Polyline through (xs[k], canvas.y(ys[k])), xs being formatted x coordinates.
-
-    canvas.y is applied to the whole curve as float64 arrays, term for term
-    in its order; the exponents come from math.log10, as in canvas.y, since
-    np.log10 need not match it to the last bit.
-    """
-    ys = np.asarray(ys, dtype=np.float64)
-    pos = ys > 0
-    exps = np.full(len(ys), float(_FLOOR_EXP))
-    exps[pos] = list(map(math.log10, ys[pos].tolist()))
-    exps = np.minimum(np.maximum(exps, canvas.lo), canvas.hi)
-    y = canvas.y0 + (canvas.y1 - canvas.y0) * (exps - canvas.lo) / (canvas.hi - canvas.lo)
-    pts = " ".join(map("{},{:.2f}".format, xs, y.tolist()))
+    """Polyline through (xs[k], canvas.y(ys)[k]), xs being formatted x coordinates."""
+    pts = " ".join(map("{},{:.2f}".format, xs, canvas.y(ys).tolist()))
     op = f' stroke-opacity="{opacity}"' if opacity is not None else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{op} '
             f'points="{pts}"/>')
@@ -106,9 +101,10 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     font = 'font-family="monospace" font-size="12"'
 
     # y grid, ticks, labels at integer exponents
-    for t in range(N_YTICKS):
-        e = lo + t * step
-        ypix = _fmt(cv.y(10.0 ** e))
+    exps = [lo + t * step for t in range(N_YTICKS)]
+    # 10.0 ** 309 overflows; only the top tick reaches 309, and y(inf) is the top
+    ticks = [10.0 ** e if e < 309 else math.inf for e in exps]
+    for e, ypix in zip(exps, map(_fmt, cv.y(ticks).tolist())):
         parts.append(f'<line x1="{cv.x0}" y1="{ypix}" x2="{cv.x1}" y2="{ypix}" '
                      f'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{cv.x0 - 6}" y="{ypix}" {font} text-anchor="end" '

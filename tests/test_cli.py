@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -223,21 +225,63 @@ def test_compare_per_trial_requires_out_svg(tmp_path, capsys):
     assert not (tmp_path / "h.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "solve", "compare", "analyze", "bounds", "plot"])
-def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
-    missing, out = tmp_path / "missing.mtx", tmp_path / "out"
+def _usage_args(command, missing, out):
+    """Arguments that command needs, every input file missing and out its output."""
     system = ("--matrix", missing, "--rhs", missing, "--ybar", missing)
-    args = {"generate": ("--kind", "random", "--n", "4", "--m", "2", "--out-dir", out),
+    return {"generate": ("--kind", "random", "--n", "4", "--m", "2", "--out-dir", out),
             "solve": (*system, "--strategy", "cyclic", "--out", out),
             "compare": (*system, "--strategies", "cyclic", "--out-csv", out),
             "analyze": ("--matrix", missing),
             "bounds": ("--matrix", missing),
             "plot": ("--csv", missing, "--out", out)}[command]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "compare", "analyze", "bounds", "plot"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    missing, out = tmp_path / "missing.mtx", tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, *args, "--seed", "-1")
+        run_cli(command, *_usage_args(command, missing, out), "--seed", "-1")
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--seed must be >= 0" in captured.err
+    assert not out.exists()
+
+
+# one bad value per rule of cli._OPTION_RULES, and the message it must print
+_BAD_OPTION_VALUES = {
+    "--seed": ("-1", "--seed must be >= 0"),
+    "--omega": ("2", "--omega must lie strictly in (0, 2)"),
+    "--trials": ("0", "--trials must be >= 1"),
+    "--restarts": ("0", "--restarts must be >= 1"),
+    "--sweeps": ("0", "--sweeps must be >= 1"),
+    "--rate-window": ("0", "--rate-window must be >= 1"),
+    "--target-error-sq": ("nan", "--target-error-sq must be >= 0"),
+}
+
+
+def _option_rule_cases():
+    """(command, option) for every subcommand and every ruled option it takes."""
+    from sorlab.cli import _OPTION_RULES, build_parser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, option) for command, p in sub.choices.items()
+            for option, _, _ in _OPTION_RULES if option in p._option_string_actions]
+
+
+def test_every_option_rule_has_a_bad_value_and_a_command():
+    from sorlab.cli import _OPTION_RULES
+    assert [option for option, _, _ in _OPTION_RULES] == list(_BAD_OPTION_VALUES)
+    assert {option for _, option in _option_rule_cases()} == set(_BAD_OPTION_VALUES)
+
+
+@pytest.mark.parametrize("command, option", _option_rule_cases())
+def test_option_rules_come_before_reading_files(tmp_path, capsys, command, option):
+    missing, out = tmp_path / "missing.mtx", tmp_path / "out"
+    value, message = _BAD_OPTION_VALUES[option]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *_usage_args(command, missing, out), option, value)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"sorlab: error: {message}\n")
     assert not out.exists()
 
 
@@ -638,6 +682,19 @@ def test_plot_malformed_csv_row_names_file_and_line(tmp_path, capsys, row):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("row", [
+    "cyclic,0,1,inf,1.0", "cyclic,0,1,nan,1.0", "cyclic,0,1,-1e-3,1.0",
+    "cyclic,0,1,0.5,inf", "cyclic,0,1,0.5,nan", "cyclic,0,1,0.5,-1e-3",
+])
+def test_plot_non_finite_or_negative_csv_value_names_file_and_line(tmp_path, capsys, row):
+    csv = tmp_path / "h.csv"
+    csv.write_text(f"{CSV_HEADER}\ncyclic,0,0,2.0,1.0\n{row}\n")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert capsys.readouterr().err == (f"error: {csv}: line 3: error_sq and residual must be "
+                                       f"finite and >= 0, got {row!r}\n")
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_bounds_rate_outside_unit_interval_exits_1(tmp_path, capsys):
     d = tmp_path / "fan32"
     assert run_cli("generate", "--kind", "fan", "--m", "32", "--out-dir", d) == 0
@@ -682,8 +739,8 @@ def _analyze_expected(B, trials=2000, restarts=20, seed=0):
     B = hermitian(B)
     n = B.shape[0]
     w, _ = eigen_hermitian(B)
-    out = [("n", n), ("lambda_max", w[0]), ("lambda_min", w[-1]),
-           ("spectral_norm", max(abs(w[0]), abs(w[-1])))]
+    norm_b = max(abs(w[0]), abs(w[-1]))  # the one ||B|| of the report
+    out = [("n", n), ("lambda_max", w[0]), ("lambda_min", w[-1]), ("spectral_norm", norm_b)]
     if not B.any():
         return out + [("rank", 0), ("truncation", "zero matrix, all ratios 0"),
                       ("avg_lower_gram_norm", 0.0)]
@@ -712,14 +769,14 @@ def _analyze_expected(B, trials=2000, restarts=20, seed=0):
             ("truncation_ratio_mean", stats.mean_ratio),
             ("truncation_ratio_max", stats.max_ratio)] + est
     gram = analysis.check_lower_gram_bounds(B)
-    out += [("avg_lower_gram_norm", gram.norm_avg), ("norm_b_squared", gram.norm_b ** 2),
+    out += [("avg_lower_gram_norm", gram.norm_avg), ("norm_b_squared", norm_b ** 2),
             ("bound_general_ok", gram.general_ok), ("psd_unit_diagonal", psd_unit)]
     if psd_unit:
         out.append(("bound_psd_strict_ok", gram.psd_strict_ok))
     weighted = analysis.expected_lower_gram_weighted(B)
     dev = np.abs(oracle - weighted)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    flagged = dev[i, j] > 1e-10 * max(gram.norm_b ** 2, 1.0)
+    flagged = dev[i, j] > 1e-10 * max(norm_b ** 2, 1.0)
     out += [("avg_lower_gram_oracle", "bruteforce" if small else "closed"),
             ("weighted_form_max_abs_dev", dev[i, j]), ("weighted_form_flagged", flagged)]
     if flagged:
@@ -727,6 +784,33 @@ def _analyze_expected(B, trials=2000, restarts=20, seed=0):
                                            f"oracle: {float(oracle[i, j].real)!r} "
                                            f"weighted: {float(weighted[i, j].real)!r}"))
     return out
+
+
+@pytest.mark.parametrize("case", ["fan", "complex6", "lowrank12", "indefinite"])
+def test_analyze_norm_b_squared_is_spectral_norm_squared(fan_dir, tmp_path, capsys, case):
+    # one ||B|| in the report, on the exhaustive and the heuristic path
+    from helpers import random_psd_unit
+    from sorlab import make_rng
+    path = tmp_path / "B.mtx"
+    if case == "lowrank12":
+        assert run_cli("generate", "--kind", "lowrank", "--n", "12", "--r", "3",
+                       "--seed", "1", "--out-dir", tmp_path / "lr") == 0
+        path = tmp_path / "lr" / "B.mtx"
+    else:
+        write_matrix(path, {"fan": lambda: read_matrix(fan_dir / "B.mtx")[0],
+                            "complex6": lambda: random_psd_unit(6, make_rng(8),
+                                                                complex_entries=True),
+                            "indefinite": _indefinite_matrix}[case]())
+    capsys.readouterr()
+    assert run_cli("analyze", "--matrix", path, "--trials", "50", "--restarts", "2") == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["truncation_method"] == ("heuristic" if case == "lowrank12" else "exhaustive")
+    norm_b = float(report["spectral_norm"])
+    assert float(report["norm_b_squared"]) == norm_b ** 2
+    if case == "indefinite":
+        assert report["rank"] == "n/a (matrix not PSD)"
+    else:
+        assert norm_b == float(report["lambda_max"])
 
 
 def _indefinite_matrix():

@@ -87,6 +87,8 @@ EXTREMES = [1e300, 1e-300, 0.0, 5e-324, 0.1, 1.0 / 3.0]
     # zeros clip to the floor of a narrow axis; curves of unequal length
     ([("a", [1.0, 1e-3, 0.0]), ("b", [0.25, 0.0, 0.0, 0.0, 1e-5])], None),
     ([("a", [0.0, 0.0])], {"a": [[0.0], [0.0, 0.0, 0.0]]}),
+    # the top tick sits at 1e+309, above the largest float
+    ([("a", [1.5e308, 1.0])], None),
 ])
 def test_polylines_match_per_point_formulas(series, per_trial, as_array):
     conv = np.array if as_array else list
