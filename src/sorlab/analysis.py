@@ -90,15 +90,20 @@ def _check_rng(rng):
         raise ValueError("Monte Carlo mode needs an rng")
 
 
+def _batch_size(n):
+    """Orders per batch: at most _CHUNK, and _CHUNK * 64 // n**2 (at least
+    one), which bounds the (k, n, n) stacks built from a batch."""
+    return max(1, min(_CHUNK, _CHUNK * 64 // n**2))
+
+
 def _perm_batches(n, trials=None, rng=None):
     """Yield (k, n) permutation arrays.
 
     Without ``trials``: all n! permutations in lexicographic order, one
     batch per leading index, each built from one table of the (n - 1)!
     orders of the rest. With it: ``trials`` >= 1 uniform permutations drawn
-    from ``rng`` (required), in batches of at most _CHUNK orders and
-    _CHUNK * 64 // n**2 (at least one), which bounds the (k, n, n) stacks
-    built from a batch; the draws do not depend on the batch size.
+    from ``rng`` (required), in batches of _batch_size(n) orders; the draws
+    do not depend on the batch size.
     """
     if trials is None:
         tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
@@ -111,7 +116,7 @@ def _perm_batches(n, trials=None, rng=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_rng(rng)
-    size = max(1, min(_CHUNK, _CHUNK * 64 // n**2))
+    size = _batch_size(n)
     for done in range(0, trials, size):
         k = min(size, trials - done)
         yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
@@ -312,12 +317,15 @@ def _lambda_max(a, b, d):
 
 
 def _top_eigenvector(a, b, d):
-    """Unit top eigenvector (x0, x1) of one [[a, b], [conj(b), d]], in closed form
-    (each candidate sums nonnegative terms); (0, 1) for a = d, b = 0, as eigh gives."""
+    """Unit top eigenvectors (x0, x1) of the [[a, b], [conj(b), d]], elementwise
+    in closed form (each candidate sums nonnegative terms); (0, 1) for a = d,
+    b = 0, as eigh gives."""
     lam = _lambda_max(a, b, d)
-    x0, x1 = (lam - d, np.conj(b)) if a > d else (b, lam - a)
-    r = math.hypot(abs(x0), abs(x1))
-    return (x0 / r, x1 / r) if r else (0.0, 1.0)
+    big = a > d
+    x0, x1 = np.where(big, lam - d, b), np.where(big, np.conj(b), lam - a)
+    r = np.hypot(np.abs(x0), np.abs(x1))
+    scale = np.where(r > 0, r, 1.0)
+    return np.where(r > 0, x0 / scale, 0.0), np.where(r > 0, x1 / scale, 1.0)
 
 
 def _swap_bounds(L, v):
@@ -332,47 +340,78 @@ def _swap_bounds(L, v):
     For each k, the bound is the Rayleigh-Ritz value over the span Q_k of v
     and L_k* L_k v (orthogonalized against v twice): lambda_max of
     (L_k Q_k)* (L_k Q_k) over lambda_max of Q_k* Q_k, which stays at or
-    below ||L_k||^2 whatever the rounding in Q_k. Returns (bounds, ritz)
-    where ritz(k) is the unit vector of Q_k that attains bound k.
+    below ||L_k||^2 whatever the rounding in Q_k.
+
+    L (..., n, n) and v (..., n) may lead with stack dimensions, one
+    truncation and one vector per entry; the work is then a few
+    (..., n - 1, n) arrays and two batched products with L. Returns
+    (bounds, ritz): the (..., n - 1) bounds, and ritz(i), which takes one
+    swap index per entry and returns the unit vectors of Q_i that attain
+    bound i.
     """
-    n = L.shape[0]
-    c = L.diagonal(-1)
+    n = L.shape[-1]
+    c = L.diagonal(-1, -2, -1)
 
     def correct(Y, up, here, c):  # row k of Y: M x_k -> (M + E_k) x_k; -c gives -E_k
-        flat = Y.reshape(-1)  # Y[k, k] is flat[k (n + 1)], Y[k, k + 1] the next entry
-        flat[::n + 1] += c.conj() * up  # up[k] = x_k[k + 1], here[k] = x_k[k]
-        flat[1::n + 1] -= c * here
+        flat = Y.reshape(*Y.shape[:-2], -1)  # Y[k, k] is flat[k (n + 1)], Y[k, k + 1] the next
+        flat[..., ::n + 1] += c.conj() * up  # up[k] = x_k[k + 1], here[k] = x_k[k]
+        flat[..., 1::n + 1] -= c * here
         return Y
 
-    v = v / np.linalg.norm(v)
-    Lv = correct(np.tile(L @ v, (n - 1, 1)), v[1:], v[:-1], c)
-    z = correct(Lv @ L.conj(), Lv.diagonal(1), Lv.diagonal(), -c)
+    def diagonal(Y, k=0):
+        return Y.diagonal(k, -2, -1)
+
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    Lv = np.repeat((L @ v[..., None]).mT, n - 1, axis=-2)
+    Lv = correct(Lv, v[..., 1:], v[..., :-1], c)
+    z = correct(Lv @ L.conj(), diagonal(Lv, 1), diagonal(Lv), -c)
     for _ in range(2):
-        z -= np.outer(z @ v.conj(), v)
-    norms = np.sqrt(np.vecdot(z, z).real)[:, None]
+        z -= (z @ v[..., None].conj()) * v[..., None, :]
+    norms = np.sqrt(np.vecdot(z, z).real)[..., None]
     q = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
-    Lq = correct(q @ L.T, q.diagonal(1), q.diagonal(), c)
+    Lq = correct(q @ L.mT, diagonal(q, 1), diagonal(q), c)
     a, b, d = np.vecdot(Lv, Lv).real, np.vecdot(Lv, Lq), np.vecdot(Lq, Lq).real
-    gram = _lambda_max(np.vdot(v, v).real, q @ v.conj(), np.vecdot(q, q).real)
+    gram = _lambda_max(np.vecdot(v, v).real[..., None], (q @ v[..., None].conj())[..., 0],
+                       np.vecdot(q, q).real)
 
     def ritz(i):
-        if not q[i].any():  # Q_i is v alone
-            return v.copy()
-        x0, x1 = _top_eigenvector(a[i], b[i], d[i])
-        return x0 * v + x1 * q[i]
+        i = np.asarray(i)[..., None]
+        qi = np.take_along_axis(q, i[..., None], -2)[..., 0, :]
+        x0, x1 = _top_eigenvector(*(np.take_along_axis(y, i, -1)[..., 0] for y in (a, b, d)))
+        x = x0[..., None] * v + x1[..., None] * qi
+        return np.where(qi.any(-1, keepdims=True), x, v)  # a zero q_i: Q_i is v alone
 
     return np.sqrt(_lambda_max(a, b, d) / gram), ritz
 
 
+def _swap_entries(x, i):
+    """Swap entries (rows, for a stack of matrices) i[r] and i[r] + 1 of each x[r], in place."""
+    r = np.arange(len(i))[:, None]
+    pair = np.stack((i, i + 1), axis=1)
+    x[r, pair] = x[r, pair[:, ::-1]]
+
+
 def _swap_in_place(B, sigma, L, i):
-    """Swap positions i and i + 1 of sigma and of L = tril(B[sigma][:, sigma], -1)
-    in place; L then equals the gather of the new order bit for bit, as every
-    entry but the new (i + 1, i) only moves, and that one is read from B."""
-    sigma[i:i + 2] = sigma[i:i + 2][::-1]
-    L[i:i + 2] = L[i:i + 2][::-1]
-    L[:, i:i + 2] = L[:, i:i + 2][:, ::-1]
-    L[i, i + 1] = 0
-    L[i + 1, i] = B[sigma[i + 1], sigma[i]]
+    """Swap positions i[r] and i[r] + 1 of each order sigma[r] of the (R, n)
+    sigma and of its L[r] = tril(B[sigma[r]][:, sigma[r]], -1) in the (R, n, n)
+    L, in place; L then equals the gather of the new orders bit for bit, as
+    every entry but the new (i + 1, i) only moves, and that one is read from B."""
+    for x in (sigma, L, L.mT):  # L.mT: the columns of L
+        _swap_entries(x, i)
+    r = np.arange(len(i))
+    L[r, i, i + 1] = 0
+    L[r, i + 1, i] = B[sigma[r, i + 1], sigma[r, i]]
+
+
+def _score_swaps(B, sigma, swaps, norms, mask):
+    """Set norms[r, k] = ||L|| of the order sigma[r] with positions k and k + 1
+    swapped (sigma[r][swaps[k]]) where mask[r, k] holds, from
+    _batched_truncation_norms on batches of _batch_size(n) orders."""
+    r, k = np.nonzero(mask)
+    size = _batch_size(B.shape[0])
+    for lo in range(0, len(r), size):
+        rb, kb = r[lo:lo + size], k[lo:lo + size]
+        norms[rb, kb] = _batched_truncation_norms(B, sigma[rb[:, None], swaps[kb]])
 
 
 def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
@@ -380,7 +419,8 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
 
     From each uniformly drawn starting permutation, repeatedly applies the
     best norm-decreasing swap of neighboring positions until none improves;
-    ties go to the leftmost swap. Deterministic given the rng seed. The
+    ties go to the leftmost swap, and the best ordering is that of the first
+    restart to end on the least norm. Deterministic given the rng seed. The
     result is an upper bound on the exhaustive minimum. B must be exactly
     Hermitian (else "matrix is not Hermitian"): the swap bounds rely on it.
 
@@ -401,10 +441,27 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     truncation L they start from (updated in place for the accepted swap)
     only steer which swaps get scored.
 
-    One step costs the bounds (a mat-vec and two (n - 1) x n x n products
-    with L) and one or a few exact norms, each a gather, an n x n Gram and
-    an eigvalsh: 630 exact norms over 629 steps for `sorlab analyze --seed 1`
-    (20 restarts) of the B from `generate --kind lowrank --n 32 --r 6 --seed 1`.
+    The restarts descend in lockstep. Every starting order is drawn first,
+    one ``rng.permutation(n)`` per restart in restart order. The restarts
+    then run in groups of _batch_size(n) consecutive ones (315 at n = 32,
+    78 at n = 64, 4 at n = 256), so that the (R, n, n) stacks of L and the
+    (R, n - 1, n) stacks of the bounds hold at most _CHUNK * 64 entries
+    whatever ``restarts`` is. In a round, every restart of the group that is
+    still descending takes one step, together with the others: one
+    :func:`_swap_bounds` call on the stack, one exact-norm call for every
+    restart's least-bound swap, one for all the swaps that survive pruning
+    (none when no swap does; split into batches of _batch_size(n) orders
+    when more survive), and one accept step for the stack. A restart leaves
+    the stack when no swap beats its current norm. Each matrix of an
+    exact-norm batch is reduced on its own (see linalg._top_singular_values),
+    so the batch does not change its norm.
+
+    A round costs, per live restart, about one exact norm (a gather, an
+    n x n Gram and an eigvalsh) and its share of the bounds' batched
+    products. For `sorlab analyze --seed 1` (20 restarts) of the B from
+    `generate --kind lowrank --n 32 --r 6 --seed 1`, the 629 steps take 56
+    rounds and 630 exact norms in 70 calls: the per-call overhead is paid
+    per round, not per restart and step.
     """
     B = _as_hermitian(B)
     if restarts < 1:
@@ -416,41 +473,41 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     swaps = np.tile(np.arange(n), (n - 1, 1))  # sigma[swaps[k]] swaps positions k, k + 1
     swaps[k, k], swaps[k, k + 1] = k + 1, k
 
-    best = np.inf
-    best_sigma = None
-    start_norms = []
-    for _ in range(restarts):
-        sigma = rng.permutation(n).astype(np.intp)
-        cur = float(_batched_truncation_norms(B, sigma[None, :])[0])
+    starts = np.array([rng.permutation(n) for _ in range(restarts)], np.intp)
+    start_norms, ends, end_norms = [], starts.copy(), np.empty(restarts)
+    group = _batch_size(n)
+    for lo in range(0, restarts, group):
+        live = np.arange(lo, min(lo + group, restarts))  # the restarts still descending
+        sigma = starts[live]
+        cur = _batched_truncation_norms(B, sigma)
         start_norms.append(cur)
-        L = np.tril(B[np.ix_(sigma, sigma)], -1)
-        v = np.linalg.svd(L)[2][0].conj()
-        while n > 1:
+        end_norms[live] = cur
+        L = np.tril(B[sigma[:, :, None], sigma[:, None, :]], -1)
+        v = np.linalg.svd(L)[2][:, 0].conj()
+        while n > 1 and len(live):
             bounds, ritz = _swap_bounds(L, v)
-            first = int(np.argmin(bounds))
-            if bounds[first] > cur * (1 + _PRUNE_MARGIN):
-                break  # every swap has a larger norm
-            norms = np.full(n - 1, np.inf)
-            norms[first] = _batched_truncation_norms(B, sigma[swaps[first, None]])[0]
-            rest = ~(bounds > min(norms[first], cur) * (1 + _PRUNE_MARGIN))
-            rest[first] = False
-            if rest.any():
-                norms[rest] = _batched_truncation_norms(B, sigma[swaps[rest]])
-            i = int(np.argmin(norms))
-            if not norms[i] < cur:
-                break
-            cur = float(norms[i])
+            rows = np.arange(len(live))
+            first = np.zeros(bounds.shape, bool)
+            first[rows, np.argmin(bounds, axis=1)] = True  # each restart's least-bound swap
+            norms = np.full(bounds.shape, np.inf)
+            # a restart whose least bound is above cut scores nothing: every swap is larger
+            cut = cur[:, None] * (1 + _PRUNE_MARGIN)
+            _score_swaps(B, sigma, swaps, norms, first & ~(bounds > cut))
+            cut = np.minimum(norms[first], cur)[:, None] * (1 + _PRUNE_MARGIN)
+            _score_swaps(B, sigma, swaps, norms, ~first & ~(bounds > cut))
+            i = np.argmin(norms, axis=1)
+            step = norms[rows, i] < cur  # the others leave the stack
+            live, sigma, L, v, i, cur = (x[step] for x in
+                                         (live, sigma, L, ritz(i), i, norms[rows, i]))
             _swap_in_place(B, sigma, L, i)
-            v = ritz(i)
-            v[i:i + 2] = v[i:i + 2][::-1]
-        if cur < best:
-            best = cur
-            best_sigma = sigma.copy()
-    start_ratios = np.array(start_norms) / norm_b
+            _swap_entries(v, i)
+            ends[live], end_norms[live] = sigma, cur
+    best = int(np.argmin(end_norms))  # the first restart that ends on the least norm
+    start_ratios = np.concatenate(start_norms) / norm_b
     return TruncationStats(
         ratio_identity=float(_batched_truncation_norms(B, np.arange(n)[None, :])[0]) / norm_b,
-        min_ratio=best / norm_b,
-        argmin_sigma=best_sigma,
+        min_ratio=float(end_norms[best]) / norm_b,
+        argmin_sigma=ends[best],
         mean_ratio=float(start_ratios.mean()),
         max_ratio=float(start_ratios.max()),
         method="heuristic",

@@ -98,6 +98,7 @@ def read_history_csv(path):
             raise ValueError(f"{path}: line 1: unexpected CSV header {header!r}, "
                              f"expected {CSV_HEADER!r}")
         rows = []
+        sweeps = {}  # (strategy, trial): the sweep its next row must hold
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -111,19 +112,21 @@ def read_history_csv(path):
             if not all(0.0 <= v < math.inf for v in row[3:]):  # also rejects NaN
                 raise ValueError(f"{path}: line {lineno}: error_sq and residual must be "
                                  f"finite and >= 0, got {line!r}")
+            expected = sweeps.get(row[:2], 0)
+            if row[2] != expected:
+                raise ValueError(f"{path}: line {lineno}: CSV rows out of order; sweeps must be "
+                                 f"contiguous per trial, expected sweep {expected}, got {line!r}")
+            sweeps[row[:2]] = expected + 1
             rows.append(row)
     return rows
 
 
 def _group_curves(rows):
-    """Group CSV rows into {strategy: [err_by_sweep of each trial]}, order-preserving."""
+    """Group the rows of read_history_csv, whose sweeps are contiguous per trial,
+    into {strategy: [err_by_sweep of each trial]}, order-preserving."""
     curves: dict[str, dict[int, list[float]]] = {}
-    for strategy, trial, sweep, err, _ in rows:
-        trials = curves.setdefault(strategy, {})
-        curve = trials.setdefault(trial, [])
-        if sweep != len(curve):
-            raise ValueError("CSV rows out of order; sweeps must be contiguous per trial")
-        curve.append(err)
+    for strategy, trial, _, err, _ in rows:
+        curves.setdefault(strategy, {}).setdefault(trial, []).append(err)
     return {strategy: list(trials.values()) for strategy, trials in curves.items()}
 
 

@@ -252,14 +252,16 @@ def test_heuristic_deterministic():
     assert np.array_equal(a.argmin_sigma, b.argmin_sigma)
 
 
-def _heuristic_reference(B, restarts, rng):
-    """Neighbor-by-neighbor loop: one spectral_norm per adjacent swap."""
+def _heuristic_reference(B, restarts, rng, steps=None):
+    """Neighbor-by-neighbor loop: one spectral_norm per adjacent swap. Appends
+    each restart's number of accepted swaps to ``steps`` if given."""
     n = B.shape[0]
     best, best_sigma, starts = np.inf, None, []
     for _ in range(restarts):
         sigma = rng.permutation(n).astype(np.intp)
         cur = spectral_norm(np.tril(permute_conjugate(B, sigma), -1))
         starts.append(cur)
+        accepted = 0
         while True:
             cand_norm, cand_k = cur, -1
             for k in range(n - 1):
@@ -272,21 +274,89 @@ def _heuristic_reference(B, restarts, rng):
                 break
             sigma[cand_k], sigma[cand_k + 1] = sigma[cand_k + 1], sigma[cand_k]
             cur = cand_norm
+            accepted += 1
+        if steps is not None:
+            steps.append(accepted)
         if cur < best:
             best, best_sigma = cur, sigma.copy()
     return best, best_sigma, starts
 
 
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_heuristic_batch_matches_neighbor_loop_bit_for_bit(complex_entries):
-    B = random_psd_unit(11, make_rng(8), complex_entries=complex_entries, m=4)
+def _count_calls(monkeypatch, calls, stacks):
+    """Record len(perms) of each exact-norm call and L.shape of each bounds call."""
+    monkeypatch.setattr(analysis, "_batched_truncation_norms",
+                        lambda B, perms: calls.append(len(perms))
+                        or _batched_truncation_norms(B, perms))
+    monkeypatch.setattr(analysis, "_swap_bounds",
+                        lambda L, v: stacks.append(L.shape) or _swap_bounds(L, v))
+
+
+def _check_lockstep(monkeypatch, B, restarts, seed):
+    """min_truncation_heuristic equals the neighbor loop bit for bit, its rounds
+    step exactly the restarts still descending, and it makes at most two
+    exact-norm calls per round besides the starts and the identity. Returns
+    the reference's accepted swaps per restart."""
     norm_b = spectral_norm(B)
-    best, best_sigma, starts = _heuristic_reference(B, 3, make_rng(9))
-    stats = min_truncation_heuristic(B, 3, make_rng(9))
+    steps, calls, stacks = [], [], []
+    best, best_sigma, starts = _heuristic_reference(B, restarts, make_rng(seed), steps)
+    _count_calls(monkeypatch, calls, stacks)
+    stats = min_truncation_heuristic(B, restarts, make_rng(seed))
     assert stats.min_ratio == best / norm_b
     assert np.array_equal(stats.argmin_sigma, best_sigma)
     assert stats.max_ratio == max(starts) / norm_b
     assert stats.mean_ratio == float((np.array(starts) / norm_b).mean())
+    # round t steps every restart that accepted at least t swaps; a restart's
+    # last round finds none and it leaves the stack
+    assert [R for R, _, _ in stacks] == [sum(s >= t for s in steps) for t in range(max(steps) + 1)]
+    assert len(calls) <= 2 * len(stacks) + 2 and all(calls)
+    return steps
+
+
+@pytest.mark.parametrize("complex_entries, restarts", [
+    pytest.param(c, r, id=f"{c}" if r == 3 else f"{c}-restarts{r}")
+    for c in (False, True) for r in (1, 3, 8)])
+def test_heuristic_batch_matches_neighbor_loop_bit_for_bit(monkeypatch, complex_entries, restarts):
+    B = random_psd_unit(11, make_rng(8), complex_entries=complex_entries, m=4)
+    _check_lockstep(monkeypatch, B, restarts, 9)
+
+
+def test_lockstep_restart_at_a_local_minimum_leaves_while_the_others_descend(monkeypatch):
+    B = random_psd_unit(6, make_rng(56), complex_entries=True, m=3)
+    steps = _check_lockstep(monkeypatch, B, 8, 57)
+    assert steps[1] == 0 and min(steps[:1] + steps[2:]) >= 2  # restart 1 starts at one
+
+
+def test_batch_size_bounds_every_stack():
+    for n in range(1, 600):  # one order per batch once n**2 > _CHUNK * 64 (n > 567)
+        size = analysis._batch_size(n)
+        assert size == 1 or size * n**2 <= analysis._CHUNK * 64
+    assert [analysis._batch_size(n) for n in (8, 32, 64, 256, 568)] == [5040, 315, 78, 4, 1]
+
+
+def test_lockstep_groups_bound_the_bounds_stacks_and_keep_results(monkeypatch):
+    # with _CHUNK = 200 a group holds 200 * 64 // 64**2 = 3 restarts at n = 64,
+    # so 7 restarts run as groups of 3, 3 and 1; each equals its restart run alone
+    n, restarts = 64, 7
+    B = random_psd_unit(n, make_rng(64), m=6)
+    rng = make_rng(65)
+    alone = [min_truncation_heuristic(B, 1, rng) for _ in range(restarts)]  # the same draws
+    ends = [a.min_ratio for a in alone]
+    first = ends.index(min(ends))  # ties go to the first restart
+    monkeypatch.setattr(analysis, "_CHUNK", 200)
+    calls, stacks = [], []
+    _count_calls(monkeypatch, calls, stacks)
+    stats = min_truncation_heuristic(B, restarts, make_rng(65))
+    assert stats.min_ratio == ends[first]
+    assert np.array_equal(stats.argmin_sigma, alone[first].argmin_sigma)
+    assert stats.ratio_identity == alone[0].ratio_identity
+    starts = np.array([a.max_ratio for a in alone])  # one restart: its start ratio
+    assert stats.max_ratio == starts.max() and stats.mean_ratio == float(starts.mean())
+    assert max(R for R, _, _ in stacks) == 3
+    assert all(R * (n - 1) * n <= 200 * 64 for R, _, _ in stacks)
+    # exact norms in batches of at most 3 orders; per group a start call, and
+    # per round two calls unless more than 3 swaps are scored
+    assert max(calls) <= 3 and len(calls) <= 2 * len(stacks) + 3 + 1
+
 
 
 @pytest.mark.parametrize("n, complex_entries, m, identity", [
@@ -306,7 +376,7 @@ def test_pruned_heuristic_matches_neighbor_loop_bit_for_bit(monkeypatch, n, comp
     monkeypatch.setattr(analysis, "_batched_truncation_norms",
                         lambda B, perms: rows.append(len(perms)) or _batched_truncation_norms(B, perms))
     monkeypatch.setattr(analysis, "_swap_bounds",
-                        lambda L, v: rounds.append(1) or _swap_bounds(L, v))
+                        lambda L, v: rounds.extend(L) or _swap_bounds(L, v))  # one per restart-step
     stats = min_truncation_heuristic(B, 3, make_rng(22))
     assert stats.min_ratio == best / norm_b
     assert np.array_equal(stats.argmin_sigma, best_sigma)
@@ -352,7 +422,7 @@ def test_swap_in_place_equals_gather_bit_for_bit(cplx):
     B[sigma[5], sigma[6]] = B[sigma[6], sigma[5]] = 0.5  # conj flips a complex zero's sign
     for i in range(n - 1):
         s, L = sigma.copy(), np.tril(B[np.ix_(sigma, sigma)], -1)
-        _swap_in_place(B, s, L, i)
+        _swap_in_place(B, s[None], L[None], np.array([i]))  # a one-row stack
         assert s.tolist() == [*sigma[:i], sigma[i + 1], sigma[i], *sigma[i + 2:]]
         assert L.tobytes() == np.tril(B[np.ix_(s, s)], -1).tobytes()
 

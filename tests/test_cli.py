@@ -695,6 +695,21 @@ def test_plot_non_finite_or_negative_csv_value_names_file_and_line(tmp_path, cap
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("rows, lineno, expected", [
+    (["cyclic,0,0,2.0,1.0", "cyclic,0,2,1.0,1.0"], 3, 1),  # a sweep skipped
+    (["cyclic,0,1,2.0,1.0"], 2, 0),                         # a trial not starting at sweep 0
+    (["cyclic,0,0,2.0,1.0", "cyclic,1,0,2.0,1.0", "cyclic,0,0,1.0,1.0"], 4, 1),  # one repeated
+])
+def test_plot_out_of_order_rows_name_file_and_line(tmp_path, capsys, rows, lineno, expected):
+    csv = tmp_path / "h.csv"
+    csv.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line {lineno}: CSV rows out of order; sweeps must be contiguous per "
+        f"trial, expected sweep {expected}, got {rows[-1]!r}\n")
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_bounds_rate_outside_unit_interval_exits_1(tmp_path, capsys):
     d = tmp_path / "fan32"
     assert run_cli("generate", "--kind", "fan", "--m", "32", "--out-dir", d) == 0
