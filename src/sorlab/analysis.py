@@ -246,10 +246,14 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
     )
 
 
+def _truncations(B, perms):
+    """The (k, n, n) stack of L_s = tril(B[s][:, s], -1), one per row s of perms."""
+    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+
+
 def _batched_truncation_norms(B, perms):
-    """||L_s|| for each row s of perms, L_s gathered in the reordered indexing."""
-    L = np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
-    return _top_singular_values(L)
+    """||L_s|| for each row s of perms (see :func:`_truncations`)."""
+    return _top_singular_values(_truncations(B, perms))
 
 
 def truncation_ratio(B, sigma) -> float:
@@ -316,18 +320,6 @@ def _lambda_max(a, b, d):
     return (a + d) / 2 + np.hypot((a - d) / 2, np.abs(b))
 
 
-def _top_eigenvector(a, b, d):
-    """Unit top eigenvectors (x0, x1) of the [[a, b], [conj(b), d]], elementwise
-    in closed form (each candidate sums nonnegative terms); (0, 1) for a = d,
-    b = 0, as eigh gives."""
-    lam = _lambda_max(a, b, d)
-    big = a > d
-    x0, x1 = np.where(big, lam - d, b), np.where(big, np.conj(b), lam - a)
-    r = np.hypot(np.abs(x0), np.abs(x1))
-    scale = np.where(r > 0, r, 1.0)
-    return np.where(r > 0, x0 / scale, 0.0), np.where(r > 0, x1 / scale, 1.0)
-
-
 def _swap_bounds(L, v):
     """Certified lower bounds on the truncation norm after each adjacent swap.
 
@@ -377,8 +369,10 @@ def _swap_bounds(L, v):
     def ritz(i):
         i = np.asarray(i)[..., None]
         qi = np.take_along_axis(q, i[..., None], -2)[..., 0, :]
-        x0, x1 = _top_eigenvector(*(np.take_along_axis(y, i, -1)[..., 0] for y in (a, b, d)))
-        x = x0[..., None] * v + x1[..., None] * qi
+        ai, bi, di = (np.take_along_axis(y, i, -1)[..., 0] for y in (a, b, d))
+        # the top eigenvectors of the 2 x 2 Ritz matrices [[a, b], [conj(b), d]]
+        x = np.linalg.eigh(np.stack((ai, bi, bi.conj(), di), -1).reshape(*ai.shape, 2, 2))[1]
+        x = x[..., :1, -1] * v + x[..., 1:, -1] * qi
         return np.where(qi.any(-1, keepdims=True), x, v)  # a zero q_i: Q_i is v alone
 
     return np.sqrt(_lambda_max(a, b, d) / gram), ritz
@@ -393,9 +387,9 @@ def _swap_entries(x, i):
 
 def _swap_in_place(B, sigma, L, i):
     """Swap positions i[r] and i[r] + 1 of each order sigma[r] of the (R, n)
-    sigma and of its L[r] = tril(B[sigma[r]][:, sigma[r]], -1) in the (R, n, n)
-    L, in place; L then equals the gather of the new orders bit for bit, as
-    every entry but the new (i + 1, i) only moves, and that one is read from B."""
+    sigma and of L = _truncations(B, sigma), in place; L then equals
+    _truncations(B, sigma) of the new orders bit for bit, as every entry but
+    the new (i + 1, i) only moves, and that one is read from B."""
     for x in (sigma, L, L.mT):  # L.mT: the columns of L
         _swap_entries(x, i)
     r = np.arange(len(i))
@@ -479,10 +473,10 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     for lo in range(0, restarts, group):
         live = np.arange(lo, min(lo + group, restarts))  # the restarts still descending
         sigma = starts[live]
-        cur = _batched_truncation_norms(B, sigma)
+        L = _truncations(B, sigma)
+        cur = _top_singular_values(L)
         start_norms.append(cur)
         end_norms[live] = cur
-        L = np.tril(B[sigma[:, :, None], sigma[:, None, :]], -1)
         v = np.linalg.svd(L)[2][:, 0].conj()
         while n > 1 and len(live):
             bounds, ritz = _swap_bounds(L, v)
@@ -518,8 +512,10 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
 def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     """Monte Carlo estimate of E[||L_sigma||] / ||B|| over uniform orderings.
 
-    Returns (estimate, standard_error). Empirical data only; no closed form
-    or proven bound for this average is implemented.
+    Returns (estimate, standard_error), the latter from the ddof = 0 spread
+    and math.nan for ``trials`` = 1, where one sample gives no spread.
+    Empirical data only; no closed form or proven bound for this average is
+    implemented.
     """
     B = _as_square(B)
     n = B.shape[0]
@@ -527,7 +523,7 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     vals = np.concatenate([_batched_truncation_norms(B, perms)
                            for perms in _perm_batches(n, trials, rng)])
     ratios = vals / norm_b
-    se = float(ratios.std(ddof=0) / np.sqrt(trials))
+    se = float(ratios.std(ddof=0) / np.sqrt(trials)) if trials > 1 else math.nan
     return float(ratios.mean()), se
 
 

@@ -291,6 +291,7 @@ def cmd_analyze(args, parser) -> int:
     else:
         stats = analysis.min_truncation_heuristic(B, args.restarts, derived_rng(seed, 7))
         expected, se = analysis.expected_truncation_norm(B, args.trials, derived_rng(seed, 8))
+        se = None if math.isnan(se) else se  # --trials 1: no standard error to print
         oracle_name, oracle = "closed", analysis.expected_lower_gram_closed(B)
     gram = analysis.check_lower_gram_bounds(B)
     # the weighted closed-form candidate is compared against the definitional average

@@ -58,8 +58,8 @@ import numpy as np
 
 from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
                      _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
-from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive_seed, derived_rng,
-                        fixed, make_rng, preshuffled, sweep_order)
+from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive_seed, fixed,
+                        make_rng, preshuffled, sweep_order)
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
@@ -277,13 +277,12 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
     errors: list[list[float]] = [[] for _ in seeds]
     residuals: list[list[float]] = [[] for _ in seeds]
     finals: list = [None] * len(seeds)
-    recorded: list = []  # measure(V) per sweep since rows last changed
     target = config.target_error_sq
 
     def record(sweep_no):
-        """Record the rows; return their errors."""
-        errs, res = measured = measure(V)
-        recorded.append(measured)
+        """Append the rows' errors and residuals to their trials' histories;
+        return the errors."""
+        errs, res = measure(V)
         # the entries are >= 0 or NaN: the sums are finite unless an entry
         # is not or they overflow, and only then is each row looked at
         if not math.isfinite(sum(errs) + sum(res)):
@@ -291,16 +290,10 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
                 if not (math.isfinite(e) and math.isfinite(r)):
                     raise ValueError(f"error is not finite after sweep {sweep_no} "
                                      f"(seed {seeds[t]})")
+        for t, e, r in zip(rows, errs, res):
+            errors[t].append(e)
+            residuals[t].append(r)
         return errs
-
-    def flush():
-        """Move the recorded sweeps into the histories of the rows' trials."""
-        if recorded:
-            errs, res = zip(*recorded)
-            for t, e, r in zip(rows, zip(*errs), zip(*res)):
-                errors[t].extend(e)
-                residuals[t].extend(r)
-            recorded.clear()
 
     def reused_plan():
         return list(plan(np.array([sweep_order(strategies[t], n) for t in rows])))
@@ -323,7 +316,6 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
         errs = record(sweep_no)
         if min(errs) > target:
             continue
-        flush()
         going = [e > target for e in errs]
         for t, row, on in zip(rows, V, going):
             if not on:
@@ -336,7 +328,6 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
             trial_plan = reused_plan()
         else:
             chunk, rngs = chunk[:, going], [rng for rng, on in zip(rngs, going) if on]
-    flush()
     for t, row in zip(rows, V):
         finals[t] = row
     return [IterationHistory(np.array(e), np.array(r), v)
@@ -414,10 +405,11 @@ def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
                sigma=None) -> list[IterationHistory]:
     """Run ``trials`` seeded SOR trials of one ordering kind.
 
-    ``kind`` is one of TRIAL_KINDS and k its position there. Trial t sweeps
-    with the seed ``derive_seed(config.seed, k, t, 0)``; a preshuffled trial
-    draws its order from ``derived_rng(config.seed, k, t, 1)`` unless
-    ``sigma`` pins it. ``fixed`` requires ``sigma``; cyclic, shuffled and
+    ``kind`` is one of TRIAL_KINDS and k its position there. Trial t has
+    one seed: ``derive_seed(config.seed, k, t, 0)`` feeds its sweep orders,
+    and a preshuffled trial's ``derive_seed(config.seed, k, t, 1)`` draws
+    its one order, unless ``sigma`` pins it. A non-finite error names the
+    trial by that seed. ``fixed`` requires ``sigma``; cyclic, shuffled and
     single_step_random ignore it. Returns one history per trial, in order.
 
     The inputs are checked once. Trials that are identical by construction
@@ -441,11 +433,11 @@ def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
         return [h] + [IterationHistory(h.errors_sq.copy(), h.residuals.copy(),
                                        h.final_iterate.copy()) for _ in range(trials - 1)]
     if kind == "preshuffled":
-        strategies = [preshuffled(len(b), derived_rng(config.seed, index, t, 1))
-                      for t in range(trials)]
+        seeds = [derive_seed(config.seed, index, t, 1) for t in range(trials)]
+        strategies = [preshuffled(len(b), make_rng(seed)) for seed in seeds]
     else:
+        seeds = [derive_seed(config.seed, index, t, 0) for t in range(trials)]
         strategies = [OrderingStrategy(kind)] * trials
-    seeds = [derive_seed(config.seed, index, t, 0) for t in range(trials)]
     return _run_stack(B, b, y0, ybar, config, strategies, seeds)
 
 

@@ -34,7 +34,6 @@ from sorlab.analysis import (
     _perm_batches,
     _swap_bounds,
     _swap_in_place,
-    _top_eigenvector,
 )
 from helpers import random_hermitian, random_psd_unit
 
@@ -427,17 +426,6 @@ def test_swap_in_place_equals_gather_bit_for_bit(cplx):
         assert L.tobytes() == np.tril(B[np.ix_(s, s)], -1).tobytes()
 
 
-@pytest.mark.parametrize("a, b, d", [
-    (1.0, 0.0, 2.0), (2.0, 0.0, 2.0), (3.0, 0.0, 2.0), (0.0, 0.0, 0.0),
-    (1.0, 0.5, 2.0), (2.0, -1e-9, 2.0), (5.0, 2.0 - 1.0j, 1.0), (1e-20, 3e-10j, 1.0),
-])
-def test_top_eigenvector_closed_form_matches_eigh(a, b, d):
-    V = np.linalg.eigh(np.array([[a, b], [np.conj(b), d]]))[1]
-    x = np.array(_top_eigenvector(a, b, d))
-    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
-    assert abs(np.vdot(V[:, -1], x)) == pytest.approx(1.0, rel=1e-12)  # equal up to a unit phase
-
-
 def test_expected_truncation_norm_basics():
     with pytest.raises(ValueError, match="zero matrix"):
         expected_truncation_norm(np.zeros((2, 2)), 5, make_rng(0))
@@ -447,6 +435,19 @@ def test_expected_truncation_norm_basics():
     est, se = expected_truncation_norm(B, 11, make_rng(2))
     assert est == pytest.approx(0.3 / spectral_norm(B), rel=1e-12)
     assert se <= 1e-15
+
+
+def test_expected_truncation_norm_standard_error_needs_two_trials():
+    # one sample has no spread: its standard error is NaN, not a confident 0
+    B = random_psd_unit(10, make_rng(4))
+    est, se = expected_truncation_norm(B, 1, make_rng(5))
+    assert est > 0 and math.isnan(se)
+    # two samples: the ddof = 0 spread over sqrt(2)
+    perms = make_rng(5).permuted(np.tile(np.arange(10), (2, 1)), axis=1)
+    ratios = [truncation_ratio(B, p) for p in perms]
+    est, se = expected_truncation_norm(B, 2, make_rng(5))
+    assert est == pytest.approx(np.mean(ratios), rel=1e-14)
+    assert se == pytest.approx(np.std(ratios) / math.sqrt(2), rel=1e-12) and se > 0
 
 
 def test_monte_carlo_needs_an_rng():

@@ -828,6 +828,22 @@ def test_analyze_norm_b_squared_is_spectral_norm_squared(fan_dir, tmp_path, caps
         assert norm_b == float(report["lambda_max"])
 
 
+@pytest.mark.parametrize("trials", [1, 2])
+def test_analyze_prints_no_standard_error_of_one_trial(tmp_path, capsys, trials):
+    # the heuristic path (n = 10): one Monte Carlo sample has no standard error
+    assert run_cli("generate", "--kind", "random", "--n", "10", "--m", "10",
+                   "--out-dir", tmp_path) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx", "--trials", trials,
+                   "--restarts", "1") == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(report["expected_truncation_ratio"]) > 0
+    if trials == 1:
+        assert "expected_truncation_ratio_se" not in report
+    else:
+        assert float(report["expected_truncation_ratio_se"]) > 0
+
+
 def _indefinite_matrix():
     rng = np.random.default_rng(0)
     M = rng.uniform(-0.6, 0.6, (6, 6))

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs end to end at tiny sizes."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,27 @@ def test_truncation_study(capsys):
         ["--sizes", "4", "10", "--restarts", "2", "--trials", "100"])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [(row[0], row[3]) for row in rows] == [("4", "exhaustive"), ("10", "heuristic")]
+
+
+def test_output_set_repeats_and_reports_a_one_ulp_change(tmp_path):
+    output_set = load_script("output_set")
+    names = ("generate-fan2", "compare-fan2-t3", "analyze-fan2")
+    commands = [c for c in output_set.COMMANDS if c[0] in names]
+    assert len(commands) == 3
+    for run in ("a", "b"):
+        output_set.run_set(tmp_path / run, commands)
+    assert (tmp_path / "a" / "exit_codes.txt").read_text() == "".join(f"{n} 0\n" for n in names)
+    report = output_set.compare_sets(tmp_path / "a", tmp_path / "b")
+    assert report == ["12 of 12 files identical"]
+
+    csv = tmp_path / "b" / "fan2" / "compare-t3.csv"
+    lines = csv.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("shuffled,2,1,"))
+    cells = lines[k].split(",")
+    cells[3] = repr(math.nextafter(float(cells[3]), math.inf))
+    lines[k] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    report = output_set.compare_sets(tmp_path / "a", tmp_path / "b")
+    assert report[:2] == ["11 of 12 files identical", "fan2/compare-t3.csv: differs"]
+    assert len(report) == 3 and report[2].startswith("  error_sq: largest relative difference")
+    assert report[2].endswith(" at shuffled trial 2 sweep 1")

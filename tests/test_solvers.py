@@ -603,6 +603,24 @@ def test_run_trials_runs_identical_trials_once(monkeypatch):
             assert calls == ["_run_stack"]
 
 
+@pytest.mark.parametrize("kind", ["shuffled", "preshuffled", "single_step_random"])
+def test_run_trials_derive_one_seed_per_trial(monkeypatch, kind):
+    calls = []
+
+    def counted(*path):
+        calls.append(path)
+        return derive_seed(*path)
+
+    from sorlab import orderings
+    for module in (solvers, orderings):  # derived_rng calls orderings.derive_seed
+        monkeypatch.setattr(module, "derive_seed", counted)
+    B, b, y0, ybar = _trial_system()
+    for trials in (1, 5):
+        calls.clear()
+        run_trials(B, b, y0, ybar, kind, trials, SolverConfig(max_sweeps=3, seed=4))
+        assert len(calls) == trials
+
+
 def _stack_instances():
     """(name, B, b, y0, ybar, config) of the trial-count and agreement tests."""
     real = random_factor_problem(6, 4, False, make_rng(51))
@@ -712,18 +730,17 @@ def test_run_trials_clamp_rounding_noise_at_zero():
 @pytest.mark.parametrize("kind", ["shuffled", "preshuffled"])
 def test_run_trials_stop_on_non_finite_error(kind, trials):
     # the natural order converges in one sweep, the reverse order overflows;
-    # the message names the sweep and the derived seed of the first trial
-    # that swept in reverse
+    # the message names the sweep and the one seed of the first trial that
+    # swept in reverse: (t, 0) feeds a shuffled trial's orders, (t, 1) draws
+    # a preshuffled trial's order
     B = np.array([[1.0, 1e150], [1e150, 1.0]])
     index = solvers.TRIAL_KINDS.index(kind)
     config = SolverConfig(max_sweeps=5, seed=3)
-    if kind == "shuffled":
-        first = [make_rng(derive_seed(3, index, t, 0)).permutation(2) for t in range(trials)]
-    else:
-        first = [derived_rng(3, index, t, 1).permutation(2) for t in range(trials)]
+    stream = int(kind == "preshuffled")
+    first = [derived_rng(3, index, t, stream).permutation(2) for t in range(trials)]
     t = next(t for t, order in enumerate(first) if order[0] == 1)
     with pytest.raises(ValueError, match=rf"error is not finite after sweep 1 "
-                                         rf"\(seed {derive_seed(3, index, t, 0)}\)"), \
+                                         rf"\(seed {derive_seed(3, index, t, stream)}\)"), \
             np.errstate(over="ignore", invalid="ignore"):
         run_trials(B, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), kind, trials, config)
 
