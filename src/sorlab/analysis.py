@@ -140,7 +140,8 @@ def expected_lower_gram_bruteforce(B) -> np.ndarray:
     B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"n = {n} too large for exhaustive averaging; use montecarlo")
+        raise ValueError(f"n = {n} too large for exhaustive averaging; "
+                         "use expected_lower_gram_closed")
     acc = np.zeros((n, n), dtype=B.dtype)
     for perms in _perm_batches(n):
         acc += _paired_lower_gram_sum(B, perms[perms[:, 0] <= perms[:, -1]])
@@ -397,15 +398,17 @@ def _swap_in_place(B, sigma, L, i):
     L[r, i + 1, i] = B[sigma[r, i + 1], sigma[r, i]]
 
 
-def _score_swaps(B, sigma, swaps, norms, mask):
+def _score_swaps(B, sigma, norms, mask):
     """Set norms[r, k] = ||L|| of the order sigma[r] with positions k and k + 1
-    swapped (sigma[r][swaps[k]]) where mask[r, k] holds, from
-    _batched_truncation_norms on batches of _batch_size(n) orders."""
+    swapped where mask[r, k] holds, from _batched_truncation_norms on batches
+    of _batch_size(n) orders."""
     r, k = np.nonzero(mask)
     size = _batch_size(B.shape[0])
     for lo in range(0, len(r), size):
         rb, kb = r[lo:lo + size], k[lo:lo + size]
-        norms[rb, kb] = _batched_truncation_norms(B, sigma[rb[:, None], swaps[kb]])
+        perms = sigma[rb]  # a copy, one row per scored swap
+        _swap_entries(perms, kb)
+        norms[rb, kb] = _batched_truncation_norms(B, perms)
 
 
 def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
@@ -463,20 +466,14 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     _check_rng(rng)
     n = B.shape[0]
     norm_b = _nonzero_norm(B)
-    k = np.arange(n - 1)
-    swaps = np.tile(np.arange(n), (n - 1, 1))  # sigma[swaps[k]] swaps positions k, k + 1
-    swaps[k, k], swaps[k, k + 1] = k + 1, k
-
     starts = np.array([rng.permutation(n) for _ in range(restarts)], np.intp)
-    start_norms, ends, end_norms = [], starts.copy(), np.empty(restarts)
+    ends, start_norms, end_norms = starts.copy(), np.empty(restarts), np.empty(restarts)
     group = _batch_size(n)
     for lo in range(0, restarts, group):
         live = np.arange(lo, min(lo + group, restarts))  # the restarts still descending
         sigma = starts[live]
         L = _truncations(B, sigma)
-        cur = _top_singular_values(L)
-        start_norms.append(cur)
-        end_norms[live] = cur
+        start_norms[live] = end_norms[live] = cur = _top_singular_values(L)
         v = np.linalg.svd(L)[2][:, 0].conj()
         while n > 1 and len(live):
             bounds, ritz = _swap_bounds(L, v)
@@ -486,9 +483,9 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
             norms = np.full(bounds.shape, np.inf)
             # a restart whose least bound is above cut scores nothing: every swap is larger
             cut = cur[:, None] * (1 + _PRUNE_MARGIN)
-            _score_swaps(B, sigma, swaps, norms, first & ~(bounds > cut))
+            _score_swaps(B, sigma, norms, first & ~(bounds > cut))
             cut = np.minimum(norms[first], cur)[:, None] * (1 + _PRUNE_MARGIN)
-            _score_swaps(B, sigma, swaps, norms, ~first & ~(bounds > cut))
+            _score_swaps(B, sigma, norms, ~first & ~(bounds > cut))
             i = np.argmin(norms, axis=1)
             step = norms[rows, i] < cur  # the others leave the stack
             live, sigma, L, v, i, cur = (x[step] for x in
@@ -497,7 +494,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
             _swap_entries(v, i)
             ends[live], end_norms[live] = sigma, cur
     best = int(np.argmin(end_norms))  # the first restart that ends on the least norm
-    start_ratios = np.concatenate(start_norms) / norm_b
+    start_ratios = start_norms / norm_b
     return TruncationStats(
         ratio_identity=float(_batched_truncation_norms(B, np.arange(n)[None, :])[0]) / norm_b,
         min_ratio=float(end_norms[best]) / norm_b,

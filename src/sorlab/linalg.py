@@ -15,8 +15,9 @@ import numpy as np
 
 from .orderings import check_permutation
 
-# Numerical rank cutoff, relative to the largest eigenvalue; used only by
-# spectral_summary, which every rank, PSD and range decision goes through.
+# Numerical rank cutoff and PSD rounding allowance: spectral_summary counts
+# eigenvalues above tol lambda1 and rejects one below -tol lambda1, and the
+# per-sweep energy rule rejects Re<By, y> below -tol tr(B) ||y||^2.
 RANK_TOLERANCE = 1e-10
 
 EIGEN_RECONSTRUCT_TOL = 1e-10  # relative Frobenius error of eigen_hermitian
@@ -26,8 +27,6 @@ EIGEN_RECONSTRUCT_TOL = 1e-10  # relative Frobenius error of eigen_hermitian
 HERMITIAN_REJECT_TOL = 1e-8
 
 UNIT_DIAGONAL_TOL = 1e-12
-
-ENERGY_NEGATIVE_TOL = 1e-10  # rounding allowance of energy_seminorm_sq, times tr(B) ||y||^2
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ def hermitian_from_factor(A, normalize_rows: bool = False) -> np.ndarray:
         if np.any(norms == 0):
             raise ValueError("zero row cannot be normalized")
         A = A / norms[:, None]
-    B = A @ A.conj().T
-    B = (B + B.conj().T) / 2
+    B = hermitian(A @ A.conj().T)
     if normalize_rows:
         np.fill_diagonal(B, 1.0)
     return B
@@ -231,11 +229,9 @@ def spectral_summary(B) -> SpectralSummary:
     """
     w, V = eigen_hermitian(B)
     lambda1 = float(w[0])
-    if lambda1 <= 0:
-        if np.allclose(w, 0):
-            raise ValueError("zero matrix has no nonzero eigenvalues")
-        raise ValueError("matrix not PSD")
-    if w[-1] < -RANK_TOLERANCE * lambda1:
+    if lambda1 <= 0 and np.allclose(w, 0):
+        raise ValueError("zero matrix has no nonzero eigenvalues")
+    if lambda1 <= 0 or w[-1] < -RANK_TOLERANCE * lambda1:
         raise ValueError("matrix not PSD")
     rank = int(np.sum(w > RANK_TOLERANCE * lambda1))
     lambda_r = float(w[rank - 1])
@@ -255,7 +251,7 @@ def energy_seminorm_sq(B, y) -> float:
 
     For B = A A* this equals ||A* y||^2; it is a norm squared exactly when
     B is positive definite. Only rounding is clamped: a value below
-    -ENERGY_NEGATIVE_TOL tr(B) ||y||^2 raises ValueError("matrix not PSD").
+    -RANK_TOLERANCE tr(B) ||y||^2 raises ValueError("matrix not PSD").
     """
     B = _as_matrix(B)
     y = np.asarray(y)
@@ -266,8 +262,8 @@ def energy_seminorm_sq(B, y) -> float:
 
 def _clamp_energy(val, B, y):
     """val = Re<By, y> clamped at zero; ValueError("matrix not PSD") when it
-    lies below the rounding allowance -ENERGY_NEGATIVE_TOL tr(B) ||y||^2."""
-    if val < 0 and val < -ENERGY_NEGATIVE_TOL * B.trace().real * np.vdot(y, y).real:
+    lies below the rounding allowance -RANK_TOLERANCE tr(B) ||y||^2."""
+    if val < 0 and val < -RANK_TOLERANCE * B.trace().real * np.vdot(y, y).real:
         raise ValueError(f"matrix not PSD: Re<By, y> = {val!r} is below rounding level")
     return max(val, 0.0)
 

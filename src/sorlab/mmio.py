@@ -101,12 +101,9 @@ def read_matrix(path):
                                  f"{expected} is not a number: {' '.join(parts)!r}") from None
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: found more than {expected} expected entries")
-    if symmetry == "symmetric":
+    if symmetry != "general":
         iu = np.triu_indices(rows, 1)
-        M[iu] = M.T[iu]
-    elif symmetry == "hermitian":
-        iu = np.triu_indices(rows, 1)
-        M[iu] = M.conj().T[iu]
+        M[iu] = (M.conj() if symmetry == "hermitian" else M).T[iu]
     return M, comments
 
 

@@ -58,8 +58,8 @@ import numpy as np
 
 from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
                      _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
-from .orderings import (OrderingStrategy, _as_indices, check_permutation, derive_seed, fixed,
-                        make_rng, preshuffled, sweep_order)
+from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, check_permutation,
+                        derive_seed, fixed, make_rng, preshuffled, sweep_order)
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
@@ -67,9 +67,6 @@ SWEEP_BLOCK = 64
 # a randomized trial draws its orders ahead in chunks of 1, 2, 4, ... sweeps,
 # at most max(1, ORDER_CHUNK // n) sweeps, so max(n, ORDER_CHUNK) indices
 ORDER_CHUNK = 4096
-# trial kinds of run_trials; a kind's position here is part of its derived
-# seeds, so the tuple is frozen and new kinds go at the end
-TRIAL_KINDS = ("cyclic", "shuffled", "preshuffled", "single_step_random", "fixed")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,9 @@ def test_bruteforce_result_hermitian_psd():
 
 
 def test_bruteforce_size_guard():
-    with pytest.raises(ValueError, match="montecarlo"):
+    # the message names the closed form, which is exact at any n
+    with pytest.raises(ValueError, match="^n = 9 too large for exhaustive averaging; "
+                                         "use expected_lower_gram_closed$"):
         expected_lower_gram_bruteforce(np.eye(9))
 
 
@@ -217,7 +219,8 @@ def test_exhaustive_min_below_identity_and_guard():
     assert stats.min_ratio <= stats.ratio_identity + 1e-15
     assert stats.min_ratio <= stats.mean_ratio <= stats.max_ratio
     assert truncation_ratio(B, stats.argmin_sigma) == pytest.approx(stats.min_ratio, rel=1e-12)
-    with pytest.raises(ValueError, match="heuristic"):
+    with pytest.raises(ValueError, match="^n = 9 too large for exhaustive search; "
+                                         "use heuristic$"):
         min_truncation_exhaustive(np.eye(9))
 
 

@@ -293,6 +293,14 @@ def test_spectral_summary_rejects_indefinite():
         spectral_summary(np.diag([1.0, -1.0]))
 
 
+def test_spectral_summary_nonpositive_top_eigenvalue():
+    # lambda1 <= 0: a negative definite matrix is not PSD, a zero one has no range
+    with pytest.raises(ValueError, match="^matrix not PSD$"):
+        spectral_summary(-np.eye(2))
+    with pytest.raises(ValueError, match="^zero matrix has no nonzero eigenvalues$"):
+        spectral_summary(np.zeros((2, 2)))
+
+
 def test_spectral_summary_eigenvectors_span_range():
     B = fan_problem(3).B
     s = spectral_summary(B)

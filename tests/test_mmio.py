@@ -86,6 +86,17 @@ def test_read_supports_symmetric_tag(tmp_path):
     assert np.array_equal(M, [[1.0, 0.5], [0.5, 1.0]])
 
 
+@pytest.mark.parametrize("symmetry, upper", [("symmetric", 0.5 + 2j), ("hermitian", 0.5 - 2j)])
+def test_read_complex_symmetric_tag_does_not_conjugate(tmp_path, symmetry, upper):
+    # a complex symmetric file mirrors its lower triangle as stored; only a
+    # hermitian one conjugates it
+    path = tmp_path / "s.mtx"
+    path.write_text(f"%%MatrixMarket matrix array complex {symmetry}\n"
+                    "2 2\n1.0 0.0\n0.5 2.0\n3.0 0.0\n")
+    M, _ = read_matrix(path)
+    assert np.array_equal(M, [[1.0, upper], [0.5 + 2j, 3.0]])
+
+
 def test_read_truncated_file_names_file_and_count(tmp_path):
     path = tmp_path / "B.mtx"
     write_matrix(path, random_psd_unit(8, make_rng(3)))

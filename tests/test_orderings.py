@@ -21,6 +21,7 @@ from sorlab import (
     sweep_order,
     truncation_ratio,
 )
+from sorlab import orderings, solvers
 from sorlab.analysis import _perm_batches
 from sorlab.orderings import check_permutation
 
@@ -77,6 +78,15 @@ def test_strategy_validation():
         OrderingStrategy("sorted")
     with pytest.raises(ValueError, match="not a permutation"):
         OrderingStrategy("fixed", np.array([0, 0, 2]))
+
+
+def test_strategy_names_are_spelled_once():
+    # run_trials' kinds are orderings' tuple, and OrderingStrategy takes
+    # them all but preshuffled, which is the fixed kind with a drawn order
+    assert solvers.TRIAL_KINDS is orderings.TRIAL_KINDS
+    assert orderings.KINDS == tuple(k for k in orderings.TRIAL_KINDS if k != "preshuffled")
+    for kind in orderings.KINDS:
+        OrderingStrategy(kind, np.arange(3) if kind == "fixed" else None)
 
 
 _B3 = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])

@@ -539,17 +539,18 @@ def _trial_system():
 @pytest.mark.parametrize("kind, index", [("cyclic", 0), ("shuffled", 1), ("preshuffled", 2),
                                          ("single_step_random", 3)])
 def test_run_trials_seed_scheme(kind, index):
-    # trial t sweeps with derive_seed(seed, index, t, 0); a preshuffled trial
-    # draws its order from derived_rng(seed, index, t, 1). Randomized trials
-    # run as one stack (the private _run_stack) at every trial count
+    # trial t sweeps with derive_seed(seed, index, t, 0), and a preshuffled
+    # trial's one seed is derive_seed(seed, index, t, 1), which draws its
+    # order. Randomized trials run as one stack (the private _run_stack) at
+    # every trial count
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0, seed=11)
     for trials in (3, 32):
         histories = run_trials(B, b, y0, ybar, kind, trials, config)
         assert len(histories) == trials
-        seeds = [derive_seed(11, index, t, 0) for t in range(trials)]
-        strategies = [preshuffled(6, derived_rng(11, index, t, 1)) if kind == "preshuffled"
-                      else OrderingStrategy(kind) for t in range(trials)]
+        seeds = [derive_seed(11, index, t, int(kind == "preshuffled")) for t in range(trials)]
+        strategies = [preshuffled(6, make_rng(seed)) if kind == "preshuffled"
+                      else OrderingStrategy(kind) for seed in seeds]
         if kind == "cyclic":
             refs = [run_solver(B, b, y0, ybar, replace(config, seed=seed), strategy)
                     for seed, strategy in zip(seeds, strategies)]
