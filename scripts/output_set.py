@@ -16,7 +16,9 @@ complex random n = 12, lowrank n = 8, r = 4 and n = 32, r = 6); on the first
 four, ``solve`` with every strategy and with ``fixed --sigma``, ``compare``
 of all four strategies at --trials 1, 3, 32 and 50 with a per-trial SVG,
 ``compare`` of fixed and preshuffled with --sigma and ``plot --per-trial``;
-``analyze`` and ``bounds`` of all six (the lowrank inputs take both analyze
+on fan m = 16 and complex n = 12 also ``compare`` of a reordered subset of
+the strategies (SUBSET, --trials 5), which shows a seed keyed by a
+strategy's place in the list instead of its kind; ``analyze`` and ``bounds`` of all six (the lowrank inputs take both analyze
 paths, exhaustive at n = 8 and heuristic at n = 32).
 
 With ``--against REV`` the set runs a second time on the tree of git
@@ -51,6 +53,7 @@ INPUTS = {  # name: generate options
 }
 SYSTEMS = {"fan2": 4, "fan16": 32, "random16": 16, "complex12": 12}  # solved inputs: n
 STRATEGIES = ("cyclic", "shuffled", "preshuffled", "single_step_random")
+SUBSET = ("single_step_random", "preshuffled", "shuffled")  # compared on fan16 and complex12
 
 
 def _commands():
@@ -74,6 +77,10 @@ def _commands():
         commands.append((f"compare-{name}-sigma", [
             "compare", *run, "--strategies", "fixed,preshuffled", *sigma, "--trials", "3",
             "--out-csv", f"{name}/compare-sigma.csv"]))
+        if name in ("fan16", "complex12"):
+            commands.append((f"compare-{name}-subset", [
+                "compare", *run, "--strategies", ",".join(SUBSET), "--trials", "5",
+                "--out-csv", f"{name}/compare-subset.csv"]))
         commands.append((f"plot-{name}", ["plot", "--csv", f"{name}/compare-t32.csv", "--per-trial",
                                           "--title", name, "--out", f"{name}/plot-t32.svg"]))
     for name in INPUTS:

@@ -217,7 +217,7 @@ def cmd_solve(args, parser) -> int:
     kind = kinds[0]
     B, b, ybar, y0, _ = _load_system(args)
     sigma = parse_permutation(args.sigma, B.shape[0]) if args.sigma else None
-    history = run_trials(B, b, y0, ybar, kind, 1, _run_config(args), sigma)[0]
+    history, = run_trials(B, b, y0, ybar, [kind], 1, _run_config(args), sigma)[kind]
     write_history_csv(args.out, {kind: [history]})
     rate = empirical_rate(history, max(1, min(args.rate_window, history.sweeps - 1)))
     _emit({"strategy": kind, "sweeps": history.sweeps, "final_error_sq": history.errors_sq[-1],
@@ -234,9 +234,7 @@ def cmd_compare(args, parser) -> int:
     # raises on a non-unit diagonal or bad c0/c1 before any trial runs
     bounds = analysis.evaluate_rate_bounds(spectrum, args.omega, c0=args.c0, c1=args.c1)
 
-    config = _run_config(args)
-    histories = {kind: run_trials(B, b, y0, ybar, kind, args.trials, config, sigma)
-                 for kind in kinds}
+    histories = run_trials(B, b, y0, ybar, kinds, args.trials, _run_config(args), sigma)
     write_history_csv(args.out_csv, histories)
 
     summary = dataclasses.asdict(bounds) | {"trials": args.trials}

@@ -51,6 +51,42 @@ def write_matrix(path, M, comments=()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse(entries, expected, width):
+    """entries as an (expected, width) float64 array, or None unless they
+    are expected rows of width numbers."""
+    try:
+        values = np.array(entries, dtype=np.float64)
+    except ValueError:  # ragged rows, or a token that is not a number
+        return None
+    if len(entries) != expected or values.size != expected * width:
+        return None
+    return values.reshape(expected, width)
+
+
+def _entry_values(path, lines, expected, width, first_line):
+    """The (expected, width) numbers of the entry lines, parsed at once; on a
+    missing or incomplete entry (fewer than width numbers), or one that is
+    not a number, the error of the first such entry line."""
+    # float() takes a line of one number whole; other lines go token by token
+    values = _parse(lines, expected, 1) if width == 1 else None
+    if values is None:
+        values = _parse([line.split()[:width] for line in lines], expected, width)
+    if values is not None:
+        return values
+    rows = []  # line by line, up to the first bad entry
+    for k, line in enumerate(lines + [""] * (expected - len(lines))):
+        parts = line.split()
+        if len(parts) < width:
+            raise ValueError(f"{path}: read {k} of {expected} expected entries; "
+                             f"entry {k + 1} is missing or incomplete")
+        try:
+            rows.append([float(p) for p in parts[:width]])
+        except ValueError:
+            raise ValueError(f"{path}: line {first_line + k}: entry {k + 1} of "
+                             f"{expected} is not a number: {' '.join(parts)!r}") from None
+    return np.array(rows, dtype=np.float64).reshape(expected, width)
+
+
 def read_matrix(path):
     """Read a dense array-format file. Returns (matrix, comment lines)."""
     with open(path, "r", encoding="ascii") as fh:
@@ -85,22 +121,16 @@ def read_matrix(path):
             raise ValueError(f"{path}: symmetric/hermitian matrices must be square, "
                              f"got {rows} x {cols}")
         entry_rows, entry_cols = _entry_order(rows, cols, symmetry)
-        expected = len(entry_rows)
-        for k, (i, j) in enumerate(zip(entry_rows, entry_cols)):
-            parts = fh.readline().split()
-            if len(parts) < (2 if complex_field else 1):
-                raise ValueError(f"{path}: read {k} of {expected} expected entries; "
-                                 f"entry {k + 1} is missing or incomplete")
-            try:
-                if complex_field:
-                    M[i, j] = float(parts[0]) + 1j * float(parts[1])
-                else:
-                    M[i, j] = float(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}: line {3 + len(comments) + k}: entry {k + 1} of "
-                                 f"{expected} is not a number: {' '.join(parts)!r}") from None
-        if any(line.strip() for line in fh):
-            raise ValueError(f"{path}: found more than {expected} expected entries")
+        expected, width = len(entry_rows), 2 if complex_field else 1
+        lines = fh.read().split("\n")
+    values = _entry_values(path, lines[:expected], expected, width, 3 + len(comments))
+    if any(line.strip() for line in lines[expected:]):
+        raise ValueError(f"{path}: found more than {expected} expected entries")
+    if complex_field:
+        with np.errstate(invalid="ignore"):  # Python's a + 1j * b: 0 * inf gives nan
+            M[entry_rows, entry_cols] = values[:, 0] + 1j * values[:, 1]
+    else:
+        M[entry_rows, entry_cols] = values[:, 0]
     if symmetry != "general":
         iu = np.triu_indices(rows, 1)
         M[iu] = (M.conj() if symmetry == "hermitian" else M).T[iu]

@@ -28,21 +28,25 @@ dot product and a scatter. Errors and residuals are row-wise sums (no
 matrix product over the stack), so a trial's history does not depend on T
 or on the other trials. It never imports SciPy.
 
-The driver builds the plan of a strategy that reuses its order (cyclic,
-fixed and so preshuffled) once per trial, a gathered copy of B. A shuffled
-or single-step random trial gets a plan per sweep, and its orders are drawn
-ahead, in chunks of 1, 2, 4, ... sweeps of at most max(n, ORDER_CHUNK)
-indices and never past max_sweeps (:func:`_order_chunks`). A chunk of k
-sweeps is one :func:`~sorlab.orderings.sweep_order` call that consumes the
-trial's PCG64 stream exactly as k single draws do, so the orders, and every
-output byte, are those of one draw per sweep.
+:func:`_sweeps` builds the plan of a stack whose trials all reuse their order
+(cyclic, fixed and so preshuffled) once, a gathered copy of B in the block
+pass. A shuffled or single-step random trial gets a plan per sweep, and its
+orders are drawn ahead, in chunks of 1, 2, 4, ... sweeps of at most
+max(n, ORDER_CHUNK) indices and never past max_sweeps
+(:func:`_order_chunks`). A chunk of k sweeps is one
+:func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
+stream exactly as k single draws do, so the orders, and every output byte,
+are those of one draw per sweep. A stack may mix the two: a row that
+reuses its order repeats it in every chunk and draws nothing.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block pass on a one-row
 stack, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one
 plan, behind one input check per update rule. :func:`run_trials` runs
-seeded Monte Carlo trials of one ordering kind and owns their seed scheme:
-trials that are identical by construction run once through the block pass,
-the others as one stack, at every trial count.
+seeded Monte Carlo trials of several ordering kinds and owns their seed
+scheme: trials that are identical by construction run once per kind
+through the block pass, and the others, of every kind, as one stack at
+every trial count, their seeds and generators derived in one pass of
+sorlab's copy of numpy's SeedSequence hash (:mod:`sorlab.orderings`).
 
 Error histories are measured against a caller-supplied planted solution in
 the energy semi-norm of B, which is independent of which exact solution is
@@ -53,13 +57,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
                      _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
-from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, check_permutation,
-                        derive_seed, fixed, make_rng, preshuffled, sweep_order)
+from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, _derive_seeds, _generators,
+                        check_permutation, derive_seed, fixed, make_rng, random_permutation,
+                        sweep_order)
 
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
@@ -252,23 +258,24 @@ def _order_chunks(n, max_sweeps):
         k *= 2
 
 
-def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
+def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, orders,
             seeds) -> list[IterationHistory]:
     """Sweep the rows of the C-contiguous (T, w) stack V in place, trial t in
     row t, over orders of n indices; return one history per trial.
 
-    Trial t draws its orders from ``strategies[t]``, fed by a PCG64 stream
-    seeded with ``seeds[t]``, in the chunks of :func:`_order_chunks`: one
-    (k, rows, n) array per chunk for the live rows. When every strategy
-    reuses its order (cyclic, fixed and so preshuffled) the plan is built
-    once, and again when trials leave; otherwise one is built per sweep.
-    ``plan(orders)`` builds the plan of a (rows, n) array of orders and
-    ``sweep(plan, V)`` applies it. ``measure(V)`` returns the rows' errors
-    and residuals as two lists of floats, recorded before the first and
-    after every sweep. Raises ValueError once one is NaN or Inf, naming the
-    sweep and the trial's seed. A trial stops after ``config.max_sweeps``
-    sweeps or once its error reaches ``config.target_error_sq``, and leaves
-    the stack with its rng and its rows of the chunk.
+    ``orders[t]`` is the (n,) order that trial t reuses in every sweep, or a
+    function that draws the (k, n) orders of its next k sweeps; it is called
+    with the k of each chunk of :func:`_order_chunks`, and a chunk holds one
+    (k, rows, n) array for the live rows, a reused order repeated k times.
+    When every trial reuses its order the plan is built once, and again
+    when trials leave; otherwise one is built per sweep. ``plan(orders)``
+    builds the plan of a (rows, n) array of orders and ``sweep(plan, V)``
+    applies it. ``measure(V)`` returns the rows' errors and residuals as two
+    lists of floats, recorded before the first and after every sweep. Raises
+    ValueError once one is NaN or Inf, naming the sweep and the trial's
+    seed, ``seeds[t]``. A trial stops after ``config.max_sweeps`` sweeps or
+    once its error reaches ``config.target_error_sq``, and leaves the stack
+    with its rows of the chunk.
     """
     rows = list(range(len(seeds)))  # the trial of each row of V
     errors: list[list[float]] = [[] for _ in seeds]
@@ -293,21 +300,22 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
         return errs
 
     def reused_plan():
-        return list(plan(np.array([sweep_order(strategies[t], n) for t in rows])))
+        return list(plan(np.array(live)))
 
     record(0)
-    if all(s.reuses_order for s in strategies):
-        rngs, trial_plan = None, reused_plan()
+    live = list(orders)  # the orders of each row of V
+    reused = not any(map(callable, live))
+    if reused:
+        trial_plan = reused_plan()
     else:
-        rngs = [make_rng(seed) for seed in seeds]
         # chunk[j] holds the live rows' orders of the chunk's sweep j
         chunks, chunk, j = _order_chunks(n, config.max_sweeps), (), 0
     for sweep_no in range(1, config.max_sweeps + 1):
-        if rngs is not None:
+        if not reused:
             if j == len(chunk):
                 k, j = next(chunks), 0
-                chunk = np.array([sweep_order(strategies[t], n, rng, sweeps=k)
-                                  for t, rng in zip(rows, rngs)]).transpose(1, 0, 2)
+                chunk = np.array([o(k) if callable(o) else np.broadcast_to(o, (k, n))
+                                  for o in live]).transpose(1, 0, 2)
             trial_plan, j = plan(chunk[j]), j + 1
         sweep(trial_plan, V)
         errs = record(sweep_no)
@@ -319,12 +327,13 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, strategies,
                 finals[t] = row.copy()
         V = V[going]
         rows = [t for t, on in zip(rows, going) if on]
+        live = [o for o, on in zip(live, going) if on]
         if not rows:
             break
-        if rngs is None:
+        if reused:
             trial_plan = reused_plan()
         else:
-            chunk, rngs = chunk[:, going], [rng for rng, on in zip(rngs, going) if on]
+            chunk = chunk[:, going]
     for t, row in zip(rows, V):
         finals[t] = row
     return [IterationHistory(np.array(e), np.array(r), v)
@@ -349,8 +358,11 @@ def _block_trial(M, b, v, error, plan, sweep, config: SolverConfig,
         return [error(v)], [math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) if complex_v
                             else math.sqrt(r.dot(r))]
 
-    h, = _sweeps(v[None], M.shape[0], measure, lambda orders: plan(M, omega, orders[0]),
-                 lambda p, _: sweep(p, b, v, omega, trtrs), config, [strategy], [config.seed])
+    n = M.shape[0]
+    orders = (sweep_order(strategy, n) if strategy.reuses_order
+              else partial(sweep_order, strategy, n, make_rng(config.seed)))
+    h, = _sweeps(v[None], n, measure, lambda orders: plan(M, omega, orders[0]),
+                 lambda p, _: sweep(p, b, v, omega, trtrs), config, [orders], [config.seed])
     return h
 
 
@@ -375,10 +387,10 @@ def run_solver(B, b, y0, ybar, config: SolverConfig,
     return _run_sor(B, b, y0, ybar, config, strategy)
 
 
-def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
+def _run_stack(B, b, y0, ybar, config: SolverConfig, orders,
                seeds) -> list[IterationHistory]:
     """SOR trials on checked inputs as the rows of one (T, n) :func:`_sweeps`
-    stack, trial t with ``strategies[t]`` and ``seeds[t]``.
+    stack, trial t over ``orders[t]`` and named by ``seeds[t]``.
 
     Errors and residuals are row-wise sums, so trial t's history does not
     depend on the other trials.
@@ -394,48 +406,65 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, strategies,
 
     V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
     return _sweeps(V, len(b), measure, lambda orders: _stack_plan(b, orders),
-                   lambda steps, V: _stack_pass(steps, B_conj, V, omega), config, strategies,
-                   seeds)
+                   lambda steps, V: _stack_pass(steps, B_conj, V, omega), config, orders, seeds)
 
 
-def run_trials(B, b, y0, ybar, kind: str, trials: int, config: SolverConfig,
-               sigma=None) -> list[IterationHistory]:
-    """Run ``trials`` seeded SOR trials of one ordering kind.
+def run_trials(B, b, y0, ybar, kinds, trials: int, config: SolverConfig,
+               sigma=None) -> dict[str, list[IterationHistory]]:
+    """Run ``trials`` seeded SOR trials of each ordering kind in ``kinds``.
 
-    ``kind`` is one of TRIAL_KINDS and k its position there. Trial t has
-    one seed: ``derive_seed(config.seed, k, t, 0)`` feeds its sweep orders,
-    and a preshuffled trial's ``derive_seed(config.seed, k, t, 1)`` draws
-    its one order, unless ``sigma`` pins it. A non-finite error names the
-    trial by that seed. ``fixed`` requires ``sigma``; cyclic, shuffled and
-    single_step_random ignore it. Returns one history per trial, in order.
+    A kind is one of TRIAL_KINDS and k its position there. Trial t of a kind
+    has one seed: ``derive_seed(config.seed, k, t, 0)`` feeds its sweep
+    orders, and a preshuffled trial's ``derive_seed(config.seed, k, t, 1)``
+    draws its one order, unless ``sigma`` pins it. A non-finite error names
+    its trial by that seed: the trials identical by construction run first,
+    kind by kind, then the stacked trials, the first in sweep order. ``fixed``
+    requires ``sigma``; cyclic, shuffled and single_step_random ignore it.
+    Returns ``{kind: [history of each trial]}`` in the order of ``kinds``.
 
     The inputs are checked once. Trials that are identical by construction
-    (cyclic, and fixed or preshuffled with ``sigma``) run once, as in
-    :func:`run_solver`, and each gets its own copy of that history. The
-    others run as one stack, so trial t's history does not depend on how
-    many trials run with it.
+    (cyclic, and fixed or preshuffled with ``sigma``) run once per kind, as
+    in :func:`run_solver`, and each gets its own copy of that history. All
+    the others, of every kind, run as one stack, with their seeds derived
+    in one pass, so trial t's history does not depend on how many trials
+    or which kinds run with it.
     """
-    if kind not in TRIAL_KINDS:
-        raise ValueError(f"unknown trial kind {kind!r}; choose from {', '.join(TRIAL_KINDS)}")
+    if isinstance(kinds, str):
+        raise TypeError("kinds must be a sequence of trial kinds, not one string")
+    for kind in kinds:
+        if kind not in TRIAL_KINDS:
+            raise ValueError(f"unknown trial kind {kind!r}; choose from {', '.join(TRIAL_KINDS)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if kind == "fixed" and sigma is None:
+    if "fixed" in kinds and sigma is None:
         raise ValueError("kind 'fixed' requires sigma")
     B, b, ybar, y0 = _sor_inputs(B, b=b, ybar=ybar, y0=y0)
-    index = TRIAL_KINDS.index(kind)
-    if kind == "cyclic" or sigma is not None and kind in ("fixed", "preshuffled"):
-        strategy = OrderingStrategy("cyclic") if kind == "cyclic" else fixed(sigma)
-        h = _run_sor(B, b, y0, ybar, replace(config, seed=derive_seed(config.seed, index, 0, 0)),
-                     strategy)
-        return [h] + [IterationHistory(h.errors_sq.copy(), h.residuals.copy(),
-                                       h.final_iterate.copy()) for _ in range(trials - 1)]
-    if kind == "preshuffled":
-        seeds = [derive_seed(config.seed, index, t, 1) for t in range(trials)]
-        strategies = [preshuffled(len(b), make_rng(seed)) for seed in seeds]
-    else:
-        seeds = [derive_seed(config.seed, index, t, 0) for t in range(trials)]
-        strategies = [OrderingStrategy(kind)] * trials
-    return _run_stack(B, b, y0, ybar, config, strategies, seeds)
+    n = len(b)
+    histories, stacked = {}, []
+    for kind in kinds:
+        if kind == "cyclic" or sigma is not None and kind in ("fixed", "preshuffled"):
+            seed = derive_seed(config.seed, TRIAL_KINDS.index(kind), 0, 0)
+            h = _run_sor(B, b, y0, ybar, replace(config, seed=seed),
+                         OrderingStrategy("cyclic") if kind == "cyclic" else fixed(sigma))
+            histories[kind] = [h] + [IterationHistory(h.errors_sq.copy(), h.residuals.copy(),
+                                                      h.final_iterate.copy())
+                                     for _ in range(trials - 1)]
+        else:
+            stacked.append(kind)
+    if stacked:
+        trial_kinds = [kind for kind in stacked for _ in range(trials)]
+        seeds = _derive_seeds(config.seed, np.array([TRIAL_KINDS.index(k) for k in trial_kinds]),
+                              np.tile(np.arange(trials), len(stacked)),
+                              np.array([int(k == "preshuffled") for k in trial_kinds]))
+        strategies = {kind: OrderingStrategy(kind) for kind in stacked if kind != "preshuffled"}
+        # a preshuffled trial's generator draws its one order before the first sweep
+        orders = [random_permutation(n, rng) if kind == "preshuffled"
+                  else partial(sweep_order, strategies[kind], n, rng)
+                  for kind, rng in zip(trial_kinds, _generators(seeds))]
+        stack = _run_stack(B, b, y0, ybar, config, orders, seeds.tolist())
+        for i, kind in enumerate(stacked):
+            histories[kind] = stack[i * trials:(i + 1) * trials]
+    return {kind: histories[kind] for kind in kinds}
 
 
 def run_kaczmarz(A, b, x0, xbar, config: SolverConfig,

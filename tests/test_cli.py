@@ -628,6 +628,26 @@ def test_plot_empty_csv_fails(tmp_path):
     assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
 
 
+def test_compare_subset_rows_equal_rows_of_every_strategy(fan_dir, random_dir, tmp_path,
+                                                          capsys):
+    # a trial's seed is keyed by its strategy's place in TRIAL_KINDS, not in
+    # --strategies, and the one stack of randomized trials leaves each
+    # trial the bits it has without the other strategies
+    for d in (fan_dir, random_dir):
+        rows = []
+        for strategies in ("singlestep,shuffled", "cyclic,shuffled,preshuffled,singlestep"):
+            csv = tmp_path / "c.csv"
+            assert run_cli("compare", *_system_args(d), "--strategies", strategies,
+                           "--trials", "5", "--sweeps", "12", "--seed", "3",
+                           "--out-csv", csv) == 0
+            rows.append(csv.read_text().splitlines())
+        for kind in ("single_step_random", "shuffled"):
+            subset, every = ([r for r in text if r.startswith(f"{kind},")] for text in rows)
+            assert len(subset) >= 5 * 2
+            assert subset == every
+    capsys.readouterr()
+
+
 def test_plot_per_trial_redraws_compare_svg(fan_dir, tmp_path):
     rc_dir = tmp_path / "rc"
     assert run_cli("generate", "--kind", "random", "--n", "7", "--m", "5", "--complex",
@@ -921,7 +941,7 @@ def _run_library(d, kind, seed, trials, max_sweeps):
     B = hermitian(read_matrix(d / "B.mtx")[0])
     b, ybar = read_vector(d / "b.mtx")[0], read_vector(d / "ybar.mtx")[0]
     config = SolverConfig(max_sweeps=max_sweeps, seed=seed)
-    return run_trials(B, b, np.zeros(6), ybar, kind, trials, config)
+    return run_trials(B, b, np.zeros(6), ybar, [kind], trials, config)[kind]
 
 
 def test_solve_report_layout(random_dir, tmp_path, capsys):

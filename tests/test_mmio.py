@@ -158,3 +158,57 @@ def test_read_non_square_symmetric_names_file(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_matrix(path)
     assert str(exc.value) == f"{path}: symmetric/hermitian matrices must be square, got 2 x 3"
+
+
+@pytest.mark.parametrize("field, body, message", [
+    ("real", "1.0\n\n3.0\n4.0\n", "read 1 of 4 expected entries; entry 2 is missing or incomplete"),
+    ("real", "1.0\n2.0\nabc\n\n", "line 6: entry 3 of 4 is not a number: 'abc'"),
+    ("real", "1.0\n\nabc\n4.0\n", "read 1 of 4 expected entries; entry 2 is missing or incomplete"),
+    ("real", "1.0\nx 2.0\n", "line 5: entry 2 of 4 is not a number: 'x 2.0'"),
+    ("real", "1.0\n2.0\n", "read 2 of 4 expected entries; entry 3 is missing or incomplete"),
+    ("real", "", "read 0 of 4 expected entries; entry 1 is missing or incomplete"),
+    ("real", "1\n2\n3\n4\n5\n", "found more than 4 expected entries"),
+    ("complex", "1 0\n2 0\n3\n4 0\n", "read 2 of 4 expected entries; entry 3 is missing or incomplete"),
+    ("complex", "1 0\n2 y\n3\n", "line 5: entry 2 of 4 is not a number: '2 y'"),
+    ("complex", "1\n2\n3\n4\n", "read 0 of 4 expected entries; entry 1 is missing or incomplete"),
+])
+def test_read_names_the_first_bad_entry(tmp_path, field, body, message):
+    # the entries are parsed in one pass; a bad one is still named as a
+    # line-by-line read meets it: the first missing, incomplete or
+    # non-numeric entry, with its line (a comment line makes the size line 3)
+    path = tmp_path / "B.mtx"
+    path.write_text(f"%%MatrixMarket matrix array {field} general\n%c\n2 2\n" + body)
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_read_parses_entries_as_float_does(tmp_path):
+    # padded lines, extra tokens after an entry's numbers, special values
+    # and signed zeros; a complex entry is float(a) + 1j * float(b), bit
+    # for bit
+    tokens = [" 0.1 ", "-0.0", "1e-320", "+.5", "5.", "1_0", "-1e-400", "2.0 junk", "-3.5e+00"]
+    path = tmp_path / "v.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{len(tokens)} 1\n"
+                    + "\n".join(tokens) + "\n\n")
+    want = np.array([float(t.split()[0]) for t in tokens])
+    assert read_vector(path)[0].tobytes() == want.tobytes()
+    pairs = [("1.0", "-0.0"), ("-0.0", "2.0"), ("-0.0", "-2.0"), ("0.0", "-0.0"), ("nan", "1"),
+             ("3", "inf"), ("-inf", "0"), ("0.5", "0.25 extra")]
+    path.write_text(f"%%MatrixMarket matrix array complex general\n{len(pairs)} 1\n"
+                    + "\n".join(f"{a} {b}" for a, b in pairs) + "\n")
+    want = np.array([float(a) + 1j * float(b.split()[0]) for a, b in pairs])
+    got = read_vector(path)[0]
+    same = np.isnan(want) & np.isnan(got)
+    assert np.array_equal(got.view(np.float64)[~np.repeat(same, 2)],
+                          want.view(np.float64)[~np.repeat(same, 2)])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def test_read_empty_matrix(tmp_path):
+    path = tmp_path / "e.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+    M, _ = read_matrix(path)
+    assert M.shape == (0, 0)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_fixed_order_trials_draw_one_order(monkeypatch, kind, draws):
     monkeypatch.setattr(solvers, "sweep_order", counted)
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0)
-    h, = run_trials(B, b, y0, ybar, kind, 1, config, sigma=[5, 3, 1, 0, 2, 4])
+    h, = run_trials(B, b, y0, ybar, [kind], 1, config, sigma=[5, 3, 1, 0, 2, 4])[kind]
     assert h.sweeps == 7
     assert sum(calls) == draws
     assert len(calls) == (1 if draws == 1 else 3)
@@ -319,7 +320,8 @@ def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, kernel, max_
             cfg = replace(config, seed=derive_seed(8, index, 0, 0))
             histories = [run_solver(inst.B, inst.b, np.zeros(n), inst.ybar, cfg, strategy)]
         else:
-            histories = run_trials(inst.B, inst.b, np.zeros(n), inst.ybar, kind, trials, config)
+            histories = run_trials(inst.B, inst.b, np.zeros(n), inst.ybar, [kind], trials,
+                                   config)[kind]
         assert [h.sweeps for h in histories] == [max_sweeps] * trials
         assert len(drawn) == trials
         for t, got in enumerate(drawn.values()):
@@ -362,7 +364,7 @@ def test_stack_draws_one_chunk_per_live_trial(monkeypatch, kind):
             (fan.B, fan.b, y0, fan.ybar, SolverConfig(max_sweeps=60, seed=4))]:
         drawn.clear()
         n = len(b)
-        histories = run_trials(B, b, y, ybar, kind, 32, config)
+        histories = run_trials(B, b, y, ybar, [kind], 32, config)[kind]
         assert len(drawn) == 32
         ends = np.cumsum(list(solvers._order_chunks(n, config.max_sweeps)))
         if n == 16:
@@ -536,6 +538,14 @@ def _trial_system():
     return inst.B, inst.b, np.zeros(6), inst.ybar
 
 
+def _reference_orders(kind, n, seeds):
+    """The :func:`solvers._run_stack` orders of trials of a randomized kind
+    seeded with seeds, through numpy's own seeding (make_rng): a preshuffled
+    trial's one order, or the draws of a shuffled or single-step trial."""
+    return [preshuffled(n, make_rng(seed)).sigma if kind == "preshuffled"
+            else partial(sweep_order, OrderingStrategy(kind), n, make_rng(seed)) for seed in seeds]
+
+
 @pytest.mark.parametrize("kind, index", [("cyclic", 0), ("shuffled", 1), ("preshuffled", 2),
                                          ("single_step_random", 3)])
 def test_run_trials_seed_scheme(kind, index):
@@ -546,16 +556,15 @@ def test_run_trials_seed_scheme(kind, index):
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=7, target_error_sq=0.0, seed=11)
     for trials in (3, 32):
-        histories = run_trials(B, b, y0, ybar, kind, trials, config)
+        histories = run_trials(B, b, y0, ybar, [kind], trials, config)[kind]
         assert len(histories) == trials
         seeds = [derive_seed(11, index, t, int(kind == "preshuffled")) for t in range(trials)]
-        strategies = [preshuffled(6, make_rng(seed)) if kind == "preshuffled"
-                      else OrderingStrategy(kind) for seed in seeds]
         if kind == "cyclic":
-            refs = [run_solver(B, b, y0, ybar, replace(config, seed=seed), strategy)
-                    for seed, strategy in zip(seeds, strategies)]
+            refs = [run_solver(B, b, y0, ybar, replace(config, seed=seed), cyclic())
+                    for seed in seeds]
         else:
-            refs = solvers._run_stack(B, b, y0, ybar, config, strategies, seeds)
+            refs = solvers._run_stack(B, b, y0, ybar, config, _reference_orders(kind, 6, seeds),
+                                      seeds)
         for h, ref in zip(histories, refs, strict=True):
             _assert_same_history(h, ref)
 
@@ -566,10 +575,10 @@ def test_run_trials_sigma_pins_fixed_and_preshuffled():
     config = SolverConfig(max_sweeps=4, seed=2)
     ref = run_solver(B, b, y0, ybar, config, fixed(sigma))
     for kind in ("fixed", "preshuffled"):
-        for h in run_trials(B, b, y0, ybar, kind, 2, config, sigma):
+        for h in run_trials(B, b, y0, ybar, [kind], 2, config, sigma)[kind]:
             assert np.array_equal(h.errors_sq, ref.errors_sq)
     # the kinds that draw no permutation ignore sigma
-    cyc = run_trials(B, b, y0, ybar, "cyclic", 1, config, sigma)[0]
+    cyc, = run_trials(B, b, y0, ybar, ["cyclic"], 1, config, sigma)["cyclic"]
     assert np.array_equal(cyc.errors_sq, run_solver(B, b, y0, ybar, config, cyclic()).errors_sq)
 
 
@@ -590,7 +599,7 @@ def test_run_trials_runs_identical_trials_once(monkeypatch):
     for trials in (1, 5, 31, 32):
         for kind, pin in (("cyclic", None), ("fixed", sigma), ("preshuffled", sigma)):
             calls.clear()
-            histories = run_trials(B, b, y0, ybar, kind, trials, config, pin)
+            histories = run_trials(B, b, y0, ybar, [kind], trials, config, pin)[kind]
             assert calls == ["_run_sor"]
             assert len(histories) == trials
             for h in histories[1:]:
@@ -600,26 +609,50 @@ def test_run_trials_runs_identical_trials_once(monkeypatch):
                 assert h.final_iterate is not histories[0].final_iterate
         for kind in ("shuffled", "preshuffled", "single_step_random"):
             calls.clear()
-            assert len(run_trials(B, b, y0, ybar, kind, trials, config)) == trials
+            assert len(run_trials(B, b, y0, ybar, [kind], trials, config)[kind]) == trials
             assert calls == ["_run_stack"]
+        # several kinds: one block-kernel trial per identical kind, one stack
+        # for the randomized trials of every kind
+        calls.clear()
+        histories = run_trials(B, b, y0, ybar, solvers.TRIAL_KINDS, trials, config, sigma)
+        assert sorted(calls) == ["_run_sor"] * 3 + ["_run_stack"]
+        assert [len(hs) for hs in histories.values()] == [trials] * 5
 
 
 @pytest.mark.parametrize("kind", ["shuffled", "preshuffled", "single_step_random"])
 def test_run_trials_derive_one_seed_per_trial(monkeypatch, kind):
-    calls = []
+    # the stacked trials' seeds come from one hash pass, one seed per trial,
+    # with no per-trial derive_seed call; the randomized kinds of one call
+    # share the pass
+    passes, calls = [], []
+
+    def counted_pass(*path):
+        passes.append(real_pass(*path))
+        return passes[-1]
 
     def counted(*path):
         calls.append(path)
         return derive_seed(*path)
 
+    real_pass = solvers._derive_seeds
+    monkeypatch.setattr(solvers, "_derive_seeds", counted_pass)
     from sorlab import orderings
     for module in (solvers, orderings):  # derived_rng calls orderings.derive_seed
         monkeypatch.setattr(module, "derive_seed", counted)
     B, b, y0, ybar = _trial_system()
+    index = solvers.TRIAL_KINDS.index(kind)
     for trials in (1, 5):
-        calls.clear()
-        run_trials(B, b, y0, ybar, kind, trials, SolverConfig(max_sweeps=3, seed=4))
-        assert len(calls) == trials
+        passes.clear()
+        run_trials(B, b, y0, ybar, [kind], trials, SolverConfig(max_sweeps=3, seed=4))
+        seeds, = passes
+        assert seeds.tolist() == [derive_seed(4, index, t, int(kind == "preshuffled"))
+                                  for t in range(trials)]
+        passes.clear()
+        others = [k for k in ("shuffled", "single_step_random") if k != kind]
+        run_trials(B, b, y0, ybar, ["cyclic", kind, *others], trials,
+                   SolverConfig(max_sweeps=3, seed=4))
+        assert [len(seeds) for seeds in passes] == [trials * (1 + len(others))]
+    assert calls == [(4, 0, 0, 0)] * 2  # the one seed of the identical cyclic trials
 
 
 def _stack_instances():
@@ -650,7 +683,8 @@ def test_run_trials_do_not_depend_on_the_trial_count(case):
     n = len(b)
     sigma = np.arange(n)[::-1]
     for index, kind in enumerate(solvers.TRIAL_KINDS):
-        runs = {T: run_trials(B, b, y0, ybar, kind, T, config, sigma if kind == "fixed" else None)
+        runs = {T: run_trials(B, b, y0, ybar, [kind], T, config,
+                              sigma if kind == "fixed" else None)[kind]
                 for T in (1, 7, 32, 50)}
         for T, histories in runs.items():
             assert len(histories) == T
@@ -659,14 +693,59 @@ def test_run_trials_do_not_depend_on_the_trial_count(case):
         if kind in ("cyclic", "fixed"):
             continue
         for t, h in enumerate(runs[50]):
-            strategy = (preshuffled(n, derived_rng(config.seed, index, t, 1))
-                        if kind == "preshuffled" else OrderingStrategy(kind))
-            alone, = solvers._run_stack(B, b, y0, ybar, config, [strategy],
-                                        [derive_seed(config.seed, index, t, 0)])
+            seed = derive_seed(config.seed, index, t, int(kind == "preshuffled"))
+            alone, = solvers._run_stack(B, b, y0, ybar, config,
+                                        _reference_orders(kind, n, [seed]), [seed])
             _assert_same_history(h, alone)
         if name == "fan32":
             # rounding-noise stops: the stack drops trials at different sweeps
             assert len({h.sweeps for h in runs[50]}) > 1
+
+
+@pytest.mark.parametrize("case", range(3), ids=["real", "complex", "fan32"])
+def test_run_trials_of_several_kinds_equal_runs_of_each_kind(case):
+    # one stack for every randomized trial of every kind gives each trial
+    # the bits of its kind run alone, in either kind order, with and
+    # without sigma (fixed needs sigma; preshuffled then runs once)
+    name, B, b, y0, ybar, config = _stack_instances()[case]
+    sigma = np.arange(len(b))[::-1]
+    kinds = solvers.TRIAL_KINDS
+    for pin, chosen in ((None, kinds[:-1]), (sigma, kinds)):
+        for trials in (1, 7, 32):
+            alone = {kind: run_trials(B, b, y0, ybar, [kind], trials, config, pin)[kind]
+                     for kind in chosen}
+            for order in (chosen, chosen[::-1]):
+                together = run_trials(B, b, y0, ybar, order, trials, config, pin)
+                assert list(together) == list(order)
+                for kind in chosen:
+                    for h, ref in zip(together[kind], alone[kind], strict=True):
+                        _assert_same_history(h, ref)
+
+
+def test_mixed_stack_draws_no_orders_for_preshuffled_rows(monkeypatch):
+    # in a stack of shuffled and preshuffled trials only the shuffled rows
+    # call sweep_order, each with its own generator; a preshuffled row
+    # keeps the one order its seed drew, in every chunk
+    drawn = []
+
+    def recording(strategy, n, rng=None, sweeps=None):
+        drawn.append((strategy.kind, rng, sweeps))
+        return real(strategy, n, rng, sweeps=sweeps)
+
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order", recording)
+    B, b, y0, ybar = _trial_system()
+    config = SolverConfig(max_sweeps=20, target_error_sq=0.0, seed=6)
+    histories = run_trials(B, b, y0, ybar, ["preshuffled", "shuffled"], 5, config)
+    assert {kind for kind, _, _ in drawn} == {"shuffled"}
+    assert len({id(rng) for _, rng, _ in drawn}) == 5
+    assert [k for _, _, k in drawn[::5]] == list(solvers._order_chunks(6, 20))
+    seeds = [derive_seed(6, 2, t, 1) for t in range(5)]
+    monkeypatch.setattr(solvers, "sweep_order", real)
+    refs = solvers._run_stack(B, b, y0, ybar, config, _reference_orders("preshuffled", 6, seeds),
+                              seeds)
+    for h, ref in zip(histories["preshuffled"], refs, strict=True):
+        _assert_same_history(h, ref)
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -682,7 +761,8 @@ def test_stack_trials_agree_with_run_solver(complex_entries, n, m):
     for kind in ("shuffled", "preshuffled", "single_step_random"):
         index = solvers.TRIAL_KINDS.index(kind)
         for t, h in ((t, h) for trials in (1, 32)
-                     for t, h in enumerate(run_trials(B, b, y0, ybar, kind, trials, config))):
+                     for t, h in enumerate(run_trials(B, b, y0, ybar, [kind], trials,
+                                                      config)[kind])):
             strategy = (preshuffled(n, derived_rng(config.seed, index, t, 1))
                         if kind == "preshuffled" else OrderingStrategy(kind))
             ref = run_solver(B, b, y0, ybar,
@@ -711,7 +791,7 @@ def test_run_trials_reject_indefinite_matrix(trials):
     y0 = make_rng(56).standard_normal(6)
     for kind in solvers.TRIAL_KINDS[:-1]:
         with pytest.raises(ValueError, match=r"matrix not PSD: Re<By, y> = -"):
-            run_trials(B, np.zeros(6), y0, np.zeros(6), kind, trials, SolverConfig())
+            run_trials(B, np.zeros(6), y0, np.zeros(6), [kind], trials, SolverConfig())
 
 
 def test_run_trials_clamp_rounding_noise_at_zero():
@@ -722,7 +802,7 @@ def test_run_trials_clamp_rounding_noise_at_zero():
     y0 = np.zeros(64)
     y0[1] = 1.0
     config = SolverConfig(max_sweeps=60, target_error_sq=0.0, seed=2)
-    histories = run_trials(fan.B, fan.b, y0, fan.ybar, "shuffled", 32, config)
+    histories = run_trials(fan.B, fan.b, y0, fan.ybar, ["shuffled"], 32, config)["shuffled"]
     assert all(np.all(h.errors_sq >= 0) for h in histories)
     assert any(h.errors_sq[-1] == 0.0 and h.sweeps < 60 for h in histories)
 
@@ -743,18 +823,20 @@ def test_run_trials_stop_on_non_finite_error(kind, trials):
     with pytest.raises(ValueError, match=rf"error is not finite after sweep 1 "
                                          rf"\(seed {derive_seed(3, index, t, stream)}\)"), \
             np.errstate(over="ignore", invalid="ignore"):
-        run_trials(B, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), kind, trials, config)
+        run_trials(B, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), [kind], trials, config)
 
 
 def test_run_trials_rejects_bad_arguments():
     B, b, y0, ybar = _trial_system()
     config = SolverConfig(max_sweeps=3)
     with pytest.raises(ValueError, match="unknown trial kind 'random'"):
-        run_trials(B, b, y0, ybar, "random", 1, config)
+        run_trials(B, b, y0, ybar, ["shuffled", "random"], 1, config)
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        run_trials(B, b, y0, ybar, "cyclic", 0, config)
+        run_trials(B, b, y0, ybar, ["cyclic"], 0, config)
     with pytest.raises(ValueError, match="'fixed' requires sigma"):
-        run_trials(B, b, y0, ybar, "fixed", 1, config)
+        run_trials(B, b, y0, ybar, ["shuffled", "fixed"], 1, config)
+    with pytest.raises(TypeError, match="not one string"):
+        run_trials(B, b, y0, ybar, "cyclic", 1, config)
 
 
 def test_mean_error_curve_pads_with_last_value():
