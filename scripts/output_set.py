@@ -18,7 +18,9 @@ of all four strategies at --trials 1, 3, 32 and 50 with a per-trial SVG,
 ``compare`` of fixed and preshuffled with --sigma and ``plot --per-trial``;
 on fan m = 16 and complex n = 12 also ``compare`` of a reordered subset of
 the strategies (SUBSET, --trials 5), which shows a seed keyed by a
-strategy's place in the list instead of its kind; ``analyze`` and ``bounds`` of all six (the lowrank inputs take both analyze
+strategy's place in the list instead of its kind, and of preshuffled alone
+(--trials 5, no --sigma), a stack whose every trial reuses its order;
+``analyze`` and ``bounds`` of all six (the lowrank inputs take both analyze
 paths, exhaustive at n = 8 and heuristic at n = 32).
 
 With ``--against REV`` the set runs a second time on the tree of git
@@ -81,6 +83,9 @@ def _commands():
             commands.append((f"compare-{name}-subset", [
                 "compare", *run, "--strategies", ",".join(SUBSET), "--trials", "5",
                 "--out-csv", f"{name}/compare-subset.csv"]))
+            commands.append((f"compare-{name}-preshuffled", [
+                "compare", *run, "--strategies", "preshuffled", "--trials", "5",
+                "--out-csv", f"{name}/compare-preshuffled.csv"]))
         commands.append((f"plot-{name}", ["plot", "--csv", f"{name}/compare-t32.csv", "--per-trial",
                                           "--title", name, "--out", f"{name}/plot-t32.svg"]))
     for name in INPUTS:

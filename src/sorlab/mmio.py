@@ -126,11 +126,8 @@ def read_matrix(path):
     values = _entry_values(path, lines[:expected], expected, width, 3 + len(comments))
     if any(line.strip() for line in lines[expected:]):
         raise ValueError(f"{path}: found more than {expected} expected entries")
-    if complex_field:
-        with np.errstate(invalid="ignore"):  # Python's a + 1j * b: 0 * inf gives nan
-            M[entry_rows, entry_cols] = values[:, 0] + 1j * values[:, 1]
-    else:
-        M[entry_rows, entry_cols] = values[:, 0]
+    # a complex entry's two numbers, viewed as complex128, are its real and imaginary parts
+    M[entry_rows, entry_cols] = values.view(dtype)[:, 0]
     if symmetry != "general":
         iu = np.triu_indices(rows, 1)
         M[iu] = (M.conj() if symmetry == "hermitian" else M).T[iu]

@@ -7,15 +7,15 @@ seed. ``Generator.permutation`` performs a Fisher-Yates shuffle and
 uniform and integer draws carry no modulo bias. Parallel or repeated trials
 use :func:`derive_seed` so streams are independent and order-insensitive.
 
-Derived seeds come from sorlab's own copy of the hash of numpy's
-``SeedSequence`` (:func:`_seed_state`, with numpy's published constants;
-the tests pin it to numpy's). Each entropy word may be a Python int or a
-uint32 array, so one pass hashes every trial of a batch: the private
-:func:`_derive_seeds` and :func:`_generators` give the :func:`derive_seed`
-and :func:`make_rng` of many trials at once, with the same seeds and
+One seed goes through numpy: :func:`derive_seed` is numpy's
+``SeedSequence`` and :func:`make_rng` its ``default_rng``. A batch goes
+through sorlab's copy of the ``SeedSequence`` hash (:func:`_seed_state`,
+with numpy's published constants, on uint32 arrays, one entropy per
+element; the tests pin it to numpy's): the private
+:func:`_derived_generators` gives the :func:`derive_seed` and
+:func:`derived_rng` of many trials in one pass, with the same seeds and
 generator states, each generator built from its precomputed PCG64 state
-words. :func:`make_rng` of one seed stays numpy's ``default_rng``, whose
-compiled hash is faster than the copy on a single seed.
+words.
 
 The orders of k consecutive sweeps can be drawn in one call
 (``sweep_order(..., sweeps=k)``): a PCG64 ``permuted`` over k rows, or one
@@ -60,35 +60,32 @@ _STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def _seed_state(words, n_words: int) -> list:
-    """The first n_words (at most 8) uint32 words of
-    ``np.random.SeedSequence(entropy).generate_state(n_words)``, for the
-    entropy given as its 32-bit words (see :func:`_int_words`).
-
-    Either every word is a Python int below 2**32, and so is every state
-    word, or every word is a uint32 array of one shape (one word per
-    trial), and so is every state word. numpy's ``mix_entropy`` and
-    ``generate_state``, step by step: arrays wrap mod 2**32, ints are
-    masked.
+    """The first n_words (at most 8) words of
+    ``np.random.SeedSequence(entropy).generate_state(n_words)`` of many
+    entropies in one pass: the entropy words are uint32 arrays of one shape,
+    one entropy per element (see :func:`_int_words`), and so is every state
+    word. numpy's ``mix_entropy`` and ``generate_state``, step by step, the
+    uint32 arithmetic wrapping mod 2**32 as numpy's does; a missing word of
+    a short entropy hashes as 0.
     """
-    zero = words[0] & 0  # a missing word of a short entropy: an int or an array
     pool = []
-    for w, (x, m) in zip(words[:4] + [zero] * (4 - len(words)), _FILL_STEPS):
-        v = (w ^ x) * m & _MASK32
+    for w, (x, m) in zip(words[:4] + [np.zeros_like(words[0])] * (4 - len(words)), _FILL_STEPS):
+        v = (w ^ x) * m
         pool.append(v ^ v >> 16)
     for src, dst, x, m in _MIX_STEPS:
-        v = (pool[src] ^ x) * m & _MASK32
-        v = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _MASK32
+        v = (pool[src] ^ x) * m
+        v = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)
         pool[dst] = v ^ v >> 16
     m = _MIX_STEPS[-1][3]
     for w in words[4:]:  # entropy beyond the pool, mixed into every pool word
         for dst in range(4):
             x, m = m, m * _MULT_A & _MASK32
-            v = (w ^ x) * m & _MASK32
-            v = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _MASK32
+            v = (w ^ x) * m
+            v = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)
             pool[dst] = v ^ v >> 16
     state = []
     for (x, m), p in zip(_STATE_STEPS[:n_words], pool + pool):
-        v = (p ^ x) * m & _MASK32
+        v = (p ^ x) * m
         state.append(v ^ v >> 16)
     return state
 
@@ -115,30 +112,18 @@ def derive_seed(base_seed: int, *path: int) -> int:
 
     Distinct paths give statistically independent streams, so trials can be
     seeded as derive_seed(base, trial_index) regardless of execution order.
-    It is ``np.random.SeedSequence([base_seed, *path]).generate_state(1,
-    np.uint64)[0]``.
     """
-    lo, hi = _seed_state([w for v in (base_seed, *path) for w in _int_words(v)], 2)
-    return lo | hi << 32
+    return int(np.random.SeedSequence([base_seed, *path]).generate_state(1, np.uint64)[0])
 
 
 def derived_rng(base_seed: int, *path: int) -> np.random.Generator:
     return make_rng(derive_seed(base_seed, *path))
 
 
-def _derive_seeds(base_seed: int, *path) -> np.ndarray:
-    """:func:`derive_seed` of many trials in one hash pass, as a uint64
-    array: a path entry is an int, or an array of ints below 2**32, one per
-    trial; at least one entry is an array."""
-    words = [np.asarray(w, dtype=np.uint32) for v in (base_seed, *path)
-             for w in (_int_words(v) if np.ndim(v) == 0 else [v])]
-    lo, hi = _seed_state(list(np.broadcast_arrays(*words)), 2)
-    return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
-
-
-def _generators(seeds) -> list[np.random.Generator]:
-    """:func:`make_rng` of each seed (a non-negative int below 2**128), from
-    one hash pass over all of them."""
+def _derived_generators(base_seed: int, *path) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """:func:`derive_seed` and :func:`derived_rng` of many trials in one hash
+    pass: the uint64 seeds and their generators. A path entry is an int, or
+    an array of ints below 2**32, one per trial; at least one is an array."""
     # numpy.random loads here, at first use, as in make_rng
     from numpy.random.bit_generator import ISeedSequence
 
@@ -152,15 +137,16 @@ def _generators(seeds) -> list[np.random.Generator]:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    seeds = np.asarray(seeds, dtype=object)
-    if any(s < 0 or s >> 128 for s in seeds):
-        raise ValueError("seeds must be non-negative and below 2**128")
-    # a pool of 4 hashes a missing entropy word as 0: four words give every
-    # seed below 2**128 the state of its own words
-    words = _seed_state([(seeds >> 32 * i & _MASK32).astype(np.uint32) for i in range(4)], 8)
+    words = [np.asarray(w, dtype=np.uint32) for v in (base_seed, *path)
+             for w in (_int_words(v) if np.ndim(v) == 0 else [v])]
+    lo, hi = _seed_state(list(np.broadcast_arrays(*words)), 2)
+    seeds = lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
+    # make_rng(seed) hashes the seed's words (lo, hi), hi left out when 0:
+    # the same state, as a missing word hashes as 0
+    state = np.stack(_seed_state([lo, hi], 8), axis=-1)
     # little-endian pairs of words, as generate_state(4, np.uint64) makes them
-    state = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return seeds, [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,16 +28,16 @@ dot product and a scatter. Errors and residuals are row-wise sums (no
 matrix product over the stack), so a trial's history does not depend on T
 or on the other trials. It never imports SciPy.
 
-:func:`_sweeps` builds the plan of a stack whose trials all reuse their order
-(cyclic, fixed and so preshuffled) once, a gathered copy of B in the block
-pass. A shuffled or single-step random trial gets a plan per sweep, and its
-orders are drawn ahead, in chunks of 1, 2, 4, ... sweeps of at most
-max(n, ORDER_CHUNK) indices and never past max_sweeps
+:func:`_sweeps` hands each sweep the orders of its live rows. A shuffled or
+single-step random trial draws its orders ahead, in chunks of 1, 2, 4, ...
+sweeps of at most max(n, ORDER_CHUNK) indices and never past max_sweeps
 (:func:`_order_chunks`). A chunk of k sweeps is one
 :func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
 stream exactly as k single draws do, so the orders, and every output byte,
-are those of one draw per sweep. A stack may mix the two: a row that
-reuses its order repeats it in every chunk and draws nothing.
+are those of one draw per sweep. A trial that reuses its order (cyclic,
+fixed and so preshuffled) repeats it in every chunk and draws nothing. A
+block trial over such an order builds its plan, a gathered copy of B, once
+and keeps it; every other pass builds its plan or steps per sweep.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block pass on a one-row
 stack, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one
@@ -63,7 +63,7 @@ import numpy as np
 
 from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
                      _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
-from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, _derive_seeds, _generators,
+from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, _derived_generators,
                         check_permutation, derive_seed, fixed, make_rng, random_permutation,
                         sweep_order)
 
@@ -129,9 +129,11 @@ def _sor_inputs(B, **vectors):
 
 
 def _kaczmarz_inputs(A, b, **vectors):
-    """Checked (A, b, *vectors) of a Kaczmarz sweep: A finite with unit-norm
-    rows; b finite with length m, each named vector with length n."""
+    """Checked (A, b, *vectors) of a Kaczmarz sweep: A finite with at least
+    one row, all of unit norm; b finite with length m, each vector length n."""
     A = _as_matrix(A, "A")
+    if not len(A):
+        raise ValueError("A must have at least one row")
     norms = np.linalg.norm(A, axis=1)
     if np.max(np.abs(norms - 1.0)) > KACZMARZ_ROW_NORM_TOL:
         raise ValueError("rows of A must have unit norm")
@@ -227,23 +229,15 @@ def kaczmarz_sweep(A, b, x, omega: float, order) -> np.ndarray:
     return x
 
 
-def _stack_plan(b, orders):
-    """The steps of an SOR sweep of a stack whose row t sweeps over orders[t],
-    yielded as (idx, at, b[idx]): the index each row relaxes at one step, its
-    position in the flattened stack, and its entry of b. orders is a (T, n)
-    array."""
-    steps = np.ascontiguousarray(orders.T)
-    return zip(steps, steps + len(b) * np.arange(len(orders)), b[steps])
-
-
-def _stack_pass(steps, B_conj, V, omega):
-    """Relax the rows of the C-contiguous stack V in place, one coordinate of
-    every row per step: V[t, i] += omega * (b[i] - B[i] @ V[t]) with the
-    latest V[t]. B_conj is B conjugated, as ``np.vecdot`` conjugates its
-    first operand; it takes one dot product per row, so a row's result does
-    not depend on the other rows."""
+def _stack_sweep(orders, b, B_conj, V, omega):
+    """Sweep the rows of the C-contiguous (T, n) stack V in place, row t over
+    orders[t], one coordinate of every row per step: V[t, i] += omega * (b[i]
+    - B[i] @ V[t]) with the latest V[t]. B_conj is B conjugated, as
+    ``np.vecdot`` conjugates its first operand; it takes one dot product per
+    row, so a row's result does not depend on the other rows."""
+    steps = np.ascontiguousarray(orders.T)  # the index each row relaxes at a step
     flat = V.reshape(-1)
-    for idx, at, b_idx in steps:
+    for idx, at, b_idx in zip(steps, steps + len(b) * np.arange(len(orders)), b[steps]):
         flat[at] += omega * (b_idx - np.vecdot(B_conj.take(idx, axis=0), V))
 
 
@@ -258,7 +252,7 @@ def _order_chunks(n, max_sweeps):
         k *= 2
 
 
-def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, orders,
+def _sweeps(V, n, measure, sweep, config: SolverConfig, orders,
             seeds) -> list[IterationHistory]:
     """Sweep the rows of the C-contiguous (T, w) stack V in place, trial t in
     row t, over orders of n indices; return one history per trial.
@@ -267,15 +261,14 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, orders,
     function that draws the (k, n) orders of its next k sweeps; it is called
     with the k of each chunk of :func:`_order_chunks`, and a chunk holds one
     (k, rows, n) array for the live rows, a reused order repeated k times.
-    When every trial reuses its order the plan is built once, and again
-    when trials leave; otherwise one is built per sweep. ``plan(orders)``
-    builds the plan of a (rows, n) array of orders and ``sweep(plan, V)``
-    applies it. ``measure(V)`` returns the rows' errors and residuals as two
-    lists of floats, recorded before the first and after every sweep. Raises
-    ValueError once one is NaN or Inf, naming the sweep and the trial's
-    seed, ``seeds[t]``. A trial stops after ``config.max_sweeps`` sweeps or
-    once its error reaches ``config.target_error_sq``, and leaves the stack
-    with its rows of the chunk.
+    ``sweep(orders, V)`` sweeps each row of V once, over its row of the
+    (rows, n) orders of one sweep of the chunk. ``measure(V)`` returns the rows' errors
+    and residuals as two lists of floats, recorded before the first and
+    after every sweep. Raises ValueError once one is NaN or Inf, naming the
+    sweep and the trial's seed, ``seeds[t]``. A trial stops after
+    ``config.max_sweeps`` sweeps or once its error reaches
+    ``config.target_error_sq``, and leaves the stack with its rows of the
+    chunk.
     """
     rows = list(range(len(seeds)))  # the trial of each row of V
     errors: list[list[float]] = [[] for _ in seeds]
@@ -299,25 +292,18 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, orders,
             residuals[t].append(r)
         return errs
 
-    def reused_plan():
-        return list(plan(np.array(live)))
-
     record(0)
     live = list(orders)  # the orders of each row of V
-    reused = not any(map(callable, live))
-    if reused:
-        trial_plan = reused_plan()
-    else:
-        # chunk[j] holds the live rows' orders of the chunk's sweep j
-        chunks, chunk, j = _order_chunks(n, config.max_sweeps), (), 0
+    # chunk[j] holds the live rows' orders of the chunk's sweep j
+    chunks, chunk, j = _order_chunks(n, config.max_sweeps), (), 0
     for sweep_no in range(1, config.max_sweeps + 1):
-        if not reused:
-            if j == len(chunk):
-                k, j = next(chunks), 0
-                chunk = np.array([o(k) if callable(o) else np.broadcast_to(o, (k, n))
-                                  for o in live]).transpose(1, 0, 2)
-            trial_plan, j = plan(chunk[j]), j + 1
-        sweep(trial_plan, V)
+        if j == len(chunk):
+            k, j = next(chunks), 0
+            chunk = np.empty((k, len(live), n), dtype=np.intp)
+            for t, o in enumerate(live):
+                chunk[:, t] = o(k) if callable(o) else o
+        sweep(chunk[j], V)
+        j += 1
         errs = record(sweep_no)
         if min(errs) > target:
             continue
@@ -327,13 +313,10 @@ def _sweeps(V, n, measure, plan, sweep, config: SolverConfig, orders,
                 finals[t] = row.copy()
         V = V[going]
         rows = [t for t, on in zip(rows, going) if on]
-        live = [o for o, on in zip(live, going) if on]
         if not rows:
             break
-        if reused:
-            trial_plan = reused_plan()
-        else:
-            chunk = chunk[:, going]
+        live = [o for o, on in zip(live, going) if on]
+        chunk = chunk[:, going]
     for t, row in zip(rows, V):
         finals[t] = row
     return [IterationHistory(np.array(e), np.array(r), v)
@@ -344,7 +327,8 @@ def _block_trial(M, b, v, error, plan, sweep, config: SolverConfig,
                  strategy: OrderingStrategy) -> IterationHistory:
     """One trial of the block pass, v swept in place as the one row of a
     :func:`_sweeps` stack seeded with ``config.seed``: its plans are
-    ``plan(M, omega, order)``, its sweeps ``sweep(plan, b, v, omega, trtrs)``
+    ``plan(M, omega, order)``, built once for an order the strategy reuses
+    and per sweep otherwise, its sweeps ``sweep(plan, b, v, omega, trtrs)``
     with the solver :func:`_trtrs` picks, its errors ``error(v)`` and its
     residuals ||b - M v||."""
     trtrs = _trtrs(v)
@@ -359,10 +343,16 @@ def _block_trial(M, b, v, error, plan, sweep, config: SolverConfig,
                             else math.sqrt(r.dot(r))]
 
     n = M.shape[0]
-    orders = (sweep_order(strategy, n) if strategy.reuses_order
-              else partial(sweep_order, strategy, n, make_rng(config.seed)))
-    h, = _sweeps(v[None], n, measure, lambda orders: plan(M, omega, orders[0]),
-                 lambda p, _: sweep(p, b, v, omega, trtrs), config, [orders], [config.seed])
+    if strategy.reuses_order:
+        order = sweep_order(strategy, n)
+        blocks = list(plan(M, omega, order))
+    else:
+        order, blocks = partial(sweep_order, strategy, n, make_rng(config.seed)), None
+
+    def step(orders, _):
+        sweep(plan(M, omega, orders[0]) if blocks is None else blocks, b, v, omega, trtrs)
+
+    h, = _sweeps(v[None], n, measure, step, config, [order], [config.seed])
     return h
 
 
@@ -405,8 +395,8 @@ def _run_stack(B, b, y0, ybar, config: SolverConfig, orders,
         return _energy_rows(B, ybar - V).tolist(), np.sqrt(_rows_dot(r, r)).tolist()
 
     V = np.tile(np.asarray(y0, dtype=dtype), (len(seeds), 1))
-    return _sweeps(V, len(b), measure, lambda orders: _stack_plan(b, orders),
-                   lambda steps, V: _stack_pass(steps, B_conj, V, omega), config, orders, seeds)
+    return _sweeps(V, len(b), measure, lambda orders, V: _stack_sweep(orders, b, B_conj, V, omega),
+                   config, orders, seeds)
 
 
 def run_trials(B, b, y0, ybar, kinds, trials: int, config: SolverConfig,
@@ -453,14 +443,15 @@ def run_trials(B, b, y0, ybar, kinds, trials: int, config: SolverConfig,
             stacked.append(kind)
     if stacked:
         trial_kinds = [kind for kind in stacked for _ in range(trials)]
-        seeds = _derive_seeds(config.seed, np.array([TRIAL_KINDS.index(k) for k in trial_kinds]),
-                              np.tile(np.arange(trials), len(stacked)),
-                              np.array([int(k == "preshuffled") for k in trial_kinds]))
+        seeds, generators = _derived_generators(
+            config.seed, np.array([TRIAL_KINDS.index(k) for k in trial_kinds]),
+            np.tile(np.arange(trials), len(stacked)),
+            np.array([int(k == "preshuffled") for k in trial_kinds]))
         strategies = {kind: OrderingStrategy(kind) for kind in stacked if kind != "preshuffled"}
         # a preshuffled trial's generator draws its one order before the first sweep
         orders = [random_permutation(n, rng) if kind == "preshuffled"
                   else partial(sweep_order, strategies[kind], n, rng)
-                  for kind, rng in zip(trial_kinds, _generators(seeds))]
+                  for kind, rng in zip(trial_kinds, generators)]
         stack = _run_stack(B, b, y0, ybar, config, orders, seeds.tolist())
         for i, kind in enumerate(stacked):
             histories[kind] = stack[i * trials:(i + 1) * trials]

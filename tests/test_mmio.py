@@ -185,7 +185,7 @@ def test_read_names_the_first_bad_entry(tmp_path, field, body, message):
 
 def test_read_parses_entries_as_float_does(tmp_path):
     # padded lines, extra tokens after an entry's numbers, special values
-    # and signed zeros; a complex entry is float(a) + 1j * float(b), bit
+    # and signed zeros; a complex entry is complex(float(a), float(b)), bit
     # for bit
     tokens = [" 0.1 ", "-0.0", "1e-320", "+.5", "5.", "1_0", "-1e-400", "2.0 junk", "-3.5e+00"]
     path = tmp_path / "v.mtx"
@@ -194,17 +194,23 @@ def test_read_parses_entries_as_float_does(tmp_path):
     want = np.array([float(t.split()[0]) for t in tokens])
     assert read_vector(path)[0].tobytes() == want.tobytes()
     pairs = [("1.0", "-0.0"), ("-0.0", "2.0"), ("-0.0", "-2.0"), ("0.0", "-0.0"), ("nan", "1"),
-             ("3", "inf"), ("-inf", "0"), ("0.5", "0.25 extra")]
+             ("3", "inf"), ("-inf", "0"), ("0.5", "0.25 extra"), ("-0.0", "-inf")]
     path.write_text(f"%%MatrixMarket matrix array complex general\n{len(pairs)} 1\n"
                     + "\n".join(f"{a} {b}" for a, b in pairs) + "\n")
-    want = np.array([float(a) + 1j * float(b.split()[0]) for a, b in pairs])
+    want = np.array([complex(float(a), float(b.split()[0])) for a, b in pairs])
+    assert read_vector(path)[0].tobytes() == want.tobytes()
+
+
+def test_complex_vector_round_trip_keeps_signed_zeros_and_infinities(tmp_path):
+    v = np.array([complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0),
+                  complex(1.0, np.inf)])
+    path = tmp_path / "v.mtx"
+    write_vector(path, v)
     got = read_vector(path)[0]
-    same = np.isnan(want) & np.isnan(got)
-    assert np.array_equal(got.view(np.float64)[~np.repeat(same, 2)],
-                          want.view(np.float64)[~np.repeat(same, 2)])
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    assert got.tobytes() == v.tobytes()
+    assert np.signbit(got.real).tolist() == [True, False, True, False]
+    assert np.signbit(got.imag).tolist() == [False, True, True, False]
+    assert np.isinf(got.imag[-1]) and got.real[-1] == 1.0
 
 
 def test_read_empty_matrix(tmp_path):

@@ -216,23 +216,26 @@ def _numpy_seed(base, *path):
     return int(np.random.SeedSequence([base, *path]).generate_state(1, np.uint64)[0])
 
 
+def _derived_seeds(base, *path):
+    return orderings._derived_generators(base, *path)[0].tolist()
+
+
 @pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1])
 def test_seed_hash_equals_numpy_seed_sequence(base):
-    # sorlab's copy of the SeedSequence hash, scalar (derive_seed) and in
-    # one pass over a batch (_derive_seeds), against numpy's, on the paths
-    # run_trials uses (k, t, c), on shorter ones and on paths past the pool
+    # sorlab's copy of the SeedSequence hash, in one pass over a batch
+    # (_derived_generators), against numpy's, on the paths run_trials uses
+    # (k, t, c), on a shorter one and on one past the pool
     k, t, c = (a.ravel() for a in np.meshgrid(np.arange(5), np.arange(300), np.arange(2),
                                               indexing="ij"))
     want = [_numpy_seed(base, *path) for path in zip(k.tolist(), t.tolist(), c.tolist())]
-    assert orderings._derive_seeds(base, k, t, c).tolist() == want
+    assert _derived_seeds(base, k, t, c) == want
     assert [derive_seed(base, *path) for path in zip(k.tolist(), t.tolist(), c.tolist())] == want
     long_paths = [(1, 2, 3, 4, 5), (0, 0, 0, 0, 0), (7, 2**32 - 1, 2**40, 9, 2**64 + 1)]
     for path in [(), (7,), *long_paths]:
         assert derive_seed(base, *path) == _numpy_seed(base, *path)
-    assert orderings._derive_seeds(base, 3, np.arange(300), 4, 5).tolist() == [
+    assert _derived_seeds(base, 3, np.arange(300), 4, 5) == [
         _numpy_seed(base, 3, i, 4, 5) for i in range(300)]
-    assert orderings._derive_seeds(base, np.arange(300)).tolist() == [
-        _numpy_seed(base, i) for i in range(300)]
+    assert _derived_seeds(base, np.arange(300)) == [_numpy_seed(base, i) for i in range(300)]
 
 
 def test_seed_hash_rejects_negative_entropy():
@@ -240,21 +243,32 @@ def test_seed_hash_rejects_negative_entropy():
         derive_seed(-1, 2)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         derive_seed(3, 2, -4)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        orderings._derived_generators(-1, np.arange(3))
+
+
+def test_seed_state_hashes_a_missing_word_as_zero():
+    # a seed below 2**32 is one entropy word; hashed with a hi word of 0 it
+    # gets the state of that one word, so _derived_generators can hash
+    # every derived seed as (lo, hi)
+    lo = np.array([0, 1, 2**32 - 1, *make_rng(3).integers(0, 2**32, 20)], dtype=np.uint32)
+    state = np.stack(orderings._seed_state([lo, np.zeros_like(lo)], 8), axis=-1)
+    assert state.dtype == np.uint32
+    for w, got in zip(lo.tolist(), state):
+        assert np.array_equal(got, np.random.SeedSequence(w).generate_state(8))
 
 
 def test_generators_equal_default_rng():
     # the generators run_trials builds from precomputed state words start
-    # in default_rng's state, for one- to four-word seeds
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**128 - 1]
-    seeds += orderings._derive_seeds(9, 1, np.arange(300), 0).tolist()
-    generators = orderings._generators(seeds)
-    assert len(generators) == len(seeds) >= 300
-    for seed, rng in zip(seeds, generators):
-        assert rng.bit_generator.state == make_rng(seed).bit_generator.state
-    assert np.array_equal(generators[-1].permutation(20), make_rng(seeds[-1]).permutation(20))
-    for bad in (2**128, -1):
-        with pytest.raises(ValueError, match="non-negative and below 2\\*\\*128"):
-            orderings._generators([3, bad])
+    # in default_rng's state of their derived seeds
+    for base in (0, 9, 2**64 + 5):
+        seeds, generators = orderings._derived_generators(base, 1, np.arange(300), 0)
+        assert seeds.dtype == np.uint64
+        assert len(generators) == len(seeds) == 300
+        for seed, rng in zip(seeds.tolist(), generators):
+            assert rng.bit_generator.state == make_rng(seed).bit_generator.state
+        assert np.array_equal(generators[-1].permutation(20),
+                              make_rng(seeds[-1]).permutation(20))
 
 
 def test_permutation_serialization_round_trip():

@@ -151,6 +151,14 @@ def test_kaczmarz_sweep_rejects_unnormalized_rows():
         kaczmarz_sweep(2 * np.eye(2), np.zeros(2), np.zeros(2), 1.0, [0, 1])
 
 
+def test_kaczmarz_rejects_a_factor_with_no_rows():
+    A = np.zeros((0, 3))
+    with pytest.raises(ValueError, match="A must have at least one row"):
+        kaczmarz_sweep(A, np.zeros(0), np.zeros(3), 1.0, [])
+    with pytest.raises(ValueError, match="A must have at least one row"):
+        run_kaczmarz(A, np.zeros(0), np.zeros(3), np.zeros(3), SolverConfig(), cyclic())
+
+
 @given(seed=st.integers(0, 10**6), cplx=st.booleans(),
        omega=st.floats(0.1, 1.9))
 @settings(max_examples=25, deadline=None)
@@ -289,6 +297,39 @@ def test_fixed_order_trials_draw_one_order(monkeypatch, kind, draws):
     run_kaczmarz(inst.A, inst.A @ inst.xbar, np.zeros(4), inst.xbar, config, strategy)
     assert sum(calls) == draws
     assert len(calls) == (1 if draws == 1 else 3)
+
+
+def test_block_trials_build_a_reused_order_plan_once(monkeypatch):
+    # a block trial over an order it reuses (cyclic; fixed or preshuffled
+    # with sigma) builds its plan once and keeps it for every sweep; a
+    # shuffled trial builds one per sweep
+    calls = []
+
+    def counted(B, omega, order):
+        calls.append(order)
+        return real(B, omega, order)
+
+    real = solvers._sor_plan
+    monkeypatch.setattr(solvers, "_sor_plan", counted)
+    fan = fan_problem(32)
+    y0 = np.zeros(64)
+    y0[1] = 1.0
+    config = SolverConfig(max_sweeps=60, target_error_sq=0.0, seed=4)
+    h = run_solver(fan.B, fan.b, y0, fan.ybar, config, cyclic())
+    assert h.sweeps == 60
+    assert len(calls) == 1
+    calls.clear()
+    inst = random_factor_problem(16, 16, rng=make_rng(58))
+    h = run_solver(inst.B, inst.b, np.zeros(16), inst.ybar, config, shuffled())
+    assert h.sweeps == 60
+    assert len(calls) == 60
+    calls.clear()
+    B, b, y0, ybar = _trial_system()
+    sigma = [5, 3, 1, 0, 2, 4]
+    histories = run_trials(B, b, y0, ybar, ["cyclic", "fixed", "preshuffled"], 5,
+                           replace(config, max_sweeps=7), sigma=sigma)
+    assert [h.sweeps for hs in histories.values() for h in hs] == [7] * 15
+    assert [c.tolist() for c in calls] == [list(range(6)), sigma, sigma]
 
 
 @pytest.mark.parametrize("max_sweeps, chunks", [(1, [1]), (2, [1, 1]),
@@ -627,15 +668,16 @@ def test_run_trials_derive_one_seed_per_trial(monkeypatch, kind):
     passes, calls = [], []
 
     def counted_pass(*path):
-        passes.append(real_pass(*path))
-        return passes[-1]
+        seeds, generators = real_pass(*path)
+        passes.append(seeds)
+        return seeds, generators
 
     def counted(*path):
         calls.append(path)
         return derive_seed(*path)
 
-    real_pass = solvers._derive_seeds
-    monkeypatch.setattr(solvers, "_derive_seeds", counted_pass)
+    real_pass = solvers._derived_generators
+    monkeypatch.setattr(solvers, "_derived_generators", counted_pass)
     from sorlab import orderings
     for module in (solvers, orderings):  # derived_rng calls orderings.derive_seed
         monkeypatch.setattr(module, "derive_seed", counted)
