@@ -40,7 +40,7 @@ from .linalg import (
     spectral_norm,
     spectral_summary,
 )
-from .orderings import check_permutation
+from .orderings import check_permutation, shuffled, sweep_order
 from .solvers import _check_omega
 
 # Largest n for which all n! permutations are enumerated (8! = 40320), or, in
@@ -102,8 +102,10 @@ def _perm_batches(n, trials=None, rng=None):
     Without ``trials``: all n! permutations in lexicographic order, one
     batch per leading index, each built from one table of the (n - 1)!
     orders of the rest. With it: ``trials`` >= 1 uniform permutations drawn
-    from ``rng`` (required), in batches of _batch_size(n) orders; the draws
-    do not depend on the batch size.
+    from ``rng`` (required) by :func:`~sorlab.orderings.sweep_order`, in
+    batches of _batch_size(n) orders; a batch of k orders consumes the
+    stream as k ``rng.permutation(n)`` calls, so the draws do not depend on
+    the batch size.
     """
     if trials is None:
         tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
@@ -119,7 +121,7 @@ def _perm_batches(n, trials=None, rng=None):
     size = _batch_size(n)
     for done in range(0, trials, size):
         k = min(size, trials - done)
-        yield rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1).astype(np.intp)
+        yield sweep_order(shuffled(), n, rng, k)
 
 
 def _lower_gram_terms(B, perms):
@@ -439,11 +441,12 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     only steer which swaps get scored.
 
     The restarts descend in lockstep. Every starting order is drawn first,
-    one ``rng.permutation(n)`` per restart in restart order. The restarts
-    then run in groups of _batch_size(n) consecutive ones (315 at n = 32,
-    78 at n = 64, 4 at n = 256), so that the (R, n, n) stacks of L and the
-    (R, n - 1, n) stacks of the bounds hold at most _CHUNK * 64 entries
-    whatever ``restarts`` is. In a round, every restart of the group that is
+    in restart order, by one :func:`~sorlab.orderings.sweep_order` call (it
+    consumes the stream as one ``rng.permutation(n)`` per restart). The
+    restarts then run in groups of _batch_size(n) consecutive ones (315 at
+    n = 32, 78 at n = 64, 4 at n = 256), so that the (R, n, n) stacks of L
+    and the (R, n - 1, n) stacks of the bounds hold at most _CHUNK * 64
+    entries whatever ``restarts`` is. In a round, every restart of the group that is
     still descending takes one step, together with the others: one
     :func:`_swap_bounds` call on the stack, one exact-norm call for every
     restart's least-bound swap, one for all the swaps that survive pruning
@@ -466,7 +469,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     _check_rng(rng)
     n = B.shape[0]
     norm_b = _nonzero_norm(B)
-    starts = np.array([rng.permutation(n) for _ in range(restarts)], np.intp)
+    starts = sweep_order(shuffled(), n, rng, restarts)
     ends, start_norms, end_norms = starts.copy(), np.empty(restarts), np.empty(restarts)
     group = _batch_size(n)
     for lo in range(0, restarts, group):

@@ -257,6 +257,12 @@ def energy_seminorm_sq(B, y) -> float:
     y = np.asarray(y)
     if y.shape != (B.shape[0],):
         raise ValueError("vector length does not match matrix size")
+    return _energy(B, y)
+
+
+def _energy(B, y):
+    """:func:`energy_seminorm_sq` of a B that passed ``_as_matrix`` and a y
+    of matching length, without checking them again."""
     return _clamp_energy(float(np.vdot(y, B @ y).real), B, y)
 
 

@@ -17,11 +17,14 @@ element; the tests pin it to numpy's): the private
 generator states, each generator built from its precomputed PCG64 state
 words.
 
-The orders of k consecutive sweeps can be drawn in one call
+Every uniform order comes from :func:`sweep_order`: the sweeps of a
+shuffled trial, :func:`random_permutation` (so a preshuffled order), and
+the Monte Carlo orders and heuristic starts of :mod:`sorlab.analysis`. The
+orders of k consecutive sweeps can be drawn in one call
 (``sweep_order(..., sweeps=k)``): a PCG64 ``permuted`` over k rows, or one
 ``integers`` call of shape (k, n), consumes the stream exactly as k single
-draws do, so it returns the same orders and leaves the generator in the
-same state.
+draws do (k ``rng.permutation(n)`` calls, for a shuffled order), so it
+returns the same orders and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -150,10 +153,10 @@ def _derived_generators(base_seed: int, *path) -> tuple[np.ndarray, list[np.rand
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random permutation of {0..n-1}; advances rng."""
+    """Uniform permutation of {0..n-1}; advances rng as ``rng.permutation(n)`` does."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return rng.permutation(n)
+    return sweep_order(shuffled(), n, rng)
 
 
 def _as_indices(seq) -> np.ndarray:
@@ -237,25 +240,24 @@ def sweep_order(strategy: OrderingStrategy, n: int,
     """Index sequence (length n) for one sweep under the given strategy.
 
     With ``sweeps=k``, the (k, n) orders of k consecutive sweeps: the rows
-    equal k single calls, and rng ends in the same state.
+    equal k single calls, and rng ends in the same state. A strategy that
+    reuses its order draws nothing; the others draw from rng, a shuffled
+    row as ``rng.permutation(n)`` does.
     """
-    if strategy.kind in ("shuffled", "single_step_random"):
-        if rng is None:
-            raise ValueError(f"{strategy.kind} ordering needs an rng")
-        k = 1 if sweeps is None else sweeps
-        if strategy.kind == "shuffled":
-            orders = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
-        else:
-            orders = rng.integers(0, n, size=(k, n))
-        orders = orders.astype(np.intp, copy=False)
-        return orders[0] if sweeps is None else orders
-    if strategy.kind == "cyclic":
-        order = np.arange(n, dtype=np.intp)
-    else:  # fixed
-        if len(strategy.sigma) != n:
+    if strategy.reuses_order:
+        order = np.arange(n, dtype=np.intp) if strategy.kind == "cyclic" else strategy.sigma.copy()
+        if len(order) != n:
             raise ValueError("stored permutation length does not match n")
-        order = strategy.sigma.copy()
-    return order if sweeps is None else np.tile(order, (sweeps, 1))
+        return order if sweeps is None else np.tile(order, (sweeps, 1))
+    if rng is None:
+        raise ValueError(f"{strategy.kind} ordering needs an rng")
+    k = 1 if sweeps is None else sweeps
+    if strategy.kind == "shuffled":
+        orders = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    else:  # single_step_random
+        orders = rng.integers(0, n, size=(k, n))
+    orders = orders.astype(np.intp, copy=False)
+    return orders[0] if sweeps is None else orders
 
 
 def format_permutation(sigma) -> str:

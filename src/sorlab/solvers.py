@@ -41,7 +41,9 @@ and keeps it; every other pass builds its plan or steps per sweep.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block pass on a one-row
 stack, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one
-plan, behind one input check per update rule. :func:`run_trials` runs
+plan, behind one input check per update rule. A block trial checks B once,
+at entry: the energy error of each sweep reads the checked B through
+the unchecked ``linalg._energy``. :func:`run_trials` runs
 seeded Monte Carlo trials of several ordering kinds and owns their seed
 scheme: trials that are identical by construction run once per kind
 through the block pass, and the others, of every kind, as one stack at
@@ -61,8 +63,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import (_as_matrix, _as_square, _check_vector, _energy_rows, _ordered_lower,
-                     _rows_dot, _rows_times, energy_seminorm_sq, has_unit_diagonal)
+from .linalg import (_as_matrix, _as_square, _check_vector, _energy, _energy_rows,
+                     _ordered_lower, _rows_dot, _rows_times, has_unit_diagonal)
 from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, _derived_generators,
                         check_permutation, derive_seed, fixed, make_rng, random_permutation,
                         sweep_order)
@@ -358,10 +360,11 @@ def _block_trial(M, b, v, error, plan, sweep, config: SolverConfig,
 
 def _run_sor(B, b, y0, ybar, config: SolverConfig,
              strategy: OrderingStrategy) -> IterationHistory:
-    """:func:`run_solver` on checked inputs."""
+    """:func:`run_solver` on checked inputs: B is checked once, by
+    :func:`_sor_inputs`, and each sweep's error reads it unchecked."""
     y = np.array(y0, dtype=np.result_type(B, b, y0, ybar), copy=True)
-    return _block_trial(B, b, y, lambda v: energy_seminorm_sq(B, ybar - v), _sor_plan,
-                        _sor_pass, config, strategy)
+    return _block_trial(B, b, y, lambda v: _energy(B, ybar - v), _sor_plan, _sor_pass,
+                        config, strategy)
 
 
 def run_solver(B, b, y0, ybar, config: SolverConfig,

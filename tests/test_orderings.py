@@ -44,6 +44,16 @@ def test_random_permutation_deterministic():
     assert not np.array_equal(b1, b2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 300])
+def test_random_permutation_draws_as_numpy_permutation(n):
+    # random_permutation goes through sweep_order, and so preshuffled
+    # orders: the same order as rng.permutation(n), the same stream left
+    rng, ref_rng = make_rng(17), make_rng(17)
+    for _ in range(3):
+        assert np.array_equal(random_permutation(n, rng), ref_rng.permutation(n))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @given(n=st.integers(1, 30), seed=st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_random_permutation_is_bijection(n, seed):

@@ -32,7 +32,7 @@ from sorlab import (
     strict_lower,
     sweep_order,
 )
-from sorlab import solvers
+from sorlab import linalg, solvers
 from helpers import forward_substitute_unit, random_psd_unit
 
 
@@ -330,6 +330,30 @@ def test_block_trials_build_a_reused_order_plan_once(monkeypatch):
                            replace(config, max_sweeps=7), sigma=sigma)
     assert [h.sweeps for hs in histories.values() for h in hs] == [7] * 15
     assert [c.tolist() for c in calls] == [list(range(6)), sigma, sigma]
+
+
+def test_block_trials_check_the_matrix_once(monkeypatch):
+    # run_solver and run_trials check B once, at entry; the 61 energy errors
+    # of a 60-sweep block trial read the checked B without checking it again
+    calls = []
+
+    def counted(M, name="matrix"):
+        calls.append(name)
+        return real(M, name)
+
+    fan = fan_problem(32)
+    y0 = np.zeros(64)
+    y0[1] = 1.0
+    config = SolverConfig(max_sweeps=60, target_error_sq=0.0)
+    real = linalg._as_matrix
+    monkeypatch.setattr(linalg, "_as_matrix", counted)
+    h = run_solver(fan.B, fan.b, y0, fan.ybar, config, cyclic())
+    assert h.sweeps == 60
+    assert len(calls) == 1
+    calls.clear()
+    histories = run_trials(fan.B, fan.b, y0, fan.ybar, ["cyclic"], 5, config)["cyclic"]
+    assert [h.sweeps for h in histories] == [60] * 5
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("max_sweeps, chunks", [(1, [1]), (2, [1, 1]),
