@@ -250,8 +250,12 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
 
 
 def _truncations(B, perms):
-    """The (k, n, n) stack of L_s = tril(B[s][:, s], -1), one per row s of perms."""
-    return np.tril(B[perms[:, :, None], perms[:, None, :]], -1)
+    """The (k, n, n) stack of L_s = tril(B[s][:, s], -1), one per row s of perms,
+    gathered by one flat take (as in _contraction_gram) under a strictly-lower
+    mask, so the entries above the diagonal are +0.0."""
+    n = B.shape[0]
+    return np.where(np.tri(n, k=-1, dtype=bool),
+                    np.take(B, perms[:, :, None] * n + perms[:, None, :]), 0)
 
 
 def _batched_truncation_norms(B, perms):
@@ -417,11 +421,14 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     """Adjacent-transposition steepest descent from random starts.
 
     From each uniformly drawn starting permutation, repeatedly applies the
-    best norm-decreasing swap of neighboring positions until none improves;
-    ties go to the leftmost swap, and the best ordering is that of the first
-    restart to end on the least norm. Deterministic given the rng seed. The
-    result is an upper bound on the exhaustive minimum. B must be exactly
-    Hermitian (else "matrix is not Hermitian"): the swap bounds rely on it.
+    best swap of neighboring positions while it beats the current norm by
+    more than a norm's rounding, n (n + 1) u / 2 relative (see
+    _PRUNE_MARGIN), so that no step descends on rounding noise where orders
+    tie; ties go to the leftmost swap, and the best ordering is that of the
+    first restart to end on the least norm. Deterministic given the rng
+    seed. The result is an upper bound on the exhaustive minimum. B must be
+    exactly Hermitian (else "matrix is not Hermitian"): the swap bounds rely
+    on it.
 
     Each step scores the n - 1 neighbors exactly but computes few norms:
     :func:`_swap_bounds` gives a lower bound b_k <= ||L_k|| for every swap
@@ -469,6 +476,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     _check_rng(rng)
     n = B.shape[0]
     norm_b = _nonzero_norm(B)
+    tie = 1 - n * (n + 1) * 2.0**-53 / 2  # a swap must beat cur by more than a norm's rounding
     starts = sweep_order(shuffled(), n, rng, restarts)
     ends, start_norms, end_norms = starts.copy(), np.empty(restarts), np.empty(restarts)
     group = _batch_size(n)
@@ -490,7 +498,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
             cut = np.minimum(norms[first], cur)[:, None] * (1 + _PRUNE_MARGIN)
             _score_swaps(B, sigma, norms, ~first & ~(bounds > cut))
             i = np.argmin(norms, axis=1)
-            step = norms[rows, i] < cur  # the others leave the stack
+            step = norms[rows, i] < cur * tie  # the others leave the stack
             live, sigma, L, v, i, cur = (x[step] for x in
                                          (live, sigma, L, ritz(i), i, norms[rows, i]))
             _swap_in_place(B, sigma, L, i)

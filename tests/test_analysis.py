@@ -34,6 +34,7 @@ from sorlab.analysis import (
     _perm_batches,
     _swap_bounds,
     _swap_in_place,
+    _truncations,
 )
 from helpers import random_hermitian, random_psd_unit
 
@@ -255,9 +256,12 @@ def test_heuristic_deterministic():
 
 
 def _heuristic_reference(B, restarts, rng, steps=None):
-    """Neighbor-by-neighbor loop: one spectral_norm per adjacent swap. Appends
-    each restart's number of accepted swaps to ``steps`` if given."""
+    """Neighbor-by-neighbor loop: one spectral_norm per adjacent swap; the
+    leftmost least norm is accepted if it beats the current one by more than
+    a norm's rounding, n (n + 1) u / 2 relative. Appends each restart's number
+    of accepted swaps to ``steps`` if given."""
     n = B.shape[0]
+    tie = 1 - n * (n + 1) * 2.0**-53 / 2
     best, best_sigma, starts = np.inf, None, []
     for _ in range(restarts):
         sigma = rng.permutation(n).astype(np.intp)
@@ -265,7 +269,7 @@ def _heuristic_reference(B, restarts, rng, steps=None):
         starts.append(cur)
         accepted = 0
         while True:
-            cand_norm, cand_k = cur, -1
+            cand_norm, cand_k = cur * tie, -1
             for k in range(n - 1):
                 sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
                 v = spectral_norm(np.tril(permute_conjugate(B, sigma), -1))
@@ -326,6 +330,14 @@ def test_lockstep_restart_at_a_local_minimum_leaves_while_the_others_descend(mon
     B = random_psd_unit(6, make_rng(56), complex_entries=True, m=3)
     steps = _check_lockstep(monkeypatch, B, 8, 57)
     assert steps[1] == 0 and min(steps[:1] + steps[2:]) >= 2  # restart 1 starts at one
+
+
+def test_heuristic_accepts_no_swap_where_every_order_ties(monkeypatch):
+    # rank one with unit-modulus entries, B = a a*: L_sigma = D T D* for every
+    # sigma (D = diag(a[sigma]), T the strictly lower ones), so every order has
+    # one norm and a swap could win by rounding alone
+    B = random_psd_unit(32, make_rng(3), True, 1)
+    assert _check_lockstep(monkeypatch, B, 8, 4) == [0] * 8  # one round, no swap
 
 
 def test_batch_size_bounds_every_stack():
@@ -427,6 +439,17 @@ def test_swap_in_place_equals_gather_bit_for_bit(cplx):
         _swap_in_place(B, s[None], L[None], np.array([i]))  # a one-row stack
         assert s.tolist() == [*sigma[:i], sigma[i + 1], sigma[i], *sigma[i + 2:]]
         assert L.tobytes() == np.tril(B[np.ix_(s, s)], -1).tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_truncations_equal_tril_of_the_reordered_matrix(cplx):
+    n = 9
+    B = random_hermitian(n, make_rng(40), cplx)
+    B[2, 5] = B[5, 2] = -0.0  # signed zeros below the diagonal keep their sign
+    for perms in (np.arange(n)[None], np.concatenate(list(_perm_batches(n, 40, make_rng(41))))):
+        got = _truncations(B, perms)
+        want = np.stack([np.tril(B[np.ix_(s, s)], -1) for s in perms])
+        assert got.dtype == B.dtype and got.tobytes() == want.tobytes()
 
 
 def test_expected_truncation_norm_basics():

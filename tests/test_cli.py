@@ -508,6 +508,43 @@ def test_analyze_large_uses_heuristic(tmp_path, capsys):
     assert "expected_truncation_ratio:" in out
 
 
+def test_analyze_heuristic_path_prints_the_serial_values(tmp_path, capsys):
+    # the Monte Carlo estimate runs on a worker thread beside the heuristic;
+    # the report holds the values of the two calls made one after the other
+    from helpers import random_psd_unit
+    from sorlab import analysis, derived_rng, format_permutation, hermitian, make_rng
+    write_matrix(tmp_path / "B.mtx", random_psd_unit(12, make_rng(5), complex_entries=True, m=4))
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx",
+                   "--trials", "300", "--restarts", "4", "--seed", "6") == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    B = hermitian(read_matrix(tmp_path / "B.mtx")[0])
+    stats = analysis.min_truncation_heuristic(B, 4, derived_rng(6, 7))
+    expected, se = analysis.expected_truncation_norm(B, 300, derived_rng(6, 8))
+    assert report["truncation_argmin_sigma"] == format_permutation(stats.argmin_sigma)
+    assert [report[f"truncation_ratio_{k}"] for k in ("identity", "min", "mean", "max")] == [
+        repr(v) for v in (stats.ratio_identity, stats.min_ratio, stats.mean_ratio,
+                          stats.max_ratio)]
+    assert report["expected_truncation_ratio"] == repr(expected)
+    assert report["expected_truncation_ratio_se"] == repr(se)
+
+
+def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+    import threading
+    from helpers import random_psd_unit
+    from sorlab import analysis, make_rng
+
+    def fail(B, trials, rng):
+        raise ValueError("estimate failed")
+
+    monkeypatch.setattr(analysis, "expected_truncation_norm", fail)
+    write_matrix(tmp_path / "B.mtx", random_psd_unit(10, make_rng(1)))
+    threads = threading.active_count()
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx", "--restarts", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: estimate failed\n"
+    assert threading.active_count() == threads
+
+
 def test_analyze_complex_hermitian(tmp_path, capsys):
     from helpers import random_psd_unit
     from sorlab import make_rng

@@ -1,4 +1,5 @@
-"""Commands that never run the block kernel run without SciPy.
+"""Commands that never run the block kernel run without SciPy, and only an
+n > 8 ``analyze`` loads ``concurrent.futures``.
 
 The block kernel runs cyclic, fixed and ``--sigma`` trials; randomized
 trials (shuffled, single-step random, preshuffled without ``--sigma``) run
@@ -6,7 +7,9 @@ in the stack kernel at every trial count, so ``solve`` and an all-randomized
 ``compare`` run without SciPy too. Each case runs the CLI in a fresh
 interpreter; with blocking on, a ``sys.meta_path`` finder refuses every
 import of scipy or a submodule, so a command that reaches SciPy fails. Stdout and written files must equal those
-of the same command run in-process.
+of the same command run in-process. The thread pool of an n > 8 ``analyze``
+is imported there alone, so start-up (and every benchmark's ``generate``)
+does not pay for it.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # argv: block (0/1), then the CLI arguments (none: only import sorlab.cli).
 # The last stderr line lists the scipy modules loaded after the import and
-# at exit.
+# at exit, and whether concurrent.futures was loaded at exit.
 _RUNNER = """
 import importlib.abc, json, sys
 
@@ -44,7 +47,8 @@ from sorlab.cli import main
 at_import = scipy_modules()
 code = main(argv) if argv else 0
 sys.stdout.flush()
-sys.stderr.write(json.dumps({"at_import": at_import, "at_exit": scipy_modules()}) + "\\n")
+sys.stderr.write(json.dumps({"at_import": at_import, "at_exit": scipy_modules(),
+                            "futures": "concurrent.futures" in sys.modules}) + "\\n")
 sys.exit(code)
 """
 
@@ -121,8 +125,8 @@ def _cases(d):
 
 
 def test_import_sorlab_loads_no_scipy():
-    stdout, scipy = _fresh([], block=True)
-    assert stdout == "" and scipy == {"at_import": [], "at_exit": []}
+    stdout, loaded = _fresh([], block=True)
+    assert stdout == "" and loaded == {"at_import": [], "at_exit": [], "futures": False}
 
 
 @pytest.mark.parametrize("case", ["generate-fan", "generate-random", "generate-lowrank",
@@ -133,9 +137,10 @@ def test_command_runs_with_scipy_blocked(work, case):
     argv, files = _cases(work)[case]
     expected = _in_process(argv)
     written = _file_bytes(files)
-    stdout, scipy = _fresh(argv, block=True)
+    stdout, loaded = _fresh(argv, block=True)
     assert stdout == expected
-    assert scipy == {"at_import": [], "at_exit": []}
+    # the one case with n > 8 runs its Monte Carlo estimate on a worker thread
+    assert loaded == {"at_import": [], "at_exit": [], "futures": case == "analyze-heuristic"}
     assert _file_bytes(files) == written
 
 
