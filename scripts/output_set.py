@@ -4,12 +4,12 @@
     python scripts/output_set.py OUT_DIR
     python scripts/output_set.py OUT_DIR --against REV
 
-Each command of COMMANDS runs as ``python -m sorlab.cli`` in a fresh
-interpreter, in OUT_DIR, with this checkout's src/ first on PYTHONPATH.
-OUT_DIR then holds every file the commands write, each command's stdout as
-``<name>.out`` and the exit codes in ``exit_codes.txt``. On one machine and
-one numpy, SciPy and OpenBLAS build, two runs give identical bytes
-(``diff -r``).
+Each command of COMMANDS runs as ``python -m sorlab.cli``, or as this
+checkout's TABLES script, in a fresh interpreter, in OUT_DIR, with this
+checkout's src/ first on PYTHONPATH. OUT_DIR then holds every file the
+commands write, each command's stdout as ``<name>.out`` and the exit codes
+in ``exit_codes.txt``. On one machine and one numpy, SciPy and OpenBLAS
+build, two runs give identical bytes (``diff -r``).
 
 The set: ``generate`` of seven inputs (fan m = 2, 16 and 40, random
 n = 16, complex random n = 12, lowrank n = 8, r = 4 and n = 32, r = 6); on
@@ -25,15 +25,18 @@ inputs take both analyze paths, exhaustive at n = 8 and heuristic at
 n = 32). Fan m = 40 (n = 80) is the one solved system above SWEEP_BLOCK =
 64 coordinates, so its sweeps run more than one block of the block pass
 and of its reused plan; its ``analyze`` would only repeat the heuristic
-path of lowrank n = 32, at several times the cost.
+path of lowrank n = 32, at several times the cost. Last, the tables of
+TABLES: ``fan-rate`` at its defaults, and ``truncation`` at n = 4 and 10
+(--restarts 2, --trials 100), one size on each of its paths, exhaustive and
+heuristic.
 
 With ``--against REV`` the set runs a second time on the tree of git
 revision REV, exported (``git archive``) into a temporary directory that is
-removed afterwards, also on failure. The report counts the identical files
-and, for each file that differs, gives the largest relative difference of
-each CSV column and each summary key, with where it occurs, and the trials
-whose length changed. Exit status: 0 when every file is identical, 1 when
-some differ.
+removed afterwards, also on failure; the commands run its sorlab and its
+TABLES script. The report counts the identical files and, for each file that
+differs, gives the largest relative difference of each CSV column and each
+summary key, with where it occurs, and the trials whose length changed.
+Exit status: 0 when every file is identical, 1 when some differ.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ INPUTS = {  # name: generate options
 SYSTEMS = {"fan2": 4, "fan16": 32, "fan40": 80, "random16": 16, "complex12": 12}  # solved: n
 STRATEGIES = ("cyclic", "shuffled", "preshuffled", "single_step_random")
 SUBSET = ("single_step_random", "preshuffled", "shuffled")  # compared on fan16 and complex12
+TABLES = "scripts/paper_tables.py"  # a command whose argv starts with it runs this script
 
 
 def _commands():
@@ -99,22 +103,28 @@ def _commands():
                              ["analyze", "--matrix", f"{name}/B.mtx", "--seed", "3"]))
         commands.append((f"bounds-{name}", ["bounds", "--matrix", f"{name}/B.mtx", "--omega", "1.2",
                                             "--c0", "2"]))
+    commands.append(("table-fan-rate", [TABLES, "fan-rate"]))
+    commands.append(("table-truncation", [TABLES, "truncation", "--sizes", "4", "10",
+                                          "--restarts", "2", "--trials", "100"]))
     return commands
 
 
 COMMANDS = _commands()
 
 
-def run_set(out_dir, commands=COMMANDS, src=ROOT / "src"):
-    """Run each (name, argv) of commands in out_dir with the sorlab in src;
-    write its stdout to <name>.out and the exit codes to exit_codes.txt."""
+def run_set(out_dir, commands=COMMANDS, tree=ROOT):
+    """Run each (name, argv) of commands in out_dir with the sorlab and the
+    TABLES of the checkout tree; write its stdout to <name>.out and the exit
+    codes to exit_codes.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    path = [str(tree / "src")]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     codes = []
     for name, argv in commands:
-        proc = subprocess.run([sys.executable, "-m", "sorlab.cli", *argv], cwd=out_dir, env=env,
+        head = [str(tree / TABLES)] if argv[0] == TABLES else ["-m", "sorlab.cli", argv[0]]
+        proc = subprocess.run([sys.executable, *head, *argv[1:]], cwd=out_dir, env=env,
                               capture_output=True)
         (out_dir / f"{name}.out").write_bytes(proc.stdout)
         codes.append(f"{name} {proc.returncode}\n")
@@ -221,7 +231,7 @@ def run_against(out_dir, rev):
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True,
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-        run_set(Path(tmp, "out"), src=tree / "src")
+        run_set(Path(tmp, "out"), tree=tree)
         return compare_sets(out_dir, Path(tmp, "out"))
 
 

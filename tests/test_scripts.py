@@ -16,32 +16,44 @@ def load_script(name):
     return module
 
 
+def table_rows(capsys, argv):
+    load_script("paper_tables").main(argv)
+    return [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+
+
 def test_fan_rate_experiment(capsys):
-    load_script("fan_rate_experiment").main(["--m", "2", "4", "--sweeps", "12"])
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    rows = table_rows(capsys, ["fan-rate", "--m", "2", "4"])
     assert [row[0] for row in rows] == ["2", "4"]
-    # the measured cyclic rate on the fan is cos^4m(pi/2m) per sweep
+    # the cyclic rate on the fan is cos^4m(pi/2m) per sweep
     for row in rows:
-        assert float(row[1]) == pytest.approx(float(row[4]), rel=1e-6)
+        assert float(row[1]) == pytest.approx(float(row[3]), rel=1e-6)
+
+
+def test_fan_rate_table_is_exact_at_its_defaults(capsys):
+    rows = {int(row[0]): row for row in table_rows(capsys, ["fan-rate"])}
+    assert float(rows[1][1]) == 0.0  # orthogonal rows: one sweep solves the system
+    for m in (2, 4, 8, 16):
+        assert float(rows[m][1]) == pytest.approx(math.cos(math.pi / (2 * m)) ** (4 * m),
+                                                  rel=1e-12)
 
 
 def test_truncation_study(capsys):
-    load_script("truncation_study").main(
-        ["--sizes", "4", "10", "--restarts", "2", "--trials", "100"])
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    rows = table_rows(capsys, ["truncation", "--sizes", "4", "10", "--restarts", "2",
+                               "--trials", "100"])
     assert [(row[0], row[3]) for row in rows] == [("4", "exhaustive"), ("10", "heuristic")]
+    assert rows[0][5] == "exact"  # the exhaustive mean has no sampling error
 
 
 def test_output_set_repeats_and_reports_a_one_ulp_change(tmp_path):
     output_set = load_script("output_set")
-    names = ("generate-fan2", "compare-fan2-t3", "analyze-fan2")
+    names = ("generate-fan2", "compare-fan2-t3", "analyze-fan2", "table-fan-rate")
     commands = [c for c in output_set.COMMANDS if c[0] in names]
-    assert len(commands) == 3
+    assert len(commands) == 4
     for run in ("a", "b"):
         output_set.run_set(tmp_path / run, commands)
     assert (tmp_path / "a" / "exit_codes.txt").read_text() == "".join(f"{n} 0\n" for n in names)
     report = output_set.compare_sets(tmp_path / "a", tmp_path / "b")
-    assert report == ["12 of 12 files identical"]
+    assert report == ["13 of 13 files identical"]
 
     csv = tmp_path / "b" / "fan2" / "compare-t3.csv"
     lines = csv.read_text().splitlines()
@@ -51,6 +63,6 @@ def test_output_set_repeats_and_reports_a_one_ulp_change(tmp_path):
     lines[k] = ",".join(cells)
     csv.write_text("\n".join(lines) + "\n")
     report = output_set.compare_sets(tmp_path / "a", tmp_path / "b")
-    assert report[:2] == ["11 of 12 files identical", "fan2/compare-t3.csv: differs"]
+    assert report[:2] == ["12 of 13 files identical", "fan2/compare-t3.csv: differs"]
     assert len(report) == 3 and report[2].startswith("  error_sq: largest relative difference")
     assert report[2].endswith(" at shuffled trial 2 sweep 1")
