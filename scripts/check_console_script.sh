@@ -5,7 +5,11 @@
 # - solve reproduces trial 0 of a 32-trial compare;
 # - plot redraws compare's per-trial SVG from its CSV byte for byte;
 # - analyze prints the same bytes twice, on the exhaustive path (n = 8)
-#   and on the heuristic path (n = 12).
+#   and on the heuristic path (n = 12);
+# - the exhaustive analyze, whose search runs on two threads, prints the
+#   same bytes again pinned to one CPU (skipped where taskset is missing):
+#   the output does not depend on the CPUs available, and one core runs it
+#   to the end.
 # Usage: scripts/check_console_script.sh [WORK_DIR]
 set -euo pipefail
 work=${1:-$(mktemp -d)}
@@ -23,6 +27,12 @@ cmp c.svg p.svg
 sorlab analyze --matrix fan/B.mtx > a1.txt
 sorlab analyze --matrix fan/B.mtx > a2.txt
 cmp a1.txt a2.txt
+if command -v taskset > /dev/null; then
+  taskset -c 0 sorlab analyze --matrix fan/B.mtx > a3.txt
+  cmp a1.txt a3.txt
+else
+  echo "taskset not found: skipping the one-CPU analyze check"
+fi
 sorlab generate --kind random --n 12 --m 12 --out-dir random
 sorlab analyze --matrix random/B.mtx > h1.txt
 sorlab analyze --matrix random/B.mtx > h2.txt

@@ -34,8 +34,9 @@ With ``--against REV`` the set runs a second time on the tree of git
 revision REV, exported (``git archive``) into a temporary directory that is
 removed afterwards, also on failure; the commands run its sorlab and its
 TABLES script. The report counts the identical files and, for each file that
-differs, gives the largest relative difference of each CSV column and each
-summary key, with where it occurs, and the trials whose length changed.
+differs, gives the largest relative difference of each CSV column, each
+summary key and each column of a table, with where it occurs, the trials
+whose length changed and the table rows found in one set only.
 Exit status: 0 when every file is identical, 1 when some differ.
 """
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -164,6 +166,27 @@ def _summary_values(text):
     return values, Counter()
 
 
+def _table_values(text):
+    """{(column, where): value} of a TABLES table, and Counter of its rows.
+
+    A table is a header line over rows of right-aligned cells, one space
+    apart; a cell holds no space, a column name may. Each column ends where
+    the cells of the first row end, and a row is keyed by its first cell."""
+    lines = text.splitlines()
+    if len(lines) < 2:
+        return {}, Counter()
+    ends = [m.end() for m in re.finditer(r"\S+", lines[1])]
+    names = [lines[0][start:end].strip() for start, end in zip([0, *ends], ends)]
+    values, rows = {}, Counter()
+    for line in lines[1:]:
+        first, *cells = line.split()
+        where = f"{names[0]} {first}"
+        rows[where] += 1
+        for name, cell in zip(names[1:], cells):
+            values[name, where] = cell
+    return values, rows
+
+
 def _relative_difference(x, y):
     """|x - y| / max(|x|, |y|) of two numbers in text, or None if either is not a number."""
     try:
@@ -177,7 +200,8 @@ def _relative_difference(x, y):
 
 def _differences(rel, x, y):
     """Report lines on how the texts x and y of the file rel differ."""
-    parse = {".csv": _csv_values, ".out": _summary_values}.get(Path(rel).suffix)
+    parse = (_table_values if Path(rel).name.startswith("table-")
+             else {".csv": _csv_values, ".out": _summary_values}.get(Path(rel).suffix))
     if parse is None:
         lines = sum(p != q for p, q in zip(x.splitlines(), y.splitlines()))
         return [f"{lines} lines differ of {len(x.splitlines())} and {len(y.splitlines())}"]
@@ -196,8 +220,11 @@ def _differences(rel, x, y):
                    else f"{group}: largest relative difference {d:.3g}{at}")
     groups = {group for group, _ in vx} ^ {group for group, _ in vy}
     out += [f"{group}: only in one set" for group in sorted(groups)]
-    out += [f"{trial}: {rx[trial]} rows -> {ry[trial]} rows"
-            for trial in list(rx) + [t for t in ry if t not in rx] if rx[trial] != ry[trial]]
+    for row in list(rx) + [r for r in ry if r not in rx]:  # a trial, or a table row
+        if not (rx[row] and ry[row]):
+            out.append(f"{row}: only in the {'first' if rx[row] else 'second'} set")
+        elif rx[row] != ry[row]:
+            out.append(f"{row}: {rx[row]} rows -> {ry[row]} rows")
     return out
 
 

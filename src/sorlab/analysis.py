@@ -297,18 +297,35 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     reversed ordering has L_rev = J L_sigma* J (J the exchange matrix), so
     the same norm: only orderings with sigma[0] <= sigma[-1] are scored, one
     of each reversal pair. ``samples`` still counts all n! orderings.
+
+    Each kept batch is scored on two threads: this one scores its first
+    half while one worker scores the second half, and the two halves' norms
+    are joined in order. The two share only the read-only B and spend their
+    time in the gather and in LAPACK, which release the GIL. Each norm is
+    that of its own matrix (see linalg._top_singular_values), so every
+    batch, and every statistic drawn from it, has the bytes of the batch
+    scored whole on one thread. A worker error is raised by ``result()``,
+    and the worker is joined before the function returns.
     """
     B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
     norm_b = _nonzero_norm(B)
+    # imported here, so that start-up and the commands that never search
+    # all n! orders do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     norms, firsts = [], []  # per non-empty batch: its norms, its first order of least norm
-    for perms in _perm_batches(n):
-        perms = perms[perms[:, 0] <= perms[:, -1]]
-        if len(perms):
-            norms.append(_batched_truncation_norms(B, perms))
-            firsts.append(perms[np.argmin(norms[-1])].copy())
+    with ThreadPoolExecutor(1) as pool:
+        for perms in _perm_batches(n):
+            perms = perms[perms[:, 0] <= perms[:, -1]]
+            if len(perms):
+                half = len(perms) // 2
+                second = pool.submit(_batched_truncation_norms, B, perms[half:])
+                first = _batched_truncation_norms(B, perms[:half])
+                norms.append(np.concatenate((first, second.result())))
+                firsts.append(perms[np.argmin(norms[-1])].copy())
     k = int(np.argmin([batch.min() for batch in norms]))  # first batch holding the least norm
     return TruncationStats(
         ratio_identity=float(norms[0][0]) / norm_b,  # lexicographic first = identity

@@ -265,9 +265,11 @@ def cmd_compare(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     """Spectral summary, truncation statistics and reordering averages of B.
 
-    For n <= EXHAUSTIVE_LIMIT every statistic is exact over all n! orders.
-    Above it, the local-search minimum (``derived_rng(seed, 7)``) runs on
-    this thread while the Monte Carlo mean of ||L_sigma|| / ||B||
+    For n <= EXHAUSTIVE_LIMIT every statistic is exact over all n! orders,
+    and the search scores each batch of orders on two threads (see
+    :func:`~sorlab.analysis.min_truncation_exhaustive`). Above it, the
+    local-search minimum (``derived_rng(seed, 7)``) runs on this thread
+    while the Monte Carlo mean of ||L_sigma|| / ||B||
     (``derived_rng(seed, 8)``) runs on one worker thread: the two share only
     the read-only B and spend their time in LAPACK, which releases the GIL.
     Each keeps its own stream and batches, so the output bytes are those of
@@ -299,7 +301,7 @@ def cmd_analyze(args, parser) -> int:
         expected, se = stats.mean_ratio, None
         oracle_name, oracle = "bruteforce", analysis.expected_lower_gram_bruteforce(B)
     else:
-        # imported here, so that start-up, generate and n <= 8 never load it
+        # imported here, so that start-up and the other commands never load it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:
             mc = pool.submit(analysis.expected_truncation_norm, B, args.trials,

@@ -225,6 +225,64 @@ def test_exhaustive_min_below_identity_and_guard():
         min_truncation_exhaustive(np.eye(9))
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_batched_truncation_norms_equal_any_split_bit_for_bit(cplx):
+    # the exhaustive search scores each batch in two halves on two threads
+    rng = make_rng(60 + cplx)
+    stacks = [(n, next(_perm_batches(n))) for n in range(1, 9)]
+    stacks.append((32, np.concatenate(list(_perm_batches(32, 40, rng)))))
+    for n, perms in stacks:
+        B = random_psd_unit(n, rng, complex_entries=cplx)
+        whole = _batched_truncation_norms(B, perms)
+        k = len(perms)
+        for cut in sorted({0, 1, k // 2, k - 1, k, int(rng.integers(k + 1))}):
+            parts = [_batched_truncation_norms(B, perms[:cut]),
+                     _batched_truncation_norms(B, perms[cut:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), (n, cut)
+
+
+def _serial_exhaustive(B):
+    """min_truncation_exhaustive with each kept batch scored whole on one thread."""
+    n = B.shape[0]
+    norms, firsts = [], []
+    for perms in _perm_batches(n):
+        perms = perms[perms[:, 0] <= perms[:, -1]]
+        if len(perms):
+            norms.append(_batched_truncation_norms(B, perms))
+            firsts.append(perms[np.argmin(norms[-1])])
+    norm_b = spectral_norm(B)
+    k = int(np.argmin([batch.min() for batch in norms]))
+    return (float(norms[0][0]) / norm_b, float(norms[k].min()) / norm_b, firsts[k].tolist(),
+            sum(float(batch.sum()) for batch in norms) / sum(map(len, norms)) / norm_b,
+            max(float(batch.max()) for batch in norms) / norm_b, math.factorial(n))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exhaustive_search_equals_serial_batches_bit_for_bit(n, cplx):
+    B = random_psd_unit(n, make_rng(70 + n), complex_entries=cplx, m=max(1, n - 2))
+    stats = min_truncation_exhaustive(B)
+    got = (stats.ratio_identity, stats.min_ratio, stats.argmin_sigma.tolist(),
+           stats.mean_ratio, stats.max_ratio, stats.samples)
+    assert repr(got) == repr(_serial_exhaustive(B))
+
+
+def test_exhaustive_search_raises_the_worker_error_and_joins_it(monkeypatch):
+    import threading
+    caller = threading.get_ident()
+
+    def score(B, perms):
+        if threading.get_ident() != caller:
+            raise ValueError("worker half failed")
+        return _batched_truncation_norms(B, perms)
+
+    monkeypatch.setattr(analysis, "_batched_truncation_norms", score)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^worker half failed$"):
+        min_truncation_exhaustive(random_psd_unit(6, make_rng(9)))
+    assert threading.active_count() == threads
+
+
 def test_heuristic_identity_matrix():
     stats = min_truncation_heuristic(np.eye(4), 3, make_rng(0))
     assert stats.min_ratio == 0.0 and stats.method == "heuristic"

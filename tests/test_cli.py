@@ -545,6 +545,28 @@ def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, mon
     assert threading.active_count() == threads
 
 
+def test_analyze_exhaustive_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys,
+                                                                      monkeypatch):
+    # for n <= 8 the worker scores the second half of each batch of orders
+    import threading
+    from helpers import random_psd_unit
+    from sorlab import analysis, make_rng
+    caller, score = threading.get_ident(), analysis._batched_truncation_norms
+
+    def fail_on_worker(B, perms):
+        if threading.get_ident() != caller:
+            raise ValueError("worker half failed")
+        return score(B, perms)
+
+    monkeypatch.setattr(analysis, "_batched_truncation_norms", fail_on_worker)
+    write_matrix(tmp_path / "B.mtx", random_psd_unit(8, make_rng(1)))
+    threads = threading.active_count()
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: worker half failed\n"
+    assert threading.active_count() == threads
+
+
 def test_analyze_complex_hermitian(tmp_path, capsys):
     from helpers import random_psd_unit
     from sorlab import make_rng

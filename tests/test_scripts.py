@@ -66,3 +66,23 @@ def test_output_set_repeats_and_reports_a_one_ulp_change(tmp_path):
     assert report[:2] == ["12 of 13 files identical", "fan2/compare-t3.csv: differs"]
     assert len(report) == 3 and report[2].startswith("  error_sq: largest relative difference")
     assert report[2].endswith(" at shuffled trial 2 sweep 1")
+
+
+def test_output_set_reports_table_columns_and_rows(tmp_path):
+    output_set = load_script("output_set")
+    a = ["  n identity     min bound shuffled",
+         "  4  0.49559 0.42340          exact",
+         " 10  0.43965 0.39212        1.7e-03"]
+    b = ["  n identity     min bound shuffled",
+         "  4  0.49559 0.42340          exact",
+         " 10  0.43965 0.39312        1.6e-03",
+         "128  0.41000 0.38000        1.0e-03"]
+    for run, lines in (("a", a), ("b", b)):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "table-truncation.out").write_text("\n".join(lines) + "\n")
+        (tmp_path / run / "exit_codes.txt").write_text("table-truncation 0\n")
+    report = output_set.compare_sets(tmp_path / "a", tmp_path / "b")
+    assert report == ["1 of 2 files identical", "table-truncation.out: differs",
+                      "  min: largest relative difference 0.00254 at n 10",
+                      "  bound shuffled: largest relative difference 0.0588 at n 10",
+                      "  n 128: only in the second set"]

@@ -1,5 +1,5 @@
-"""Commands that never run the block kernel run without SciPy, and only an
-n > 8 ``analyze`` loads ``concurrent.futures``.
+"""Commands that never run the block kernel run without SciPy, and only
+``analyze`` loads ``concurrent.futures``.
 
 The block kernel runs cyclic, fixed and ``--sigma`` trials; randomized
 trials (shuffled, single-step random, preshuffled without ``--sigma``) run
@@ -7,9 +7,10 @@ in the stack kernel at every trial count, so ``solve`` and an all-randomized
 ``compare`` run without SciPy too. Each case runs the CLI in a fresh
 interpreter; with blocking on, a ``sys.meta_path`` finder refuses every
 import of scipy or a submodule, so a command that reaches SciPy fails. Stdout and written files must equal those
-of the same command run in-process. The thread pool of an n > 8 ``analyze``
-is imported there alone, so start-up (and every benchmark's ``generate``)
-does not pay for it.
+of the same command run in-process. ``analyze`` runs a worker thread on both
+of its paths (beside the heuristic for n > 8, on half of each batch of the
+n! search for n <= 8) and imports the thread pool there alone, so start-up
+(and every benchmark's ``generate``) does not pay for it.
 """
 
 import contextlib
@@ -139,8 +140,9 @@ def test_command_runs_with_scipy_blocked(work, case):
     written = _file_bytes(files)
     stdout, loaded = _fresh(argv, block=True)
     assert stdout == expected
-    # the one case with n > 8 runs its Monte Carlo estimate on a worker thread
-    assert loaded == {"at_import": [], "at_exit": [], "futures": case == "analyze-heuristic"}
+    # both analyze paths run a worker thread; no other command loads the pool
+    assert loaded == {"at_import": [], "at_exit": [],
+                      "futures": case.startswith("analyze-")}
     assert _file_bytes(files) == written
 
 
