@@ -6,10 +6,11 @@
 # - plot redraws compare's per-trial SVG from its CSV byte for byte;
 # - analyze prints the same bytes twice, on the exhaustive path (n = 8)
 #   and on the heuristic path (n = 12);
-# - the exhaustive analyze, whose search runs on two threads, prints the
-#   same bytes again pinned to one CPU (skipped where taskset is missing):
-#   the output does not depend on the CPUs available, and one core runs it
-#   to the end.
+# - both analyze paths run on two threads (the exhaustive search splits
+#   each batch of orders, the heuristic runs beside the Monte Carlo mean),
+#   and each prints the same bytes again pinned to one CPU (skipped where
+#   taskset is missing): the output does not depend on the CPUs available,
+#   and one core runs it to the end.
 # Usage: scripts/check_console_script.sh [WORK_DIR]
 set -euo pipefail
 work=${1:-$(mktemp -d)}
@@ -37,4 +38,10 @@ sorlab generate --kind random --n 12 --m 12 --out-dir random
 sorlab analyze --matrix random/B.mtx > h1.txt
 sorlab analyze --matrix random/B.mtx > h2.txt
 cmp h1.txt h2.txt
+if command -v taskset > /dev/null; then
+  taskset -c 0 sorlab analyze --matrix random/B.mtx > h3.txt
+  cmp h1.txt h3.txt
+else
+  echo "taskset not found: skipping the one-CPU heuristic analyze check"
+fi
 echo "console script checks passed in $work"

@@ -9,8 +9,10 @@ the one-sweep factor that the cyclic and shuffled rate bounds bound.
 
 truncation: for random unit-diagonal PSD matrices of growing size, the ratio
 ||L_sigma|| / ||B|| at the identity order, its exhaustive (mean exact) or
-searched minimum (Monte Carlo mean and standard error), the (1/2)
-floor(log2 2n) worst-case bound, and ||E[L L*]|| / ||B||^2.
+searched minimum (Monte Carlo mean and standard error, n/a for one trial),
+the (1/2) floor(log2 2n) worst-case bound, and ||E[L L*]|| / ||B||^2. The
+statistics come from one ``truncation_statistics`` call per size, which
+picks the method for n as ``sorlab analyze`` does.
 """
 
 import argparse
@@ -19,18 +21,15 @@ import math
 import numpy as np
 
 from sorlab import (
-    EXHAUSTIVE_LIMIT,
     check_lower_gram_bounds,
     derived_rng,
     error_iteration_matrix,
     evaluate_rate_bounds,
-    expected_truncation_norm,
     fan_problem,
-    min_truncation_exhaustive,
-    min_truncation_heuristic,
     random_factor_problem,
     spectral_norm,
     spectral_summary,
+    truncation_statistics,
 )
 
 
@@ -55,15 +54,10 @@ def truncation(args):
     yield "n", "identity", "min", "method", "mean", "se", "log bound", "|E|/|B|^2"
     for i, n in enumerate(args.sizes):
         inst = random_factor_problem(n, n, args.complex, derived_rng(args.seed, i))
-        if n <= EXHAUSTIVE_LIMIT:
-            stats = min_truncation_exhaustive(inst.B)
-            mean, se = stats.mean_ratio, "exact"
-        else:
-            stats = min_truncation_heuristic(inst.B, args.restarts,
-                                             derived_rng(args.seed, i, 1))
-            mean, se = expected_truncation_norm(inst.B, args.trials,
-                                                derived_rng(args.seed, i, 2))
-            se = f"{se:.1e}"
+        stats, mean, se = truncation_statistics(
+            inst.B, args.restarts, derived_rng(args.seed, i, 1),
+            args.trials, derived_rng(args.seed, i, 2))
+        se = "exact" if se is None else "n/a" if math.isnan(se) else f"{se:.1e}"
         gram = check_lower_gram_bounds(inst.B)
         yield (n, f"{stats.ratio_identity:.5f}", f"{stats.min_ratio:.5f}", stats.method,
                f"{mean:.5f}", se, f"{0.5 * math.floor(math.log2(2 * n)):.2f}",

@@ -24,6 +24,7 @@ from .analysis import (
     min_truncation_exhaustive,
     min_truncation_heuristic,
     truncation_ratio,
+    truncation_statistics,
 )
 from .linalg import (
     SpectralSummary,

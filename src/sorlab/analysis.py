@@ -6,6 +6,7 @@ Centerpieces:
   Hermitian B (exhaustive oracle, closed form, Monte Carlo estimator),
 * spectral-norm statistics of the triangular truncation ||L_sigma|| across
   permutations (exhaustive search, local-search heuristic, Monte Carlo),
+  with the method for each n chosen in one place, truncation_statistics,
 * evaluation of the per-sweep contraction bounds for the cyclic, shuffled,
   preshuffled, and single-step-random iterations,
 * the expected one-sweep contraction factor of the shuffled iteration,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -249,6 +251,24 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
     )
 
 
+def _on_two_threads(here, there):
+    """(here(), there()), with there() run on one worker thread while here()
+    runs on this one.
+
+    The two callables must share only read-only data; each keeps its own
+    generator, so the results are those of calling them one after the
+    other. An error of here() is raised first, one of there() by
+    ``result()``, and the worker is joined before the function returns.
+    """
+    # imported here, so that start-up and the commands that run no second
+    # thread do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(there)
+        return here(), future.result()
+
+
 def _truncations(B, perms):
     """The (k, n, n) stack of L_s = tril(B[s][:, s], -1), one per row s of perms,
     gathered by one flat take (as in _contraction_gram) under a strictly-lower
@@ -298,34 +318,25 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     the same norm: only orderings with sigma[0] <= sigma[-1] are scored, one
     of each reversal pair. ``samples`` still counts all n! orderings.
 
-    Each kept batch is scored on two threads: this one scores its first
-    half while one worker scores the second half, and the two halves' norms
-    are joined in order. The two share only the read-only B and spend their
-    time in the gather and in LAPACK, which release the GIL. Each norm is
-    that of its own matrix (see linalg._top_singular_values), so every
-    batch, and every statistic drawn from it, has the bytes of the batch
-    scored whole on one thread. A worker error is raised by ``result()``,
-    and the worker is joined before the function returns.
+    Each kept batch is scored on two threads (see :func:`_on_two_threads`):
+    this one scores its first half while one worker scores the second half,
+    and the two halves' norms are joined in order. The two spend their time
+    in the gather and in LAPACK, which release the GIL. Each norm is that of
+    its own matrix (see linalg._top_singular_values), so every batch, and
+    every statistic drawn from it, has the bytes of the batch scored whole
+    on one thread.
     """
     B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
     norm_b = _nonzero_norm(B)
-    # imported here, so that start-up and the commands that never search
-    # all n! orders do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
     norms, firsts = [], []  # per non-empty batch: its norms, its first order of least norm
-    with ThreadPoolExecutor(1) as pool:
-        for perms in _perm_batches(n):
-            perms = perms[perms[:, 0] <= perms[:, -1]]
-            if len(perms):
-                half = len(perms) // 2
-                second = pool.submit(_batched_truncation_norms, B, perms[half:])
-                first = _batched_truncation_norms(B, perms[:half])
-                norms.append(np.concatenate((first, second.result())))
-                firsts.append(perms[np.argmin(norms[-1])].copy())
+    for perms in (orders[orders[:, 0] <= orders[:, -1]] for orders in _perm_batches(n)):
+        if len(perms):
+            halves = (partial(_batched_truncation_norms, B, p) for p in np.array_split(perms, 2))
+            norms.append(np.concatenate(_on_two_threads(*halves)))
+            firsts.append(perms[np.argmin(norms[-1])].copy())
     k = int(np.argmin([batch.min() for batch in norms]))  # first batch holding the least norm
     return TruncationStats(
         ratio_identity=float(norms[0][0]) / norm_b,  # lexicographic first = identity
@@ -550,6 +561,28 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     ratios = vals / norm_b
     se = float(ratios.std(ddof=0) / np.sqrt(trials)) if trials > 1 else math.nan
     return float(ratios.mean()), se
+
+
+def truncation_statistics(B, restarts: int, search_rng, trials: int, mean_rng):
+    """The truncation statistics of B and the mean of ||L_sigma|| / ||B||:
+    (stats, mean, se), by the one method for each n.
+
+    For n <= EXHAUSTIVE_LIMIT: :func:`min_truncation_exhaustive`, its exact
+    ``mean_ratio`` and se None; the other arguments are not used. Above it:
+    :func:`min_truncation_heuristic` (``restarts``, ``search_rng``) runs on
+    this thread while :func:`expected_truncation_norm` (``trials``,
+    ``mean_rng``) runs on one worker (see :func:`_on_two_threads`), with its
+    estimate and standard error, which is nan for ``trials`` = 1. The two
+    share only the read-only B and keep their own streams and batches, so
+    every value is that of calling them one after the other. With two cores
+    the pair takes about as long as the longer of the two; on one core they
+    take turns.
+    """
+    if _as_square(B).shape[0] <= EXHAUSTIVE_LIMIT:
+        return (stats := min_truncation_exhaustive(B)), stats.mean_ratio, None
+    stats, (mean, se) = _on_two_threads(partial(min_truncation_heuristic, B, restarts, search_rng),
+                                        partial(expected_truncation_norm, B, trials, mean_rng))
+    return stats, mean, se
 
 
 @dataclass(frozen=True)

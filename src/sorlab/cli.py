@@ -5,6 +5,10 @@ reordering statistics, and emit CSV histories plus SVG semilog plots.
 Exit codes: 0 success, 2 usage error, 1 runtime or I/O error. Every
 command accepts a non-negative ``--seed`` (default 0); together with the
 pinned PCG64 generator this makes all outputs byte-reproducible.
+
+The commands start no threads and choose no method by n themselves:
+``analyze`` takes its truncation statistics from one call of
+:func:`sorlab.analysis.truncation_statistics`, which does both.
 """
 
 from __future__ import annotations
@@ -265,22 +269,14 @@ def cmd_compare(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     """Spectral summary, truncation statistics and reordering averages of B.
 
-    For n <= EXHAUSTIVE_LIMIT every statistic is exact over all n! orders,
-    and the search scores each batch of orders on two threads (see
-    :func:`~sorlab.analysis.min_truncation_exhaustive`). Above it, the
-    local-search minimum (``derived_rng(seed, 7)``) runs on this thread
-    while the Monte Carlo mean of ||L_sigma|| / ||B||
-    (``derived_rng(seed, 8)``) runs on one worker thread: the two share only
-    the read-only B and spend their time in LAPACK, which releases the GIL.
-    Each keeps its own stream and batches, so the output bytes are those of
-    running them one after the other. A heuristic error is raised first, a
-    worker error by ``result()``, and the worker is joined before the
-    command returns.
+    The truncation statistics come from
+    :func:`~sorlab.analysis.truncation_statistics`, which picks the method
+    for n and runs it on two threads; the search draws from
+    ``derived_rng(seed, 7)`` and the Monte Carlo mean from
+    ``derived_rng(seed, 8)``.
     """
     seed = args.seed if args.seed is not None else 0
-    B, _ = mmio.read_matrix(args.matrix)
-    B = hermitian(B)
-    n = B.shape[0]
+    B = hermitian(mmio.read_matrix(args.matrix)[0])
     try:
         s = spectral_summary(B)
         w, rank, kappa_bar, psd_unit = s.eigenvalues, s.rank, s.kappa_bar, s.unit_diagonal
@@ -289,25 +285,18 @@ def cmd_analyze(args, parser) -> int:
         rank, kappa_bar = (0 if not B.any() else "n/a (matrix not PSD)"), None
         psd_unit = False
     norm_b = max(abs(w[0]), abs(w[-1]))  # the one ||B|| of the report
-    report = {"n": n, "lambda_max": w[0], "lambda_min": w[-1],
+    report = {"n": B.shape[0], "lambda_max": w[0], "lambda_min": w[-1],
               "spectral_norm": norm_b, "rank": rank, "kappa_bar": kappa_bar}
 
     if not B.any():
         _emit(report | {"truncation": "zero matrix, all ratios 0", "avg_lower_gram_norm": 0.0})
         return 0
 
-    if n <= analysis.EXHAUSTIVE_LIMIT:
-        stats = analysis.min_truncation_exhaustive(B)
-        expected, se = stats.mean_ratio, None
+    stats, expected, se = analysis.truncation_statistics(
+        B, args.restarts, derived_rng(seed, 7), args.trials, derived_rng(seed, 8))
+    if stats.method == "exhaustive":  # the n! oracle is affordable too
         oracle_name, oracle = "bruteforce", analysis.expected_lower_gram_bruteforce(B)
     else:
-        # imported here, so that start-up and the other commands never load it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) as pool:
-            mc = pool.submit(analysis.expected_truncation_norm, B, args.trials,
-                             derived_rng(seed, 8))
-            stats = analysis.min_truncation_heuristic(B, args.restarts, derived_rng(seed, 7))
-            expected, se = mc.result()
         se = None if math.isnan(se) else se  # --trials 1: no standard error to print
         oracle_name, oracle = "closed", analysis.expected_lower_gram_closed(B)
     gram = analysis.check_lower_gram_bounds(B)

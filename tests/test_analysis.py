@@ -26,11 +26,13 @@ from sorlab import (
     spectral_norm,
     spectral_summary,
     truncation_ratio,
+    truncation_statistics,
 )
 from sorlab import analysis
 from sorlab.analysis import (
     _batched_truncation_norms,
     _lower_gram_terms,
+    _on_two_threads,
     _perm_batches,
     _swap_bounds,
     _swap_in_place,
@@ -548,6 +550,86 @@ def test_expected_truncation_norm_within_exhaustive_range():
     stats = min_truncation_exhaustive(B)
     est, _ = expected_truncation_norm(B, 400, make_rng(78))
     assert stats.min_ratio - 1e-12 <= est <= stats.max_ratio + 1e-12
+
+
+# ---------------------------------------------------------------- one entry point, two threads
+
+def test_on_two_threads_returns_both_results_in_order():
+    import threading
+    threads = threading.active_count()
+    here, there = _on_two_threads(threading.get_ident, threading.get_ident)
+    assert here == threading.get_ident() != there  # there() ran on the worker
+    assert _on_two_threads(lambda: "here", lambda: "there") == ("here", "there")
+    assert threading.active_count() == threads
+
+
+def _raise(message):
+    def fail():
+        raise ValueError(message)
+    return fail
+
+
+@pytest.mark.parametrize("here, there, message", [
+    (_raise("here failed"), _raise("there failed"), "here failed"),  # here's error wins
+    (lambda: 1, _raise("there failed"), "there failed"),
+    (_raise("here failed"), lambda: 2, "here failed"),
+])
+def test_on_two_threads_raises_an_error_and_joins_the_worker(here, there, message):
+    import threading
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _on_two_threads(here, there)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_truncation_statistics_exhaustive_is_the_exact_search(n, cplx):
+    B = random_psd_unit(n, make_rng(90 + n), complex_entries=cplx)
+    search_rng, mean_rng = make_rng(1), make_rng(2)
+    states = search_rng.bit_generator.state, mean_rng.bit_generator.state
+    stats, mean, se = truncation_statistics(B, 3, search_rng, 50, mean_rng)
+    want = min_truncation_exhaustive(B)
+    assert repr((stats, mean)) == repr((want, want.mean_ratio)) and se is None
+    # neither generator is drawn from
+    assert (search_rng.bit_generator.state, mean_rng.bit_generator.state) == states
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [9, 12])
+def test_truncation_statistics_above_the_limit_is_the_serial_pair(n, cplx):
+    B = random_psd_unit(n, make_rng(100 + n), complex_entries=cplx, m=n - 3)
+    got = truncation_statistics(B, 4, make_rng(5), 300, make_rng(6))
+    want = (min_truncation_heuristic(B, 4, make_rng(5)),
+            *expected_truncation_norm(B, 300, make_rng(6)))
+    assert repr(got) == repr(want) and got[0].method == "heuristic"
+
+
+def test_truncation_statistics_one_trial_has_no_standard_error():
+    stats, mean, se = truncation_statistics(random_psd_unit(9, make_rng(7)), 2, make_rng(8),
+                                             1, make_rng(9))
+    assert mean > 0 and math.isnan(se)
+
+
+def _rank_one_ratio(n):
+    """||T_n|| / n, T_n the strictly lower all-ones matrix: the truncation
+    ratio of every order of a rank-one B with unit-modulus entries."""
+    return 1 / (2 * n * math.sin(math.pi / (2 * (2 * n - 1))))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_rank_one_unit_modulus_ratios_all_tie_at_the_closed_form(cplx):
+    rng = make_rng(110 + cplx)
+    for n in range(2, 9):
+        B = random_psd_unit(n, rng, cplx, 1)
+        stats, mean, _ = truncation_statistics(B, 2, make_rng(1), 10, make_rng(2))
+        for value in (stats.min_ratio, mean, stats.max_ratio, stats.ratio_identity):
+            assert value == pytest.approx(_rank_one_ratio(n), rel=1e-12), n
+    B = random_psd_unit(12, rng, cplx, 1)
+    stats, mean, se = truncation_statistics(B, 3, make_rng(3), 200, make_rng(4))
+    assert stats.method == "heuristic"
+    for value in (stats.min_ratio, stats.ratio_identity, mean):
+        assert value == pytest.approx(_rank_one_ratio(12), rel=1e-12)
 
 
 # ---------------------------------------------------------------- rate bounds

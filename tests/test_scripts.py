@@ -44,6 +44,12 @@ def test_truncation_study(capsys):
     assert rows[0][5] == "exact"  # the exhaustive mean has no sampling error
 
 
+def test_truncation_table_prints_no_standard_error_for_one_trial(capsys):
+    rows = table_rows(capsys, ["truncation", "--sizes", "9", "--restarts", "2",
+                               "--trials", "1"])
+    assert [(row[0], row[3], row[5]) for row in rows] == [("9", "heuristic", "n/a")]
+
+
 def test_output_set_repeats_and_reports_a_one_ulp_change(tmp_path):
     output_set = load_script("output_set")
     names = ("generate-fan2", "compare-fan2-t3", "analyze-fan2", "table-fan-rate")
