@@ -6,11 +6,11 @@
 # - plot redraws compare's per-trial SVG from its CSV byte for byte;
 # - analyze prints the same bytes twice, on the exhaustive path (n = 8)
 #   and on the heuristic path (n = 12);
-# - both analyze paths run on two threads (the exhaustive search splits
-#   each batch of orders, the heuristic runs beside the Monte Carlo mean),
-#   and each prints the same bytes again pinned to one CPU (skipped where
-#   taskset is missing): the output does not depend on the CPUs available,
-#   and one core runs it to the end.
+# - both analyze paths run on two threads, which share the batches of
+#   orders (of the exhaustive search beside the n! oracle, of the Monte
+#   Carlo mean beside the heuristic), and each prints the same bytes again
+#   pinned to one CPU (skipped where taskset is missing): the output does
+#   not depend on the CPUs available, and one core runs it to the end.
 # Usage: scripts/check_console_script.sh [WORK_DIR]
 set -euo pipefail
 work=${1:-$(mktemp -d)}

@@ -54,7 +54,7 @@ def truncation(args):
     yield "n", "identity", "min", "method", "mean", "se", "log bound", "|E|/|B|^2"
     for i, n in enumerate(args.sizes):
         inst = random_factor_problem(n, n, args.complex, derived_rng(args.seed, i))
-        stats, mean, se = truncation_statistics(
+        stats, mean, se, _ = truncation_statistics(
             inst.B, args.restarts, derived_rng(args.seed, i, 1),
             args.trials, derived_rng(args.seed, i, 2))
         se = "exact" if se is None else "n/a" if math.isnan(se) else f"{se:.1e}"

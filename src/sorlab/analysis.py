@@ -7,6 +7,9 @@ Centerpieces:
 * spectral-norm statistics of the triangular truncation ||L_sigma|| across
   permutations (exhaustive search, local-search heuristic, Monte Carlo),
   with the method for each n chosen in one place, truncation_statistics,
+  whose batches of orders this thread and one worker share
+  (_shared_batches, the one thread runner), beside the n! oracle or the
+  heuristic,
 * evaluation of the per-sweep contraction bounds for the cyclic, shuffled,
   preshuffled, and single-step-random iterations,
 * the expected one-sweep contraction factor of the shuffled iteration,
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -102,17 +106,16 @@ def _perm_batches(n, trials=None, rng=None):
     """Yield (k, n) permutation arrays.
 
     Without ``trials``: all n! permutations in lexicographic order, one
-    batch per leading index, each built from one table of the (n - 1)!
-    orders of the rest. With it: ``trials`` >= 1 uniform permutations drawn
-    from ``rng`` (required) by :func:`~sorlab.orderings.sweep_order`, in
-    batches of _batch_size(n) orders; a batch of k orders consumes the
-    stream as k ``rng.permutation(n)`` calls, so the draws do not depend on
-    the batch size.
+    batch per leading index, each built from one cached table (_orders) of
+    the (n - 1)! orders of the rest. With it: ``trials`` >= 1 uniform
+    permutations drawn from ``rng`` (required) by
+    :func:`~sorlab.orderings.sweep_order`, in batches of _batch_size(n)
+    orders; a batch of k orders consumes the stream as k
+    ``rng.permutation(n)`` calls, so the draws do not depend on the batch
+    size.
     """
     if trials is None:
-        tail = np.zeros((1, 0), np.intp)  # the one order of zero elements
-        if n > 1:
-            tail = np.concatenate(list(_perm_batches(n - 1)))
+        tail = _orders(n - 1) if n > 1 else np.zeros((1, 0), np.intp)
         for first in range(n):
             rest = np.delete(np.arange(n, dtype=np.intp), first)
             yield np.column_stack((np.full(len(tail), first, np.intp), rest[tail]))
@@ -124,6 +127,24 @@ def _perm_batches(n, trials=None, rng=None):
     for done in range(0, trials, size):
         k = min(size, trials - done)
         yield sweep_order(shuffled(), n, rng, k)
+
+
+@cache
+def _orders(n):
+    """All n! orders of range(n) (n >= 1) in lexicographic order, as one
+    read-only (n!, n) array built once per n: the oracle and the search walk
+    the same orders, at the same time under :func:`truncation_statistics`."""
+    table = np.concatenate(list(_perm_batches(n)))
+    table.flags.writeable = False
+    return table
+
+
+def _paired_orders(n):
+    """The orders s of _perm_batches(n) with s[0] <= s[-1], one of each
+    reversal pair, batch by batch. For n > 1 no order that leads with
+    n - 1 qualifies, so its batch is not built."""
+    for orders in islice(_perm_batches(n), max(n - 1, 1)):
+        yield orders[orders[:, 0] <= orders[:, -1]]
 
 
 def _lower_gram_terms(B, perms):
@@ -147,8 +168,8 @@ def expected_lower_gram_bruteforce(B) -> np.ndarray:
         raise ValueError(f"n = {n} too large for exhaustive averaging; "
                          "use expected_lower_gram_closed")
     acc = np.zeros((n, n), dtype=B.dtype)
-    for perms in _perm_batches(n):
-        acc += _paired_lower_gram_sum(B, perms[perms[:, 0] <= perms[:, -1]])
+    for perms in _paired_orders(n):
+        acc += _paired_lower_gram_sum(B, perms)
     return acc / math.factorial(n)
 
 
@@ -251,22 +272,51 @@ def check_lower_gram_bounds(B) -> LowerGramReport:
     )
 
 
-def _on_two_threads(here, there):
-    """(here(), there()), with there() run on one worker thread while here()
-    runs on this one.
+def _shared_batches(score, batches, first=None):
+    """(first(), [score(batch) for batch in batches]), from this thread and
+    one worker that share the batches; first() is None when first is.
 
-    The two callables must share only read-only data; each keeps its own
-    generator, so the results are those of calling them one after the
-    other. An error of here() is raised first, one of there() by
-    ``result()``, and the worker is joined before the function returns.
+    One worker thread is started per call. Each thread takes the next
+    (j, batch) from the one iterator under a lock, so the batches are drawn
+    in order whichever thread takes them (an rng-drawn batch j is the j-th
+    draw), and stores score(batch) at j. This thread runs first() before it
+    takes batches. score and first must share only read-only data, and
+    score(batch) must depend on its batch alone: the results are then those
+    of the serial loop, in batch order. The first error stops both threads:
+    neither takes a further batch, an error of first() or of this thread's
+    batch is raised before one of the worker's, and the worker is joined
+    before the function returns.
     """
     # imported here, so that start-up and the commands that run no second
     # thread do not load it
     from concurrent.futures import ThreadPoolExecutor
+    from threading import Event, Lock
+
+    numbered, lock, stop, results = enumerate(batches), Lock(), Event(), {}
+
+    def take_batches():
+        try:
+            while True:
+                with lock:
+                    item = None if stop.is_set() else next(numbered, None)
+                if item is None:
+                    return
+                j, batch = item
+                results[j] = score(batch)
+        except BaseException:
+            stop.set()
+            raise
 
     with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(there)
-        return here(), future.result()
+        worker = pool.submit(take_batches)
+        try:
+            head = first() if first else None
+        except BaseException:
+            stop.set()
+            raise
+        take_batches()
+        worker.result()
+    return head, [results[j] for j in range(len(results))]
 
 
 def _truncations(B, perms):
@@ -318,27 +368,34 @@ def min_truncation_exhaustive(B) -> TruncationStats:
     the same norm: only orderings with sigma[0] <= sigma[-1] are scored, one
     of each reversal pair. ``samples`` still counts all n! orderings.
 
-    Each kept batch is scored on two threads (see :func:`_on_two_threads`):
-    this one scores its first half while one worker scores the second half,
-    and the two halves' norms are joined in order. The two spend their time
-    in the gather and in LAPACK, which release the GIL. Each norm is that of
-    its own matrix (see linalg._top_singular_values), so every batch, and
-    every statistic drawn from it, has the bytes of the batch scored whole
-    on one thread.
+    The kept batches, one per leading index, are shared by this thread and
+    one worker (see :func:`_shared_batches`); they spend their time in the
+    gather and in LAPACK, which release the GIL. Each batch is scored whole
+    and reduced at once to its norms and its first order of least norm, so
+    no batch's orders are held past its scoring, and every statistic has the
+    bytes of the serial loop whichever thread scores which batch.
     """
+    return _exhaustive_search(B)[1]
+
+
+def _least_norm(B, perms):
+    """The norms of the orders of perms and a copy of the first of least norm."""
+    norms = _batched_truncation_norms(B, perms)
+    return norms, perms[np.argmin(norms)].copy()
+
+
+def _exhaustive_search(B, first=None):
+    """(first(), min_truncation_exhaustive(B)), first() run on this thread
+    before it joins the search's batches (see :func:`_shared_batches`)."""
     B = _as_hermitian(B)
     n = B.shape[0]
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
     norm_b = _nonzero_norm(B)
-    norms, firsts = [], []  # per non-empty batch: its norms, its first order of least norm
-    for perms in (orders[orders[:, 0] <= orders[:, -1]] for orders in _perm_batches(n)):
-        if len(perms):
-            halves = (partial(_batched_truncation_norms, B, p) for p in np.array_split(perms, 2))
-            norms.append(np.concatenate(_on_two_threads(*halves)))
-            firsts.append(perms[np.argmin(norms[-1])].copy())
+    head, scored = _shared_batches(partial(_least_norm, B), _paired_orders(n), first)
+    norms, firsts = zip(*scored)  # per batch: its norms, its first order of least norm
     k = int(np.argmin([batch.min() for batch in norms]))  # first batch holding the least norm
-    return TruncationStats(
+    return head, TruncationStats(
         ratio_identity=float(norms[0][0]) / norm_b,  # lexicographic first = identity
         min_ratio=float(norms[k].min()) / norm_b,
         argmin_sigma=firsts[k],
@@ -549,40 +606,56 @@ def expected_truncation_norm(B, trials: int, rng) -> tuple[float, float]:
     """Monte Carlo estimate of E[||L_sigma||] / ||B|| over uniform orderings.
 
     Returns (estimate, standard_error), the latter from the ddof = 0 spread
-    and math.nan for ``trials`` = 1, where one sample gives no spread.
+    and math.nan for ``trials`` = 1, where one sample gives no spread. The
+    batches of orders are drawn from ``rng`` in turn and shared by this
+    thread and one worker (see :func:`_shared_batches`), so the values and
+    the generator's final state are those of the serial loop.
     Empirical data only; no closed form or proven bound for this average is
     implemented.
     """
+    return _expected_truncation(B, trials, rng)[1:]
+
+
+def _expected_truncation(B, trials, rng, first=None):
+    """(first(), *expected_truncation_norm(B, trials, rng)), first() run on
+    this thread before it joins the Monte Carlo batches (see
+    :func:`_shared_batches`)."""
     B = _as_square(B)
-    n = B.shape[0]
     norm_b = _nonzero_norm(B)
-    vals = np.concatenate([_batched_truncation_norms(B, perms)
-                           for perms in _perm_batches(n, trials, rng)])
-    ratios = vals / norm_b
+    head, vals = _shared_batches(partial(_batched_truncation_norms, B),
+                                 _perm_batches(B.shape[0], trials, rng), first)
+    ratios = np.concatenate(vals) / norm_b
     se = float(ratios.std(ddof=0) / np.sqrt(trials)) if trials > 1 else math.nan
-    return float(ratios.mean()), se
+    return head, float(ratios.mean()), se
 
 
 def truncation_statistics(B, restarts: int, search_rng, trials: int, mean_rng):
-    """The truncation statistics of B and the mean of ||L_sigma|| / ||B||:
-    (stats, mean, se), by the one method for each n.
+    """The truncation statistics of B, the mean of ||L_sigma|| / ||B|| and
+    the reordering average of L L*: (stats, mean, se, average), by the one
+    method for each n. Each method is one :func:`_shared_batches` call, one
+    worker thread.
 
     For n <= EXHAUSTIVE_LIMIT: :func:`min_truncation_exhaustive`, its exact
-    ``mean_ratio`` and se None; the other arguments are not used. Above it:
+    ``mean_ratio``, se None and the n! oracle
+    :func:`expected_lower_gram_bruteforce`, which runs on this thread while
+    the worker takes the search's batches; this thread then joins the
+    search. The other arguments are not used. Above it:
     :func:`min_truncation_heuristic` (``restarts``, ``search_rng``) runs on
-    this thread while :func:`expected_truncation_norm` (``trials``,
-    ``mean_rng``) runs on one worker (see :func:`_on_two_threads`), with its
-    estimate and standard error, which is nan for ``trials`` = 1. The two
-    share only the read-only B and keep their own streams and batches, so
-    every value is that of calling them one after the other. With two cores
-    the pair takes about as long as the longer of the two; on one core they
-    take turns.
+    this thread while the worker takes the batches of
+    :func:`expected_truncation_norm` (``trials``, ``mean_rng``); this thread
+    then joins the estimate, whose standard error is nan for ``trials`` = 1.
+    The average is then :func:`expected_lower_gram_closed`. The work of the
+    two threads shares only the read-only B, and each keeps its own stream,
+    so every value is that of the serial calls. With two cores the call
+    takes about half the serial time; on one core the threads take turns.
     """
     if _as_square(B).shape[0] <= EXHAUSTIVE_LIMIT:
-        return (stats := min_truncation_exhaustive(B)), stats.mean_ratio, None
-    stats, (mean, se) = _on_two_threads(partial(min_truncation_heuristic, B, restarts, search_rng),
-                                        partial(expected_truncation_norm, B, trials, mean_rng))
-    return stats, mean, se
+        average, stats = _exhaustive_search(B, partial(expected_lower_gram_bruteforce, B))
+        return stats, stats.mean_ratio, None, average
+    stats, mean, se = _expected_truncation(B, trials, mean_rng,
+                                           partial(min_truncation_heuristic, B, restarts,
+                                                   search_rng))
+    return stats, mean, se, expected_lower_gram_closed(B)
 
 
 @dataclass(frozen=True)

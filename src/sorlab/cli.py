@@ -7,7 +7,8 @@ command accepts a non-negative ``--seed`` (default 0); together with the
 pinned PCG64 generator this makes all outputs byte-reproducible.
 
 The commands start no threads and choose no method by n themselves:
-``analyze`` takes its truncation statistics from one call of
+``analyze`` takes its truncation statistics and its reordering average of
+L L* (the n! oracle for n <= 8, else the closed form) from one call of
 :func:`sorlab.analysis.truncation_statistics`, which does both.
 """
 
@@ -269,9 +270,10 @@ def cmd_compare(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     """Spectral summary, truncation statistics and reordering averages of B.
 
-    The truncation statistics come from
-    :func:`~sorlab.analysis.truncation_statistics`, which picks the method
-    for n and runs it on two threads; the search draws from
+    The truncation statistics and the reordering average of L L* that the
+    weighted form is checked against come from one
+    :func:`~sorlab.analysis.truncation_statistics` call, which picks the
+    methods for n and runs them on two threads; the search draws from
     ``derived_rng(seed, 7)`` and the Monte Carlo mean from
     ``derived_rng(seed, 8)``.
     """
@@ -292,13 +294,9 @@ def cmd_analyze(args, parser) -> int:
         _emit(report | {"truncation": "zero matrix, all ratios 0", "avg_lower_gram_norm": 0.0})
         return 0
 
-    stats, expected, se = analysis.truncation_statistics(
+    stats, expected, se, oracle = analysis.truncation_statistics(
         B, args.restarts, derived_rng(seed, 7), args.trials, derived_rng(seed, 8))
-    if stats.method == "exhaustive":  # the n! oracle is affordable too
-        oracle_name, oracle = "bruteforce", analysis.expected_lower_gram_bruteforce(B)
-    else:
-        se = None if math.isnan(se) else se  # --trials 1: no standard error to print
-        oracle_name, oracle = "closed", analysis.expected_lower_gram_closed(B)
+    se = None if se is None or math.isnan(se) else se  # --trials 1: no standard error to print
     gram = analysis.check_lower_gram_bounds(B)
     # the weighted closed-form candidate is compared against the definitional average
     weighted = analysis.expected_lower_gram_weighted(B)
@@ -321,7 +319,7 @@ def cmd_analyze(args, parser) -> int:
         "psd_unit_diagonal": psd_unit,
         # the paper proves the strict bound only for PSD unit-diagonal B
         "bound_psd_strict_ok": gram.psd_strict_ok if psd_unit else None,
-        "avg_lower_gram_oracle": oracle_name,
+        "avg_lower_gram_oracle": "bruteforce" if stats.method == "exhaustive" else "closed",
         "weighted_form_max_abs_dev": dev[i, j],
         "weighted_form_flagged": flagged,
         "weighted_form_entry": f"({i + 1},{j + 1}) oracle: {_fmt_float(oracle[i, j].real)} "

@@ -32,8 +32,9 @@ from sorlab import analysis
 from sorlab.analysis import (
     _batched_truncation_norms,
     _lower_gram_terms,
-    _on_two_threads,
+    _orders,
     _perm_batches,
+    _shared_batches,
     _swap_bounds,
     _swap_in_place,
     _truncations,
@@ -229,7 +230,8 @@ def test_exhaustive_min_below_identity_and_guard():
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_batched_truncation_norms_equal_any_split_bit_for_bit(cplx):
-    # the exhaustive search scores each batch in two halves on two threads
+    # the heuristic scores any subset of its swaps in one batch, and
+    # spectral_norm scores one matrix alone
     rng = make_rng(60 + cplx)
     stacks = [(n, next(_perm_batches(n))) for n in range(1, 9)]
     stacks.append((32, np.concatenate(list(_perm_batches(32, 40, rng)))))
@@ -270,11 +272,12 @@ def test_exhaustive_search_equals_serial_batches_bit_for_bit(n, cplx):
 
 
 def test_exhaustive_search_raises_the_worker_error_and_joins_it(monkeypatch):
+    # either thread may score any batch: the one that leads with 2 (72 of its
+    # 120 orders kept at n = 6) fails, whichever thread takes it
     import threading
-    caller = threading.get_ident()
 
     def score(B, perms):
-        if threading.get_ident() != caller:
+        if len(perms) == 72:
             raise ValueError("worker half failed")
         return _batched_truncation_norms(B, perms)
 
@@ -555,31 +558,160 @@ def test_expected_truncation_norm_within_exhaustive_range():
 # ---------------------------------------------------------------- one entry point, two threads
 
 def test_on_two_threads_returns_both_results_in_order():
+    # _shared_batches: first() on this thread while the worker takes batch 0,
+    # then the batches' results in batch order
     import threading
-    threads = threading.active_count()
-    here, there = _on_two_threads(threading.get_ident, threading.get_ident)
-    assert here == threading.get_ident() != there  # there() ran on the worker
-    assert _on_two_threads(lambda: "here", lambda: "there") == ("here", "there")
+    threads, caller, scored = threading.active_count(), threading.get_ident(), threading.Event()
+
+    def first():
+        assert scored.wait(10)
+        return threading.get_ident()
+
+    def score(batch):
+        scored.set()
+        return batch, threading.get_ident()
+
+    head, results = _shared_batches(score, iter(range(5)), first)
+    assert head == caller != results[0][1]  # batch 0 ran on the worker
+    assert [batch for batch, _ in results] == list(range(5))
+    assert _shared_batches(lambda batch: 10 * batch, range(4)) == (None, [0, 10, 20, 30])
+    assert _shared_batches(lambda batch: batch, [], lambda: "first") == ("first", [])
     assert threading.active_count() == threads
 
 
 def _raise(message):
-    def fail():
+    def fail(*args):
         raise ValueError(message)
     return fail
 
 
 @pytest.mark.parametrize("here, there, message", [
-    (_raise("here failed"), _raise("there failed"), "here failed"),  # here's error wins
+    (_raise("here failed"), _raise("there failed"), "here failed"),  # first()'s error wins
     (lambda: 1, _raise("there failed"), "there failed"),
     (_raise("here failed"), lambda: 2, "here failed"),
 ])
 def test_on_two_threads_raises_an_error_and_joins_the_worker(here, there, message):
+    # here is first(), there scores every batch (see _shared_batches)
     import threading
     threads = threading.active_count()
     with pytest.raises(ValueError, match=f"^{message}$"):
-        _on_two_threads(here, there)
+        _shared_batches(lambda batch: there(), range(3), here)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("stall_worker", [True, False])
+def test_shared_batches_equal_the_serial_loop_under_forced_interleavings(stall_worker):
+    # the worker stalled: this thread takes every batch but the worker's
+    # first; this thread stalled in first(): the worker takes every batch.
+    # Either way the norms are the serial loop's, in batch order, and the
+    # generator that draws the batches ends in the serial loop's state
+    import threading
+    B = random_psd_unit(32, make_rng(120), complex_entries=True, m=6)
+    rng, serial_rng = make_rng(121), make_rng(121)
+    want = [_batched_truncation_norms(B, perms) for perms in _perm_batches(32, 2000, serial_rng)]
+    caller, scorers, released = threading.get_ident(), [], threading.Event()
+
+    def score(perms):
+        scorers.append("caller" if threading.get_ident() == caller else "worker")
+        if stall_worker and scorers[-1] == "worker":
+            assert released.wait(10)
+        elif scorers.count(scorers[-1]) == len(want) - stall_worker:
+            released.set()  # the other thread may go on
+        return _batched_truncation_norms(B, perms)
+
+    head, got = _shared_batches(score, _perm_batches(32, 2000, rng),
+                                None if stall_worker else lambda: released.wait(10))
+    assert len(want) == 7 and [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert rng.bit_generator.state == serial_rng.bit_generator.state
+    if stall_worker:
+        assert head is None and scorers.count("worker") <= 1
+    else:
+        assert head is True and scorers == ["worker"] * len(want)
+
+
+def test_shared_batches_under_stress_score_every_batch_once_in_order():
+    # four runners at once (eight threads), switching every microsecond:
+    # each runner draws every batch of its generator once (a generator
+    # entered by two threads at once raises) and returns the results in
+    # batch order
+    import sys
+    import threading
+    scored, out = [], {}
+
+    def run(k):
+        out[k] = _shared_batches(lambda batch: scored.append((k, batch)) or batch,
+                                 (batch for batch in range(500)), lambda: k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(60)
+        assert not any(runner.is_alive() for runner in runners)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == {k: (k, list(range(500))) for k in range(4)}
+    assert sorted(scored) == [(k, batch) for k in range(4) for batch in range(500)]
+
+
+def test_shared_batches_stop_the_worker_on_an_error_of_first():
+    import threading
+    import time
+    threads, taken, started = threading.active_count(), [], threading.Event()
+
+    def score(batch):
+        taken.append(batch)
+        started.set()
+        time.sleep(0.2)  # first() raises meanwhile
+        return batch
+
+    def first():
+        assert started.wait(10)
+        raise ValueError("first failed")
+
+    with pytest.raises(ValueError, match="^first failed$"):
+        _shared_batches(score, range(20), first)
+    assert taken == [0] and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("bad", [0, 1, 6])
+def test_shared_batches_stop_both_threads_on_an_error_of_a_batch(bad):
+    import threading
+    import time
+    threads, taken = threading.active_count(), []
+
+    def score(batch):
+        taken.append(batch)
+        if batch == bad:
+            raise ValueError(f"batch {bad} failed")
+        time.sleep(0.02)
+        return batch
+
+    with pytest.raises(ValueError, match=f"^batch {bad} failed$"):
+        _shared_batches(score, range(100), lambda: None)
+    # the other thread finishes the batch it holds and takes no further one
+    assert bad in taken and len(taken) <= bad + 2
+    assert threading.active_count() == threads
+
+
+def test_shared_batches_start_one_thread_per_call(monkeypatch):
+    # down from one per kept batch (7 at n = 8) for the exhaustive search
+    import threading
+    starts, start = [], threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    _shared_batches(lambda batch: batch, range(50), lambda: None)
+    assert len(starts) == 1
+    for calls, n in enumerate((8, 12), 2):  # both methods of truncation_statistics
+        truncation_statistics(random_psd_unit(n, make_rng(n)), 2, make_rng(1), 100, make_rng(2))
+        assert len(starts) == calls, n
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -588,9 +720,11 @@ def test_truncation_statistics_exhaustive_is_the_exact_search(n, cplx):
     B = random_psd_unit(n, make_rng(90 + n), complex_entries=cplx)
     search_rng, mean_rng = make_rng(1), make_rng(2)
     states = search_rng.bit_generator.state, mean_rng.bit_generator.state
-    stats, mean, se = truncation_statistics(B, 3, search_rng, 50, mean_rng)
+    stats, mean, se, average = truncation_statistics(B, 3, search_rng, 50, mean_rng)
     want = min_truncation_exhaustive(B)
     assert repr((stats, mean)) == repr((want, want.mean_ratio)) and se is None
+    # the n! oracle, computed beside the search
+    assert average.tobytes() == expected_lower_gram_bruteforce(B).tobytes()
     # neither generator is drawn from
     assert (search_rng.bit_generator.state, mean_rng.bit_generator.state) == states
 
@@ -599,15 +733,16 @@ def test_truncation_statistics_exhaustive_is_the_exact_search(n, cplx):
 @pytest.mark.parametrize("n", [9, 12])
 def test_truncation_statistics_above_the_limit_is_the_serial_pair(n, cplx):
     B = random_psd_unit(n, make_rng(100 + n), complex_entries=cplx, m=n - 3)
-    got = truncation_statistics(B, 4, make_rng(5), 300, make_rng(6))
+    *got, average = truncation_statistics(B, 4, make_rng(5), 300, make_rng(6))
     want = (min_truncation_heuristic(B, 4, make_rng(5)),
             *expected_truncation_norm(B, 300, make_rng(6)))
-    assert repr(got) == repr(want) and got[0].method == "heuristic"
+    assert repr(tuple(got)) == repr(want) and got[0].method == "heuristic"
+    assert average.tobytes() == expected_lower_gram_closed(B).tobytes()
 
 
 def test_truncation_statistics_one_trial_has_no_standard_error():
-    stats, mean, se = truncation_statistics(random_psd_unit(9, make_rng(7)), 2, make_rng(8),
-                                             1, make_rng(9))
+    stats, mean, se, _ = truncation_statistics(random_psd_unit(9, make_rng(7)), 2, make_rng(8),
+                                                1, make_rng(9))
     assert mean > 0 and math.isnan(se)
 
 
@@ -622,11 +757,11 @@ def test_rank_one_unit_modulus_ratios_all_tie_at_the_closed_form(cplx):
     rng = make_rng(110 + cplx)
     for n in range(2, 9):
         B = random_psd_unit(n, rng, cplx, 1)
-        stats, mean, _ = truncation_statistics(B, 2, make_rng(1), 10, make_rng(2))
+        stats, mean, *_ = truncation_statistics(B, 2, make_rng(1), 10, make_rng(2))
         for value in (stats.min_ratio, mean, stats.max_ratio, stats.ratio_identity):
             assert value == pytest.approx(_rank_one_ratio(n), rel=1e-12), n
     B = random_psd_unit(12, rng, cplx, 1)
-    stats, mean, se = truncation_statistics(B, 3, make_rng(3), 200, make_rng(4))
+    stats, mean, se, _ = truncation_statistics(B, 3, make_rng(3), 200, make_rng(4))
     assert stats.method == "heuristic"
     for value in (stats.min_ratio, stats.ratio_identity, mean):
         assert value == pytest.approx(_rank_one_ratio(12), rel=1e-12)
@@ -852,6 +987,17 @@ def test_perm_batches_lexicographic():
         got = np.concatenate(list(_perm_batches(n)))
         assert got.dtype == np.intp
         assert np.array_equal(got, np.array(list(itertools.permutations(range(n)))))
+
+
+def test_orders_table_is_built_once_and_read_only():
+    # _perm_batches(n) builds its batches from _orders(n - 1), shared by
+    # every caller
+    table = _orders(7)
+    assert _orders(7) is table and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    assert np.array_equal(table, np.array(list(itertools.permutations(range(7)))))
+    assert all(batch.flags.writeable for batch in _perm_batches(8))
 
 
 def test_perm_batches_sampled_are_bounded_by_size():

@@ -509,7 +509,7 @@ def test_analyze_large_uses_heuristic(tmp_path, capsys):
 
 
 def test_analyze_heuristic_path_prints_the_serial_values(tmp_path, capsys):
-    # the Monte Carlo estimate runs on a worker thread beside the heuristic;
+    # the Monte Carlo batches run on two threads beside the heuristic;
     # the report holds the values of the two calls made one after the other
     from helpers import random_psd_unit
     from sorlab import analysis, derived_rng, format_permutation, hermitian, make_rng
@@ -529,17 +529,24 @@ def test_analyze_heuristic_path_prints_the_serial_values(tmp_path, capsys):
 
 
 def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
+    # for n > 8 the two threads share the Monte Carlo batches beside the
+    # heuristic; the last of the batches of 3225, 3225 and 550 orders at
+    # n = 10 fails, whichever thread takes it
     import threading
     from helpers import random_psd_unit
     from sorlab import analysis, make_rng
+    score = analysis._batched_truncation_norms
 
-    def fail(B, trials, rng):
-        raise ValueError("estimate failed")
+    def fail_on_the_last_batch(B, perms):
+        if len(perms) == 550:
+            raise ValueError("estimate failed")
+        return score(B, perms)
 
-    monkeypatch.setattr(analysis, "expected_truncation_norm", fail)
+    monkeypatch.setattr(analysis, "_batched_truncation_norms", fail_on_the_last_batch)
     write_matrix(tmp_path / "B.mtx", random_psd_unit(10, make_rng(1)))
     threads = threading.active_count()
-    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx", "--restarts", "2") == 1
+    assert run_cli("analyze", "--matrix", tmp_path / "B.mtx", "--restarts", "2",
+                   "--trials", "7000") == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: estimate failed\n"
     assert threading.active_count() == threads
@@ -547,18 +554,20 @@ def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, mon
 
 def test_analyze_exhaustive_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys,
                                                                       monkeypatch):
-    # for n <= 8 the worker scores the second half of each batch of orders
+    # for n <= 8 the two threads share the kept batches of orders, one per
+    # leading index; the one that leads with 3 (2880 orders) fails, whichever
+    # thread takes it
     import threading
     from helpers import random_psd_unit
     from sorlab import analysis, make_rng
-    caller, score = threading.get_ident(), analysis._batched_truncation_norms
+    score = analysis._batched_truncation_norms
 
-    def fail_on_worker(B, perms):
-        if threading.get_ident() != caller:
+    def fail_on_a_chosen_batch(B, perms):
+        if len(perms) == 2880:
             raise ValueError("worker half failed")
         return score(B, perms)
 
-    monkeypatch.setattr(analysis, "_batched_truncation_norms", fail_on_worker)
+    monkeypatch.setattr(analysis, "_batched_truncation_norms", fail_on_a_chosen_batch)
     write_matrix(tmp_path / "B.mtx", random_psd_unit(8, make_rng(1)))
     threads = threading.active_count()
     assert run_cli("analyze", "--matrix", tmp_path / "B.mtx") == 1

@@ -8,9 +8,10 @@ in the stack kernel at every trial count, so ``solve`` and an all-randomized
 interpreter; with blocking on, a ``sys.meta_path`` finder refuses every
 import of scipy or a submodule, so a command that reaches SciPy fails. Stdout and written files must equal those
 of the same command run in-process. ``analyze`` runs a worker thread on both
-of its paths (beside the heuristic for n > 8, on half of each batch of the
-n! search for n <= 8) and imports the thread pool there alone, so start-up
-(and every benchmark's ``generate``) does not pay for it.
+of its paths (on the Monte Carlo batches beside the heuristic for n > 8, on
+the n! search's batches beside the n! oracle for n <= 8) and imports the
+thread pool there alone, so start-up (and every benchmark's ``generate``)
+does not pay for it.
 """
 
 import contextlib
