@@ -53,10 +53,18 @@ from .solvers import _check_omega
 # expected_contraction, averaged over exactly by a subset recursion.
 EXHAUSTIVE_LIMIT = 8
 
-# Largest batch of orders. An exhaustive batch holds the (n - 1)! orders with
-# one leading index, at most 7! = 5040; a Monte Carlo batch holds at most
-# _CHUNK * 8**2 matrix entries, as many as the largest exhaustive batch.
+# Largest batch of orders drawn, held and reduced at once: an exhaustive batch
+# holds the (n - 1)! orders with one leading index, at most 7! = 5040; a Monte
+# Carlo batch and a heuristic restart group hold at most _batch_size(n) orders.
+# The n! oracle's GEMMs and expected_contraction sum whole batches, so their
+# bits depend on this size.
 _CHUNK = 5040
+
+# Most matrix entries that _batched_truncation_norms gathers, forms Grams of
+# and reduces at once (80 matrices at n = 32, 1280 at n = 8): about 640 KiB
+# for each array of a stack (index, gather, mask, Gram) on each thread. Half
+# this budget read about 10 % slower on analyze at n = 32.
+_NORM_ENTRIES = 81920
 
 # Best currently known constants for the reordered-truncation existence
 # bounds: ||L_sigma|| <= C1 ||B|| for some sigma when B is PSD with unit
@@ -97,8 +105,10 @@ def _check_rng(rng):
 
 
 def _batch_size(n):
-    """Orders per batch: at most _CHUNK, and _CHUNK * 64 // n**2 (at least
-    one), which bounds the (k, n, n) stacks built from a batch."""
+    """Orders per Monte Carlo batch and per heuristic restart group: at most
+    _CHUNK, and _CHUNK * 64 // n**2 (at least one), which bounds the (R, n, n)
+    truncations that a restart group holds. Their norms are reduced in stacks
+    of at most _NORM_ENTRIES entries (see :func:`_batched_truncation_norms`)."""
     return max(1, min(_CHUNK, _CHUNK * 64 // n**2))
 
 
@@ -329,8 +339,14 @@ def _truncations(B, perms):
 
 
 def _batched_truncation_norms(B, perms):
-    """||L_s|| for each row s of perms (see :func:`_truncations`)."""
-    return _top_singular_values(_truncations(B, perms))
+    """||L_s|| for each row s of perms (see :func:`_truncations`), gathered
+    and reduced in stacks of at most _NORM_ENTRIES matrix entries, one matrix
+    a stack when n**2 alone is more. Each matrix is reduced on its own (see
+    linalg._top_singular_values), so the norms are those of one stack of all
+    the orders, bit for bit, whatever the budget or the batch."""
+    size = max(1, _NORM_ENTRIES // B.shape[0] ** 2)
+    return np.concatenate([_top_singular_values(_truncations(B, perms[lo:lo + size]))
+                           for lo in range(0, len(perms) or 1, size)])  # empty perms: empty norms
 
 
 def truncation_ratio(B, sigma) -> float:
@@ -370,10 +386,12 @@ def min_truncation_exhaustive(B) -> TruncationStats:
 
     The kept batches, one per leading index, are shared by this thread and
     one worker (see :func:`_shared_batches`); they spend their time in the
-    gather and in LAPACK, which release the GIL. Each batch is scored whole
-    and reduced at once to its norms and its first order of least norm, so
-    no batch's orders are held past its scoring, and every statistic has the
-    bytes of the serial loop whichever thread scores which batch.
+    gather and in LAPACK, which release the GIL. Each batch is scored by one
+    :func:`_batched_truncation_norms` call (in stacks of at most
+    _NORM_ENTRIES entries) and reduced at once to its norms and its first
+    order of least norm, so no batch's orders are held past its scoring, and
+    every statistic has the bytes of the serial loop whichever thread scores
+    which batch.
     """
     return _exhaustive_search(B)[1]
 
@@ -491,15 +509,13 @@ def _swap_in_place(B, sigma, L, i):
 
 def _score_swaps(B, sigma, norms, mask):
     """Set norms[r, k] = ||L|| of the order sigma[r] with positions k and k + 1
-    swapped where mask[r, k] holds, from _batched_truncation_norms on batches
-    of _batch_size(n) orders."""
+    swapped where mask[r, k] holds, from one _batched_truncation_norms call
+    (none when mask is all False), which bounds the stacks it builds."""
     r, k = np.nonzero(mask)
-    size = _batch_size(B.shape[0])
-    for lo in range(0, len(r), size):
-        rb, kb = r[lo:lo + size], k[lo:lo + size]
-        perms = sigma[rb]  # a copy, one row per scored swap
-        _swap_entries(perms, kb)
-        norms[rb, kb] = _batched_truncation_norms(B, perms)
+    if len(r):
+        perms = sigma[r]  # a copy, one row per scored swap
+        _swap_entries(perms, k)
+        norms[r, k] = _batched_truncation_norms(B, perms)
 
 
 def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
@@ -538,15 +554,16 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     restarts then run in groups of _batch_size(n) consecutive ones (315 at
     n = 32, 78 at n = 64, 4 at n = 256), so that the (R, n, n) stacks of L
     and the (R, n - 1, n) stacks of the bounds hold at most _CHUNK * 64
-    entries whatever ``restarts`` is. In a round, every restart of the group that is
-    still descending takes one step, together with the others: one
+    entries whatever ``restarts`` is. In a round, every restart of the group
+    that is still descending takes one step, together with the others: one
     :func:`_swap_bounds` call on the stack, one exact-norm call for every
     restart's least-bound swap, one for all the swaps that survive pruning
-    (none when no swap does; split into batches of _batch_size(n) orders
-    when more survive), and one accept step for the stack. A restart leaves
-    the stack when no swap beats its current norm. Each matrix of an
-    exact-norm batch is reduced on its own (see linalg._top_singular_values),
-    so the batch does not change its norm.
+    (none when no swap does), and one accept step for the stack. A restart
+    leaves the stack when no swap beats its current norm. Every exact-norm
+    call, the start norms' too, gathers and reduces stacks of at most
+    _NORM_ENTRIES entries, and each matrix of a stack is reduced on its own
+    (see :func:`_batched_truncation_norms`), so neither the stack nor the
+    call changes a norm.
 
     A round costs, per live restart, about one exact norm (a gather, an
     n x n Gram and an eigvalsh) and its share of the bounds' batched
@@ -569,7 +586,7 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
         live = np.arange(lo, min(lo + group, restarts))  # the restarts still descending
         sigma = starts[live]
         L = _truncations(B, sigma)
-        start_norms[live] = end_norms[live] = cur = _top_singular_values(L)
+        start_norms[live] = end_norms[live] = cur = _batched_truncation_norms(B, sigma)
         v = np.linalg.svd(L)[2][:, 0].conj()
         while n > 1 and len(live):
             bounds, ritz = _swap_bounds(L, v)

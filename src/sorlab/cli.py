@@ -77,23 +77,24 @@ def write_history_csv(path, histories) -> None:
     a trial whose float64 errors and residuals are byte-equal to those of
     the previous trial of the same strategy (as run_trials returns for
     cyclic) reuses its tails. Bytes, not values, decide: -0.0 == 0.0, but
-    their reprs differ.
+    their reprs differ. Each trial's rows are written as they are formatted,
+    so no more than one trial's text is held at a time.
     """
-    lines = [CSV_HEADER]
     sweeps = [f",{k}," for k in range(max((len(h.errors_sq) for trials in histories.values()
                                            for h in trials), default=0))]
-    for strategy, trials in histories.items():
-        last = None
-        for trial, h in enumerate(trials):
-            errs, resids = (np.asarray(a, dtype=np.float64) for a in (h.errors_sq, h.residuals))
-            key = (errs.tobytes(), resids.tobytes())
-            if key != last:
-                last = key
-                tails = [f"{s}{e!r},{r!r}"
-                         for s, e, r in zip(sweeps, errs.tolist(), resids.tolist())]
-            lines += map(f"{strategy},{trial}".__add__, tails)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for strategy, trials in histories.items():
+            last = None
+            for trial, h in enumerate(trials):
+                errs, resids = (np.asarray(a, dtype=np.float64)
+                                for a in (h.errors_sq, h.residuals))
+                key = (errs.tobytes(), resids.tobytes())
+                if key != last:
+                    last = key
+                    tails = [f"{s}{e!r},{r!r}\n"
+                             for s, e, r in zip(sweeps, errs.tolist(), resids.tolist())]
+                fh.write("".join(map(f"{strategy},{trial}".__add__, tails)))
 
 
 def read_history_csv(path):

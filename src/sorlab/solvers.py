@@ -30,7 +30,8 @@ or on the other trials. It never imports SciPy.
 
 :func:`_sweeps` hands each sweep the orders of its live rows. A shuffled or
 single-step random trial draws its orders ahead, in chunks of 1, 2, 4, ...
-sweeps of at most max(n, ORDER_CHUNK) indices and never past max_sweeps
+sweeps of at most max(n, ORDER_CHUNK) indices a trial, and a chunk of T
+trials at most max(T n, STACK_ORDER_CHUNK), never past max_sweeps
 (:func:`_order_chunks`). A chunk of k sweeps is one
 :func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
 stream exactly as k single draws do, so the orders, and every output byte,
@@ -75,6 +76,13 @@ SWEEP_BLOCK = 64
 # a randomized trial draws its orders ahead in chunks of 1, 2, 4, ... sweeps,
 # at most max(1, ORDER_CHUNK // n) sweeps, so max(n, ORDER_CHUNK) indices
 ORDER_CHUNK = 4096
+# and a stack of T trials at most max(1, STACK_ORDER_CHUNK // (T n)) sweeps,
+# so that its (k, rows, n) chunk array holds at most max(T n,
+# STACK_ORDER_CHUNK) indices (8 MiB) whatever the trial count. It caps
+# no chunk of the perfbench workloads (at most 300 x 16 x 19 indices) or of
+# the tests (32 x 64 x 64); 2**18 made 3000 trials at n = 16 draw 5 sweeps a
+# chunk, and their run 1.5 times as long
+STACK_ORDER_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -243,10 +251,12 @@ def _stack_sweep(orders, b, B_conj, V, omega):
         flat[at] += omega * (b_idx - np.vecdot(B_conj.take(idx, axis=0), V))
 
 
-def _order_chunks(n, max_sweeps):
-    """The sweep counts of a randomized trial's order draws: 1, 2, 4, ...,
-    at most max(1, ORDER_CHUNK // n) and never past max_sweeps in all."""
-    cap, k, drawn = max(1, ORDER_CHUNK // n), 1, 0
+def _order_chunks(n, max_sweeps, trials=1):
+    """The sweep counts of the order draws of a randomized trial in a stack
+    of ``trials`` rows: 1, 2, 4, ..., at most max(1, ORDER_CHUNK // n) and
+    max(1, STACK_ORDER_CHUNK // (trials n)), and never past max_sweeps in
+    all."""
+    cap, k, drawn = max(1, min(ORDER_CHUNK // n, STACK_ORDER_CHUNK // (trials * n))), 1, 0
     while drawn < max_sweeps:
         k = min(k, cap, max_sweeps - drawn)
         yield k
@@ -261,8 +271,10 @@ def _sweeps(V, n, measure, sweep, config: SolverConfig, orders,
 
     ``orders[t]`` is the (n,) order that trial t reuses in every sweep, or a
     function that draws the (k, n) orders of its next k sweeps; it is called
-    with the k of each chunk of :func:`_order_chunks`, and a chunk holds one
-    (k, rows, n) array for the live rows, a reused order repeated k times.
+    with the k of each chunk of :func:`_order_chunks` for T = len(seeds)
+    rows, and a chunk holds one (k, rows, n) array for the live rows, a
+    reused order repeated k times, of at most max(T n, STACK_ORDER_CHUNK)
+    indices.
     ``sweep(orders, V)`` sweeps each row of V once, over its row of the
     (rows, n) orders of one sweep of the chunk. ``measure(V)`` returns the rows' errors
     and residuals as two lists of floats, recorded before the first and
@@ -297,7 +309,7 @@ def _sweeps(V, n, measure, sweep, config: SolverConfig, orders,
     record(0)
     live = list(orders)  # the orders of each row of V
     # chunk[j] holds the live rows' orders of the chunk's sweep j
-    chunks, chunk, j = _order_chunks(n, config.max_sweeps), (), 0
+    chunks, chunk, j = _order_chunks(n, config.max_sweeps, len(seeds)), (), 0
     for sweep_no in range(1, config.max_sweeps + 1):
         if j == len(chunk):
             k, j = next(chunks), 0

@@ -229,20 +229,50 @@ def test_exhaustive_min_below_identity_and_guard():
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-def test_batched_truncation_norms_equal_any_split_bit_for_bit(cplx):
+def test_batched_truncation_norms_equal_any_split_bit_for_bit(monkeypatch, cplx):
     # the heuristic scores any subset of its swaps in one batch, and
-    # spectral_norm scores one matrix alone
+    # spectral_norm scores one matrix alone; under any budget (one matrix a
+    # stack, a middle value, the default) the norms are those of one stack
     rng = make_rng(60 + cplx)
     stacks = [(n, next(_perm_batches(n))) for n in range(1, 9)]
     stacks.append((32, np.concatenate(list(_perm_batches(32, 40, rng)))))
     for n, perms in stacks:
         B = random_psd_unit(n, rng, complex_entries=cplx)
-        whole = _batched_truncation_norms(B, perms)
-        k = len(perms)
-        for cut in sorted({0, 1, k // 2, k - 1, k, int(rng.integers(k + 1))}):
-            parts = [_batched_truncation_norms(B, perms[:cut]),
-                     _batched_truncation_norms(B, perms[cut:])]
-            assert np.concatenate(parts).tobytes() == whole.tobytes(), (n, cut)
+        one_stack = analysis._top_singular_values(_truncations(B, perms)).tobytes()
+        for budget in (1, 3000, analysis._NORM_ENTRIES):
+            monkeypatch.setattr(analysis, "_NORM_ENTRIES", budget)
+            whole = _batched_truncation_norms(B, perms)
+            assert whole.tobytes() == one_stack, (n, budget)
+            k = len(perms)
+            for cut in sorted({0, 1, k // 2, k - 1, k, int(rng.integers(k + 1))}):
+                parts = [_batched_truncation_norms(B, perms[:cut]),
+                         _batched_truncation_norms(B, perms[cut:])]
+                assert np.concatenate(parts).tobytes() == one_stack, (n, budget, cut)
+
+
+def _record_stacks(monkeypatch):
+    """The (k, m, n) shape of every stack whose norms analysis reduces."""
+    shapes = []
+    top = analysis._top_singular_values
+    monkeypatch.setattr(analysis, "_top_singular_values",
+                        lambda M: shapes.append(M.shape) or top(M))
+    return shapes
+
+
+@pytest.mark.parametrize("n, restarts, per_stack", [(8, 20, 1280), (32, 100, 80)])
+def test_norm_budget_bounds_every_stack_of_truncation_statistics(monkeypatch, n, restarts,
+                                                                 per_stack):
+    # n = 8: an exhaustive batch keeps up to 5040 orders; n = 32: a
+    # Monte Carlo batch holds 315 orders and the one restart group 100; each
+    # is reduced in stacks of at most _NORM_ENTRIES entries, on either thread,
+    # and the statistics keep their bytes
+    B = random_psd_unit(n, make_rng(80 + n), m=max(1, n // 5))
+    want = truncation_statistics(B, restarts, make_rng(1), 2000, make_rng(2))
+    shapes = _record_stacks(monkeypatch)
+    got = truncation_statistics(B, restarts, make_rng(1), 2000, make_rng(2))
+    assert repr(got) == repr(want)
+    assert all(k * rows * cols <= analysis._NORM_ENTRIES for k, rows, cols in shapes)
+    assert max(k for k, _, _ in shapes) == per_stack
 
 
 def _serial_exhaustive(B):
@@ -352,23 +382,26 @@ def _heuristic_reference(B, restarts, rng, steps=None):
 
 
 def _count_calls(monkeypatch, calls, stacks):
-    """Record len(perms) of each exact-norm call and L.shape of each bounds call."""
+    """Record len(perms) of each exact-norm call and L.shape of each bounds
+    call; return the shapes of the stacks whose norms are reduced."""
     monkeypatch.setattr(analysis, "_batched_truncation_norms",
                         lambda B, perms: calls.append(len(perms))
                         or _batched_truncation_norms(B, perms))
     monkeypatch.setattr(analysis, "_swap_bounds",
                         lambda L, v: stacks.append(L.shape) or _swap_bounds(L, v))
+    return _record_stacks(monkeypatch)
 
 
 def _check_lockstep(monkeypatch, B, restarts, seed):
     """min_truncation_heuristic equals the neighbor loop bit for bit, its rounds
     step exactly the restarts still descending, and it makes at most two
-    exact-norm calls per round besides the starts and the identity. Returns
-    the reference's accepted swaps per restart."""
+    exact-norm calls per round besides the starts and the identity, each
+    reduced in stacks of at most _NORM_ENTRIES entries. Returns the
+    reference's accepted swaps per restart."""
     norm_b = spectral_norm(B)
     steps, calls, stacks = [], [], []
     best, best_sigma, starts = _heuristic_reference(B, restarts, make_rng(seed), steps)
-    _count_calls(monkeypatch, calls, stacks)
+    reduced = _count_calls(monkeypatch, calls, stacks)
     stats = min_truncation_heuristic(B, restarts, make_rng(seed))
     assert stats.min_ratio == best / norm_b
     assert np.array_equal(stats.argmin_sigma, best_sigma)
@@ -378,6 +411,7 @@ def _check_lockstep(monkeypatch, B, restarts, seed):
     # last round finds none and it leaves the stack
     assert [R for R, _, _ in stacks] == [sum(s >= t for s in steps) for t in range(max(steps) + 1)]
     assert len(calls) <= 2 * len(stacks) + 2 and all(calls)
+    assert all(k * m * n <= analysis._NORM_ENTRIES for k, m, n in reduced)
     return steps
 
 
@@ -420,8 +454,9 @@ def test_lockstep_groups_bound_the_bounds_stacks_and_keep_results(monkeypatch):
     ends = [a.min_ratio for a in alone]
     first = ends.index(min(ends))  # ties go to the first restart
     monkeypatch.setattr(analysis, "_CHUNK", 200)
+    monkeypatch.setattr(analysis, "_NORM_ENTRIES", 3 * n**2)
     calls, stacks = [], []
-    _count_calls(monkeypatch, calls, stacks)
+    reduced = _count_calls(monkeypatch, calls, stacks)
     stats = min_truncation_heuristic(B, restarts, make_rng(65))
     assert stats.min_ratio == ends[first]
     assert np.array_equal(stats.argmin_sigma, alone[first].argmin_sigma)
@@ -430,9 +465,10 @@ def test_lockstep_groups_bound_the_bounds_stacks_and_keep_results(monkeypatch):
     assert stats.max_ratio == starts.max() and stats.mean_ratio == float(starts.mean())
     assert max(R for R, _, _ in stacks) == 3
     assert all(R * (n - 1) * n <= 200 * 64 for R, _, _ in stacks)
-    # exact norms in batches of at most 3 orders; per group a start call, and
-    # per round two calls unless more than 3 swaps are scored
-    assert max(calls) <= 3 and len(calls) <= 2 * len(stacks) + 3 + 1
+    # exact norms reduced in stacks of at most 3 orders (the budget, 3 * 64**2
+    # entries); per group a start stack, and per round two stacks unless more
+    # than 3 swaps are scored
+    assert max(k for k, _, _ in reduced) <= 3 and len(reduced) <= 2 * len(stacks) + 3 + 1
 
 
 

@@ -445,6 +445,34 @@ def test_stack_draws_one_chunk_per_live_trial(monkeypatch, kind):
                                   _sweep_orders(strategy, n, cfg, sum(map(len, got))))
 
 
+def test_stack_chunks_stay_within_the_order_budget_and_keep_every_byte(monkeypatch):
+    # 30 trials of each kind at n = 8 put 90 x 8 = 720 indices in a sweep, so
+    # a budget of 3000 indices caps a chunk at 4 sweeps (ORDER_CHUNK alone
+    # allows 512). The orders, and so every history byte, are those of the
+    # default budget
+    kinds = ["shuffled", "single_step_random", "preshuffled"]
+    inst = random_factor_problem(8, 8, rng=make_rng(59))
+    config = SolverConfig(max_sweeps=40, target_error_sq=0.0, seed=10)
+    want = run_trials(inst.B, inst.b, np.zeros(8), inst.ybar, kinds, 30, config)
+    drawn = []  # the k of each draw; every row is live in every chunk (target 0)
+
+    def recording(strategy, n, rng=None, sweeps=None):
+        drawn.append(sweeps)
+        return real(strategy, n, rng, sweeps=sweeps)
+
+    real = solvers.sweep_order
+    monkeypatch.setattr(solvers, "sweep_order", recording)
+    monkeypatch.setattr(solvers, "STACK_ORDER_CHUNK", 3000)
+    got = run_trials(inst.B, inst.b, np.zeros(8), inst.ybar, kinds, 30, config)
+    for kind in kinds:
+        for g, w in zip(got[kind], want[kind]):
+            for a, b in ((g.errors_sq, w.errors_sq), (g.residuals, w.residuals),
+                         (g.final_iterate, w.final_iterate)):
+                assert a.tobytes() == b.tobytes()
+    assert sum(drawn) == 2 * 30 * 40  # preshuffled rows draw no chunk
+    assert max(drawn) * 90 * 8 <= 3000 and max(drawn) == 4
+
+
 @pytest.mark.parametrize("n, chunks", [(1, [1, 2, 4]), (2048, [1, 2, 2, 2]),
                                        (4096, [1] * 7), (5000, [1] * 7)])
 def test_order_chunks_hold_at_most_max_n_4096_indices(n, chunks):
