@@ -53,17 +53,11 @@ from .solvers import _check_omega
 # expected_contraction, averaged over exactly by a subset recursion.
 EXHAUSTIVE_LIMIT = 8
 
-# Largest batch of orders drawn, held and reduced at once: an exhaustive batch
-# holds the (n - 1)! orders with one leading index, at most 7! = 5040; a Monte
-# Carlo batch and a heuristic restart group hold at most _batch_size(n) orders.
-# The n! oracle's GEMMs and expected_contraction sum whole batches, so their
-# bits depend on this size.
-_CHUNK = 5040
-
-# Most matrix entries that _batched_truncation_norms gathers, forms Grams of
-# and reduces at once (80 matrices at n = 32, 1280 at n = 8): about 640 KiB
-# for each array of a stack (index, gather, mask, Gram) on each thread. Half
-# this budget read about 10 % slower on analyze at n = 32.
+# The one working-set budget: the most matrix entries that
+# _batched_truncation_norms gathers, forms Grams of and reduces at once (80
+# matrices at n = 32, 1280 at n = 8), about 640 KiB for each array of a stack
+# (index, gather, mask, Gram) on each thread. Half this budget read about 10 %
+# slower on analyze at n = 32, and batches of one stack (see _batch_size) 5-7 %.
 _NORM_ENTRIES = 81920
 
 # Best currently known constants for the reordered-truncation existence
@@ -105,11 +99,12 @@ def _check_rng(rng):
 
 
 def _batch_size(n):
-    """Orders per Monte Carlo batch and per heuristic restart group: at most
-    _CHUNK, and _CHUNK * 64 // n**2 (at least one), which bounds the (R, n, n)
-    truncations that a restart group holds. Their norms are reduced in stacks
-    of at most _NORM_ENTRIES entries (see :func:`_batched_truncation_norms`)."""
-    return max(1, min(_CHUNK, _CHUNK * 64 // n**2))
+    """Orders per Monte Carlo batch and per heuristic restart group, at least
+    one: as many as four stacks of _NORM_ENTRIES entries hold (5120 at n = 8,
+    320 at n = 32). An exhaustive batch holds (n - 1)! orders, because the n!
+    oracle's GEMMs sum whole batches, as expected_contraction and
+    expected_lower_gram_montecarlo do: their bits depend on the size."""
+    return max(1, 4 * _NORM_ENTRIES // n**2)
 
 
 def _perm_batches(n, trials=None, rng=None):
@@ -410,6 +405,8 @@ def _exhaustive_search(B, first=None):
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n = {n} too large for exhaustive search; use heuristic")
     norm_b = _nonzero_norm(B)
+    if n > 1:  # cache does not lock: build the table before first() and the worker read it
+        _orders(n - 1)
     head, scored = _shared_batches(partial(_least_norm, B), _paired_orders(n), first)
     norms, firsts = zip(*scored)  # per batch: its norms, its first order of least norm
     k = int(np.argmin([batch.min() for batch in norms]))  # first batch holding the least norm
@@ -551,9 +548,9 @@ def min_truncation_heuristic(B, restarts: int, rng) -> TruncationStats:
     The restarts descend in lockstep. Every starting order is drawn first,
     in restart order, by one :func:`~sorlab.orderings.sweep_order` call (it
     consumes the stream as one ``rng.permutation(n)`` per restart). The
-    restarts then run in groups of _batch_size(n) consecutive ones (315 at
-    n = 32, 78 at n = 64, 4 at n = 256), so that the (R, n, n) stacks of L
-    and the (R, n - 1, n) stacks of the bounds hold at most _CHUNK * 64
+    restarts then run in groups of _batch_size(n) consecutive ones (320 at
+    n = 32, 80 at n = 64, 5 at n = 256), so that the (R, n, n) stacks of L
+    and the (R, n - 1, n) stacks of the bounds hold at most 4 _NORM_ENTRIES
     entries whatever ``restarts`` is. In a round, every restart of the group
     that is still descending takes one step, together with the others: one
     :func:`_swap_bounds` call on the stack, one exact-norm call for every
@@ -828,8 +825,9 @@ def expected_contraction(B, omega: float, trials: int = 2000, rng=None) -> float
     (I + w L_s) Z_s = R_s, so W* Q_s* B Q_s W = S_s* S_s and the factor is
     lambda_max of the mean of S_s* S_s. For n <= EXHAUSTIVE_LIMIT the
     mean over all n! orders is exact, by the subset recursion of
-    :func:`_shuffled_average`; above it, it is estimated from `trials` Monte
-    Carlo orders drawn from `rng` (summed by :func:`_contraction_gram`).
+    :func:`_shuffled_average`, and `trials` and `rng` are ignored; above it,
+    it is estimated from `trials` Monte Carlo orders drawn from `rng`
+    (summed by :func:`_contraction_gram`, batch by batch).
     B must be PSD with unit diagonal; an indefinite B raises "matrix not PSD".
     """
     B = _as_square(B)

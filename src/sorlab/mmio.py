@@ -74,8 +74,8 @@ def _entry_values(path, lines, expected, width, first_line):
     if values is not None:
         return values
     rows = []  # line by line, up to the first bad entry
-    for k, line in enumerate(lines + [""] * (expected - len(lines))):
-        parts = line.split()
+    for k in range(expected):
+        parts = lines[k].split() if k < len(lines) else []
         if len(parts) < width:
             raise ValueError(f"{path}: read {k} of {expected} expected entries; "
                              f"entry {k + 1} is missing or incomplete")
@@ -114,18 +114,20 @@ def read_matrix(path):
             got = repr(line.strip()) if line else "end of file"
             raise ValueError(f"{path}: line {2 + len(comments)}: expected the size line "
                              f"'rows cols' (two non-negative integers), got {got}")
-        complex_field = field == "complex"
-        dtype = np.complex128 if complex_field else np.float64
-        M = np.zeros((rows, cols), dtype=dtype)
         if symmetry != "general" and rows != cols:
             raise ValueError(f"{path}: symmetric/hermitian matrices must be square, "
                              f"got {rows} x {cols}")
-        entry_rows, entry_cols = _entry_order(rows, cols, symmetry)
-        expected, width = len(entry_rows), 2 if complex_field else 1
+        complex_field = field == "complex"
+        expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+        width = 2 if complex_field else 1
         lines = fh.read().split("\n")
+    # the entries are read, or found missing, before the declared size is allocated
     values = _entry_values(path, lines[:expected], expected, width, 3 + len(comments))
     if any(line.strip() for line in lines[expected:]):
         raise ValueError(f"{path}: found more than {expected} expected entries")
+    dtype = np.complex128 if complex_field else np.float64
+    M = np.zeros((rows, cols), dtype=dtype)
+    entry_rows, entry_cols = _entry_order(rows, cols, symmetry)
     # a complex entry's two numbers, viewed as complex128, are its real and imaginary parts
     M[entry_rows, entry_cols] = values.view(dtype)[:, 0]
     if symmetry != "general":

@@ -270,6 +270,6 @@ def parse_permutation(text: str, n: int | None = None) -> np.ndarray:
     """Parse '3,1,2' (1-based) into the 0-based permutation array."""
     try:
         sigma = np.array([int(tok) - 1 for tok in text.split(",")], dtype=np.intp)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index beyond intp
         raise ValueError(f"bad permutation string {text!r}") from exc
     return check_permutation(sigma, n)

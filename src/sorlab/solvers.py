@@ -30,8 +30,8 @@ or on the other trials. It never imports SciPy.
 
 :func:`_sweeps` hands each sweep the orders of its live rows. A shuffled or
 single-step random trial draws its orders ahead, in chunks of 1, 2, 4, ...
-sweeps of at most max(n, ORDER_CHUNK) indices a trial, and a chunk of T
-trials at most max(T n, STACK_ORDER_CHUNK), never past max_sweeps
+sweeps; a chunk of the T rows of a stack (T = 1 for a block trial) holds at
+most max(T n, STACK_ORDER_CHUNK) indices, never past max_sweeps
 (:func:`_order_chunks`). A chunk of k sweeps is one
 :func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
 stream exactly as k single draws do, so the orders, and every output byte,
@@ -73,15 +73,13 @@ from .orderings import (TRIAL_KINDS, OrderingStrategy, _as_indices, _derived_gen
 KACZMARZ_ROW_NORM_TOL = 1e-10
 # steps per forward substitution; bounds the gathered block to SWEEP_BLOCK rows
 SWEEP_BLOCK = 64
-# a randomized trial draws its orders ahead in chunks of 1, 2, 4, ... sweeps,
-# at most max(1, ORDER_CHUNK // n) sweeps, so max(n, ORDER_CHUNK) indices
-ORDER_CHUNK = 4096
-# and a stack of T trials at most max(1, STACK_ORDER_CHUNK // (T n)) sweeps,
-# so that its (k, rows, n) chunk array holds at most max(T n,
-# STACK_ORDER_CHUNK) indices (8 MiB) whatever the trial count. It caps
-# no chunk of the perfbench workloads (at most 300 x 16 x 19 indices) or of
-# the tests (32 x 64 x 64); 2**18 made 3000 trials at n = 16 draw 5 sweeps a
-# chunk, and their run 1.5 times as long
+# the one working-set budget of the order draws: a stack of T randomized
+# trials (T = 1 for a block trial) draws its orders ahead in chunks of 1, 2,
+# 4, ... sweeps, at most max(1, STACK_ORDER_CHUNK // (T n)), so that its
+# (k, rows, n) chunk array holds at most max(T n, STACK_ORDER_CHUNK) indices
+# (8 MiB). It caps no chunk of the perfbench workloads (at most 300 x 16 x 19
+# indices) or of the tests (32 x 64 x 64); 2**18 made 3000 trials at n = 16
+# draw 5 sweeps a chunk, and their run 1.5 times as long
 STACK_ORDER_CHUNK = 2**20
 
 
@@ -253,10 +251,9 @@ def _stack_sweep(orders, b, B_conj, V, omega):
 
 def _order_chunks(n, max_sweeps, trials=1):
     """The sweep counts of the order draws of a randomized trial in a stack
-    of ``trials`` rows: 1, 2, 4, ..., at most max(1, ORDER_CHUNK // n) and
-    max(1, STACK_ORDER_CHUNK // (trials n)), and never past max_sweeps in
-    all."""
-    cap, k, drawn = max(1, min(ORDER_CHUNK // n, STACK_ORDER_CHUNK // (trials * n))), 1, 0
+    of ``trials`` rows: 1, 2, 4, ..., at most max(1, STACK_ORDER_CHUNK //
+    (trials n)), and never past max_sweeps in all."""
+    cap, k, drawn = max(1, STACK_ORDER_CHUNK // (trials * n)), 1, 0
     while drawn < max_sweeps:
         k = min(k, cap, max_sweeps - drawn)
         yield k

@@ -131,6 +131,7 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     parts.append(f'<text x="16" y="{(cv.y0 + cv.y1) // 2}" {font} text-anchor="middle" '
                  f'transform="rotate(-90 16 {(cv.y0 + cv.y1) // 2})">{YLABEL}</text>')
     if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{(cv.x0 + cv.x1) // 2}" y="18" {font} '
                      f'text-anchor="middle">{title}</text>')
 

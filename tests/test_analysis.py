@@ -263,7 +263,7 @@ def _record_stacks(monkeypatch):
 def test_norm_budget_bounds_every_stack_of_truncation_statistics(monkeypatch, n, restarts,
                                                                  per_stack):
     # n = 8: an exhaustive batch keeps up to 5040 orders; n = 32: a
-    # Monte Carlo batch holds 315 orders and the one restart group 100; each
+    # Monte Carlo batch holds 320 orders and the one restart group 100; each
     # is reduced in stacks of at most _NORM_ENTRIES entries, on either thread,
     # and the statistics keep their bytes
     B = random_psd_unit(n, make_rng(80 + n), m=max(1, n // 5))
@@ -438,23 +438,25 @@ def test_heuristic_accepts_no_swap_where_every_order_ties(monkeypatch):
 
 
 def test_batch_size_bounds_every_stack():
-    for n in range(1, 600):  # one order per batch once n**2 > _CHUNK * 64 (n > 567)
+    # a batch holds four norm stacks; one order per batch once
+    # n**2 > 2 * _NORM_ENTRIES (n > 404), past the bound once n > 572
+    for n in range(1, 600):
         size = analysis._batch_size(n)
-        assert size == 1 or size * n**2 <= analysis._CHUNK * 64
-    assert [analysis._batch_size(n) for n in (8, 32, 64, 256, 568)] == [5040, 315, 78, 4, 1]
+        assert size == 1 or size * n**2 <= 4 * analysis._NORM_ENTRIES
+    assert [analysis._batch_size(n) for n in (8, 32, 64, 256, 568)] == [5120, 320, 80, 5, 1]
 
 
 def test_lockstep_groups_bound_the_bounds_stacks_and_keep_results(monkeypatch):
-    # with _CHUNK = 200 a group holds 200 * 64 // 64**2 = 3 restarts at n = 64,
-    # so 7 restarts run as groups of 3, 3 and 1; each equals its restart run alone
+    # with _NORM_ENTRIES = 6144 a norm stack holds one order at n = 64 and a
+    # group four stacks' entries, 4 * 6144 // 64**2 = 6 restarts, so 7 restarts
+    # run as groups of 6 and 1; each equals its restart run alone
     n, restarts = 64, 7
     B = random_psd_unit(n, make_rng(64), m=6)
     rng = make_rng(65)
     alone = [min_truncation_heuristic(B, 1, rng) for _ in range(restarts)]  # the same draws
     ends = [a.min_ratio for a in alone]
     first = ends.index(min(ends))  # ties go to the first restart
-    monkeypatch.setattr(analysis, "_CHUNK", 200)
-    monkeypatch.setattr(analysis, "_NORM_ENTRIES", 3 * n**2)
+    monkeypatch.setattr(analysis, "_NORM_ENTRIES", 6144)
     calls, stacks = [], []
     reduced = _count_calls(monkeypatch, calls, stacks)
     stats = min_truncation_heuristic(B, restarts, make_rng(65))
@@ -463,12 +465,12 @@ def test_lockstep_groups_bound_the_bounds_stacks_and_keep_results(monkeypatch):
     assert stats.ratio_identity == alone[0].ratio_identity
     starts = np.array([a.max_ratio for a in alone])  # one restart: its start ratio
     assert stats.max_ratio == starts.max() and stats.mean_ratio == float(starts.mean())
-    assert max(R for R, _, _ in stacks) == 3
-    assert all(R * (n - 1) * n <= 200 * 64 for R, _, _ in stacks)
-    # exact norms reduced in stacks of at most 3 orders (the budget, 3 * 64**2
-    # entries); per group a start stack, and per round two stacks unless more
-    # than 3 swaps are scored
-    assert max(k for k, _, _ in reduced) <= 3 and len(reduced) <= 2 * len(stacks) + 3 + 1
+    assert max(R for R, _, _ in stacks) == 6
+    assert all(R * (n - 1) * n <= 4 * 6144 for R, _, _ in stacks)
+    # exact norms reduced one order a stack (the budget holds one matrix);
+    # per group a start call, per round at most two calls, and the identity
+    assert all(k == 1 for k, _, _ in reduced) and len(reduced) == sum(calls)
+    assert len(calls) <= 2 * len(stacks) + 2 + 1
 
 
 
@@ -1036,15 +1038,39 @@ def test_orders_table_is_built_once_and_read_only():
     assert all(batch.flags.writeable for batch in _perm_batches(8))
 
 
+def test_order_table_is_built_once_by_the_first_truncation_statistics_call(monkeypatch):
+    # at n = 8 the n! oracle on this thread and the search's batches on the
+    # worker both read _orders(7), and cache does not lock: each table is
+    # built once, before the worker starts. A slow build (the sleep releases
+    # the GIL) holds open the window in which both threads could build it
+    import time
+    from collections import Counter
+    from functools import cache
+    builds, build = Counter(), _orders.__wrapped__
+
+    def counted(n):
+        builds[n] += 1
+        time.sleep(0.02)
+        return build(n)
+
+    B = random_psd_unit(8, make_rng(88), m=3)
+    want = truncation_statistics(B, 20, make_rng(1), 2000, make_rng(2))
+    monkeypatch.setattr(analysis, "_orders", cache(counted))  # empty: a first call
+    got = truncation_statistics(B, 20, make_rng(1), 2000, make_rng(2))
+    assert builds == {n: 1 for n in range(1, 8)}
+    assert repr(got) == repr(want)
+
+
 def test_perm_batches_sampled_are_bounded_by_size():
-    # at n = 64 a batch holds at most 5040 * 8**2 entries, as many as the
-    # largest exhaustive batch, and the batches are one stream of draws
+    # at n = 64 a batch's truncations fill at most four norm stacks, and the
+    # batches are one stream of draws
     n, trials = 64, 2000
     batches = list(_perm_batches(n, trials, make_rng(3)))
-    assert all(p.size <= 5040 * 64 for p in batches) and len(batches) > 1
+    assert all(len(p) * n**2 <= 4 * analysis._NORM_ENTRIES for p in batches)
+    assert len(batches) > 1
     single = make_rng(3).permuted(np.tile(np.arange(n), (trials, 1)), axis=1)
     assert np.array_equal(np.concatenate(batches), single)
-    assert [len(p) for p in _perm_batches(8, 6000, make_rng(3))] == [5040, 960]
+    assert [len(p) for p in _perm_batches(8, 6000, make_rng(3))] == [5120, 880]
 
 
 @pytest.mark.parametrize("cplx", [False, True])

@@ -167,6 +167,26 @@ def test_solve_fixed_requires_sigma(fan_dir, tmp_path):
     assert exc.value.code == 2
 
 
+def test_solve_sigma_beyond_the_index_range_is_one_error_line(fan_dir, tmp_path, capsys):
+    assert run_cli("solve", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
+                   "--ybar", fan_dir / "ybar.mtx", "--strategy", "fixed",
+                   "--sigma", "99999999999999999999999,1", "--out", tmp_path / "h.csv") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad permutation string '99999999999999999999999,1'\n"
+
+
+def test_matrix_declaring_more_entries_than_it_holds_is_one_error_line(tmp_path, capsys):
+    # 10**6 x 10**6 float64 would be 7.3 TiB; the entries are counted first
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n")
+    assert run_cli("bounds", "--matrix", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: read 1 of {10**12} expected entries; "
+                            "entry 2 is missing or incomplete\n")
+
+
 @pytest.mark.parametrize("args", [
     ("solve", "--strategy", "fixed", "--out"),
     ("solve", "--strategy", "preshuffled", "--out"),
@@ -530,7 +550,7 @@ def test_analyze_heuristic_path_prints_the_serial_values(tmp_path, capsys):
 
 def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, monkeypatch):
     # for n > 8 the two threads share the Monte Carlo batches beside the
-    # heuristic; the last of the batches of 3225, 3225 and 550 orders at
+    # heuristic; the last of the batches of 3276, 3276 and 448 orders at
     # n = 10 fails, whichever thread takes it
     import threading
     from helpers import random_psd_unit
@@ -538,7 +558,7 @@ def test_analyze_worker_error_exits_1_and_leaves_no_thread(tmp_path, capsys, mon
     score = analysis._batched_truncation_norms
 
     def fail_on_the_last_batch(B, perms):
-        if len(perms) == 550:
+        if len(perms) == 448:
             raise ValueError("estimate failed")
         return score(B, perms)
 

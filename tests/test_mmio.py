@@ -160,6 +160,19 @@ def test_read_non_square_symmetric_names_file(tmp_path):
     assert str(exc.value) == f"{path}: symmetric/hermitian matrices must be square, got 2 x 3"
 
 
+@pytest.mark.parametrize("symmetry, expected", [("general", 10**12),
+                                                 ("symmetric", 10**6 * (10**6 + 1) // 2)])
+def test_read_counts_entries_before_allocating_the_declared_size(tmp_path, symmetry, expected):
+    # 10**6 x 10**6 float64 is 7.3 TiB: the one entry is found short of the
+    # declared count before anything of that size is allocated
+    path = tmp_path / "B.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real {symmetry}\n1000000 1000000\n1.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == (f"{path}: read 1 of {expected} expected entries; "
+                              "entry 2 is missing or incomplete")
+
+
 @pytest.mark.parametrize("field, body, message", [
     ("real", "1.0\n\n3.0\n4.0\n", "read 1 of 4 expected entries; entry 2 is missing or incomplete"),
     ("real", "1.0\n2.0\nabc\n\n", "line 6: entry 3 of 4 is not a number: 'abc'"),

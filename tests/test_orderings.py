@@ -291,6 +291,9 @@ def test_permutation_serialization_round_trip():
         parse_permutation("a,b")
     with pytest.raises(ValueError, match="expected 4"):
         parse_permutation("3,1,2", n=4)
+    # an index beyond the C long range is a bad string, not an OverflowError
+    with pytest.raises(ValueError, match=r"^bad permutation string '99999999999999999999999,1'$"):
+        parse_permutation("99999999999999999999999,1")
 
 
 @pytest.mark.parametrize("check", [

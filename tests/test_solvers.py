@@ -361,7 +361,7 @@ def test_block_trials_check_the_matrix_once(monkeypatch):
 @pytest.mark.parametrize("kernel", ["block", "stack"])
 @pytest.mark.parametrize("kind", ["shuffled", "single_step_random"])
 def test_run_trials_draw_orders_in_capped_chunks(monkeypatch, kind, kernel, max_sweeps, chunks):
-    # n = 64 caps a chunk at ORDER_CHUNK // 64 = 64 sweeps; each trial's
+    # n = 64 draws chunks of 1, 2, ..., 64 sweeps and the 23 left; each trial's
     # orders are those of one draw per sweep from its derived stream, and
     # none is drawn beyond max_sweeps. The block kernel draws them so in
     # run_solver, the stack in run_trials at 3 and 32 trials
@@ -447,8 +447,8 @@ def test_stack_draws_one_chunk_per_live_trial(monkeypatch, kind):
 
 def test_stack_chunks_stay_within_the_order_budget_and_keep_every_byte(monkeypatch):
     # 30 trials of each kind at n = 8 put 90 x 8 = 720 indices in a sweep, so
-    # a budget of 3000 indices caps a chunk at 4 sweeps (ORDER_CHUNK alone
-    # allows 512). The orders, and so every history byte, are those of the
+    # a budget of 3000 indices caps a chunk at 4 sweeps (the default budget
+    # allows 1456). The orders, and so every history byte, are those of the
     # default budget
     kinds = ["shuffled", "single_step_random", "preshuffled"]
     inst = random_factor_problem(8, 8, rng=make_rng(59))
@@ -476,10 +476,18 @@ def test_stack_chunks_stay_within_the_order_budget_and_keep_every_byte(monkeypat
 @pytest.mark.parametrize("n, chunks", [(1, [1, 2, 4]), (2048, [1, 2, 2, 2]),
                                        (4096, [1] * 7), (5000, [1] * 7)])
 def test_order_chunks_hold_at_most_max_n_4096_indices(n, chunks):
-    got = list(solvers._order_chunks(n, 7))
-    assert got == chunks
-    assert sum(got) == 7
-    assert max(k * n for k in got) <= max(n, solvers.ORDER_CHUNK)
+    # a chunk of T trials holds at most max(T n, STACK_ORDER_CHUNK) indices:
+    # max(n, 4096) a trial for T = 256, and max(n, 2**20) for one trial,
+    # which draws chunks of up to 512 sweeps at n = 2048 and 256 at n = 4096
+    budget = solvers.STACK_ORDER_CHUNK
+    got = {(trials, max_sweeps): list(solvers._order_chunks(n, max_sweeps, trials))
+           for trials, max_sweeps in [(256, 7), (1, 7), (1, 1500)]}
+    assert got[256, 7] == chunks and got[1, 7] == [1, 2, 4]
+    for (trials, max_sweeps), ks in got.items():
+        assert sum(ks) == max_sweeps
+        assert max(k * trials * n for k in ks) <= max(trials * n, budget)
+    if n > 1:  # one trial reaches its cap within 1500 sweeps
+        assert max(got[1, 1500]) == budget // n
 
 
 def _coordinate_sor_sweep(B, b, y, omega, order):

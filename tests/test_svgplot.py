@@ -15,6 +15,13 @@ def test_single_series_single_polyline():
     assert svg.startswith("<svg ")
 
 
+def test_title_markup_characters_are_escaped():
+    from xml.etree import ElementTree
+    svg = render_semilog([("cyclic", [1.0, 0.5])], title="L<sub & B>")
+    texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "L<sub & B>" in texts
+
+
 def test_deterministic_output():
     series = [("a", list(0.5 ** np.arange(20))), ("b", list(0.9 ** np.arange(20)))]
     assert render_semilog(series) == render_semilog(series)
