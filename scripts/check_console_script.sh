@@ -3,7 +3,9 @@
 # [project.scripts] entry point), run without PYTHONPATH in WORK_DIR
 # (default: a new temporary directory):
 # - solve reproduces trial 0 of a 32-trial compare;
-# - plot redraws compare's per-trial SVG from its CSV byte for byte;
+# - plot redraws compare's per-trial SVG from its CSV byte for byte, and
+#   draws it under a title with XML markup and a character outside ASCII,
+#   passed through argv, as a well-formed SVG;
 # - analyze prints the same bytes twice, on the exhaustive path (n = 8)
 #   and on the heuristic path (n = 12);
 # - both analyze paths run on two threads, which share the batches of
@@ -25,6 +27,8 @@ sorlab compare $system --strategies shuffled --trials 32 --seed 5 --out-csv comp
 grep '^shuffled,0,' compare.csv | diff - <(tail -n +2 solve.csv)
 sorlab plot --csv compare.csv --per-trial --title "omega=1.0 trials=32" --out p.svg
 cmp c.svg p.svg
+sorlab plot --csv compare.csv --title 'a<b & ω' --out t.svg
+python -c "import xml.dom.minidom as m; m.parse('t.svg')"
 sorlab analyze --matrix fan/B.mtx > a1.txt
 sorlab analyze --matrix fan/B.mtx > a2.txt
 cmp a1.txt a2.txt

@@ -19,6 +19,7 @@ import dataclasses
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .problems import (
     low_rank_problem,
     random_factor_problem,
 )
-from .solvers import (TRIAL_KINDS, SolverConfig, empirical_rate,
+from .solvers import (TRIAL_KINDS, IterationHistory, SolverConfig, empirical_rate,
                       mean_error_curve, run_trials)
 # bound here only for perfbench/selftest.py, which checks that the tracer
 # wraps and restores a function at each module that imported it
@@ -98,42 +99,49 @@ def write_history_csv(path, histories) -> None:
 
 
 def read_history_csv(path):
+    """The {strategy: [IterationHistory(errors_sq, residuals, None)]} that
+    :func:`write_history_csv` wrote, bit for bit, strategies and trials in
+    order of first appearance; each trial's sweeps must run 0, 1, ... in
+    order. ValueError names the file and line of the first bad row."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: line 1: unexpected CSV header {header!r}, "
                              f"expected {CSV_HEADER!r}")
-        rows = []
-        sweeps = {}  # (strategy, trial): the sweep its next row must hold
+        buffers = {}  # (strategy, trial): its errors and residuals so far
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                strategy, trial, sweep, err, resid = line.split(",")
-                row = (strategy, int(trial), int(sweep), float(err), float(resid))
+                strategy, trial, sweep, err, res = line.split(",")
+                key, sweep, err, res = (strategy, int(trial)), int(sweep), float(err), float(res)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected a row {CSV_HEADER} with "
                                  f"integer trial and sweep, got {line!r}") from None
-            if not all(0.0 <= v < math.inf for v in row[3:]):  # also rejects NaN
+            if not (0.0 <= err < math.inf and 0.0 <= res < math.inf):  # also rejects NaN
                 raise ValueError(f"{path}: line {lineno}: error_sq and residual must be "
                                  f"finite and >= 0, got {line!r}")
-            expected = sweeps.get(row[:2], 0)
-            if row[2] != expected:
+            errs, resids = buffers.get(key) or buffers.setdefault(key, (array("d"), array("d")))
+            if sweep != len(errs):
                 raise ValueError(f"{path}: line {lineno}: CSV rows out of order; sweeps must be "
-                                 f"contiguous per trial, expected sweep {expected}, got {line!r}")
-            sweeps[row[:2]] = expected + 1
-            rows.append(row)
-    return rows
+                                 f"contiguous per trial, expected sweep {len(errs)}, got {line!r}")
+            errs.append(err)
+            resids.append(res)
+    histories = {}
+    for (strategy, _), bufs in buffers.items():
+        histories.setdefault(strategy, []).append(IterationHistory(*map(np.frombuffer, bufs), None))
+    return histories
 
 
-def _group_curves(rows):
-    """Group the rows of read_history_csv, whose sweeps are contiguous per trial,
-    into {strategy: [err_by_sweep of each trial]}, order-preserving."""
-    curves: dict[str, dict[int, list[float]]] = {}
-    for strategy, trial, _, err, _ in rows:
-        curves.setdefault(strategy, {}).setdefault(trial, []).append(err)
-    return {strategy: list(trials.values()) for strategy, trials in curves.items()}
+def _mean_curves(histories, svg, title, per_trial):
+    """[(strategy, mean error curve)] of the histories, drawn to svg if given
+    (each trial's curve too if per_trial)."""
+    curves = {kind: [h.errors_sq for h in hs] for kind, hs in histories.items()}
+    means = [(kind, mean_error_curve(trials)) for kind, trials in curves.items()]
+    if svg:
+        svgplot.write_semilog(svg, means, title=title, per_trial=curves if per_trial else None)
+    return means
 
 
 # ---------------------------------------------------------------- generate
@@ -244,24 +252,18 @@ def cmd_compare(args, parser) -> int:
     write_history_csv(args.out_csv, histories)
 
     summary = dataclasses.asdict(bounds) | {"trials": args.trials}
-    curves = {kind: [h.errors_sq for h in hs] for kind, hs in histories.items()}
-    mean_curves = [(kind, mean_error_curve(trials)) for kind, trials in curves.items()]
+    mean_curves = _mean_curves(histories, args.out_svg,
+                               f"omega={args.omega} trials={args.trials}", args.per_trial)
     for kind, mean in mean_curves:
         window = max(1, min(args.rate_window, len(mean) - 2))
         summary[f"empirical_rate[{kind}]"] = empirical_rate(mean, window)
         summary[f"final_mean_error_sq[{kind}]"] = mean[-1]
-    if args.out_svg:
-        svgplot.write_semilog(args.out_svg, mean_curves,
-                              title=f"omega={args.omega} trials={args.trials}",
-                              per_trial=curves if args.per_trial else None)
 
     _emit(summary)
     print("mean_error_sq per sweep:")
     print("sweep," + ",".join(kinds))
-    length = max(len(m) for _, m in mean_curves)
-    for k in range(length):
-        vals = [_fmt_float(m[min(k, len(m) - 1)]) for _, m in mean_curves]
-        print(f"{k}," + ",".join(vals))
+    for k in range(max(len(m) for _, m in mean_curves)):
+        print(f"{k}," + ",".join(_fmt_float(m[min(k, len(m) - 1)]) for _, m in mean_curves))
     _emit({"svg": args.out_svg, "csv": args.out_csv})
     return 0
 
@@ -340,13 +342,11 @@ def cmd_bounds(args, parser) -> int:
 
 
 def cmd_plot(args, parser) -> int:
-    rows = read_history_csv(args.csv)
-    if not rows:
+    """Draw a CSV's histories as compare draws them: its CSV and title give its SVG."""
+    histories = read_history_csv(args.csv)
+    if not histories:
         raise ValueError(f"no data rows in {args.csv}")
-    curves = _group_curves(rows)
-    series = [(kind, mean_error_curve(trials)) for kind, trials in curves.items()]
-    svgplot.write_semilog(args.out, series, title=args.title,
-                          per_trial=curves if args.per_trial else None)
+    _mean_curves(histories, args.out, args.title, args.per_trial)
     _emit({"svg": args.out})
     return 0
 
@@ -420,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="spectral, truncation, and reordering-average report")
     a.add_argument("--matrix", required=True)
+    above = f"(n > {analysis.EXHAUSTIVE_LIMIT})"
     a.add_argument("--trials", type=int, default=2000,
-                   help="Monte Carlo samples for the expected truncation norm (n > 8)")
-    a.add_argument("--restarts", type=int, default=20, help="heuristic search restarts (n > 8)")
+                   help=f"Monte Carlo samples for the expected truncation norm {above}")
+    a.add_argument("--restarts", type=int, default=20, help=f"heuristic search restarts {above}")
     a.set_defaults(func=cmd_analyze)
 
     b = sub.add_parser("bounds", help="evaluate per-sweep contraction bounds")

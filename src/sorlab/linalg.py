@@ -254,10 +254,7 @@ def energy_seminorm_sq(B, y) -> float:
     -RANK_TOLERANCE tr(B) ||y||^2 raises ValueError("matrix not PSD").
     """
     B = _as_matrix(B)
-    y = np.asarray(y)
-    if y.shape != (B.shape[0],):
-        raise ValueError("vector length does not match matrix size")
-    return _energy(B, y)
+    return _energy(B, _check_vector(y, B.shape[0], "y"))
 
 
 def _energy(B, y):

@@ -29,36 +29,32 @@ matrix product over the stack), so a trial's history does not depend on T
 or on the other trials. It never imports SciPy.
 
 :func:`_sweeps` hands each sweep the orders of its live rows. A shuffled or
-single-step random trial draws its orders ahead, in chunks of 1, 2, 4, ...
-sweeps; a chunk of the T rows of a stack (T = 1 for a block trial) holds at
-most max(T n, STACK_ORDER_CHUNK) indices, never past max_sweeps
-(:func:`_order_chunks`). A chunk of k sweeps is one
-:func:`~sorlab.orderings.sweep_order` call that consumes the trial's PCG64
-stream exactly as k single draws do, so the orders, and every output byte,
-are those of one draw per sweep. A trial that reuses its order (cyclic,
-fixed and so preshuffled) repeats it in every chunk and draws nothing. A
-block trial over such an order builds its plan, a gathered copy of B, once
-and keeps it; every other pass builds its plan or steps per sweep.
+single-step random trial draws its orders ahead in the chunks of
+:func:`_order_chunks`, each one :func:`~sorlab.orderings.sweep_order` call
+that consumes the trial's PCG64 stream exactly as its k single draws do, so
+the orders, and every output byte, are those of one draw per sweep. A trial
+that reuses its order (cyclic, fixed and so preshuffled) repeats it in every
+chunk and draws nothing. A block trial over such an order builds its plan, a
+gathered copy of B, once and keeps it; every other pass builds its plan or
+steps per sweep.
 
 :func:`run_solver` and :func:`run_kaczmarz` run the block pass on a one-row
 stack, and :func:`sor_sweep` / :func:`kaczmarz_sweep` build and apply one
 plan, behind one input check per update rule. A block trial checks B once,
 at entry: the energy error of each sweep reads the checked B through
-the unchecked ``linalg._energy``. :func:`run_trials` runs
-seeded Monte Carlo trials of several ordering kinds and owns their seed
-scheme: trials that are identical by construction run once per kind
-through the block pass, and the others, of every kind, as one stack at
-every trial count, their seeds and generators derived in one pass of
-sorlab's copy of numpy's SeedSequence hash (:mod:`sorlab.orderings`).
+the unchecked ``linalg._energy``. :func:`run_trials` runs seeded Monte
+Carlo trials of several ordering kinds on both passes and owns their seed
+scheme.
 
-Error histories are measured against a caller-supplied planted solution in
-the energy semi-norm of B, which is independent of which exact solution is
-chosen (kernel components cancel).
+Error histories are float64 arrays, measured against a caller-supplied
+planted solution in the energy semi-norm of B, which is independent of
+which exact solution is chosen (kernel components cancel).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -273,17 +269,18 @@ def _sweeps(V, n, measure, sweep, config: SolverConfig, orders,
     reused order repeated k times, of at most max(T n, STACK_ORDER_CHUNK)
     indices.
     ``sweep(orders, V)`` sweeps each row of V once, over its row of the
-    (rows, n) orders of one sweep of the chunk. ``measure(V)`` returns the rows' errors
-    and residuals as two lists of floats, recorded before the first and
-    after every sweep. Raises ValueError once one is NaN or Inf, naming the
-    sweep and the trial's seed, ``seeds[t]``. A trial stops after
-    ``config.max_sweeps`` sweeps or once its error reaches
-    ``config.target_error_sq``, and leaves the stack with its rows of the
-    chunk.
+    (rows, n) orders of one sweep of the chunk. ``measure(V)`` returns the
+    rows' errors and residuals as two lists of floats, appended before the
+    first and after every sweep to each trial's ``array("d")`` buffers,
+    which its history views without a copy (``np.frombuffer``). Raises
+    ValueError once one is NaN or Inf, naming the sweep and the trial's
+    seed, ``seeds[t]``. A trial stops after ``config.max_sweeps`` sweeps or
+    once its error reaches ``config.target_error_sq``, and leaves the stack
+    with its rows of the chunk.
     """
     rows = list(range(len(seeds)))  # the trial of each row of V
-    errors: list[list[float]] = [[] for _ in seeds]
-    residuals: list[list[float]] = [[] for _ in seeds]
+    errors = [array("d") for _ in seeds]
+    residuals = [array("d") for _ in seeds]
     finals: list = [None] * len(seeds)
     target = config.target_error_sq
 
@@ -330,7 +327,7 @@ def _sweeps(V, n, measure, sweep, config: SolverConfig, orders,
         chunk = chunk[:, going]
     for t, row in zip(rows, V):
         finals[t] = row
-    return [IterationHistory(np.array(e), np.array(r), v)
+    return [IterationHistory(np.frombuffer(e), np.frombuffer(r), v)
             for e, r, v in zip(errors, residuals, finals)]
 
 

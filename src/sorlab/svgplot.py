@@ -47,6 +47,12 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
+def _text(s):
+    """s as SVG text: &, < and > escaped, characters outside ASCII as &#N;."""
+    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .encode("ascii", "xmlcharrefreplace").decode("ascii"))
+
+
 class _Canvas:
     def __init__(self, lo_exp, hi_exp, max_sweep):
         self.lo = lo_exp
@@ -131,9 +137,8 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     parts.append(f'<text x="16" y="{(cv.y0 + cv.y1) // 2}" {font} text-anchor="middle" '
                  f'transform="rotate(-90 16 {(cv.y0 + cv.y1) // 2})">{YLABEL}</text>')
     if title:
-        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{(cv.x0 + cv.x1) // 2}" y="18" {font} '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{_text(title)}</text>')
 
     if per_trial:
         for idx, (label, _) in enumerate(series):
@@ -155,7 +160,7 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
         yline = ly + 18 * idx
         parts.append(f'<line x1="{lx}" y1="{yline}" x2="{lx + 28}" y2="{yline}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 34}" y="{yline + 4}" {font}>{label}</text>')
+        parts.append(f'<text x="{lx + 34}" y="{yline + 4}" {font}>{_text(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

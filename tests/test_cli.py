@@ -31,6 +31,13 @@ def identity_dir(tmp_path):
 
 # ---------------------------------------------------------------- CSV
 
+def _history_bytes(histories):
+    """{strategy: [(errors, residuals) of each trial as float64 bytes]}."""
+    return {strategy: [tuple(np.asarray(a, dtype=np.float64).tobytes()
+                             for a in (h.errors_sq, h.residuals)) for h in trials]
+            for strategy, trials in histories.items()}
+
+
 def test_history_csv_matches_per_row_formula(tmp_path):
     # one row per sweep, values as repr(float(v)); histories of unequal
     # length, numpy arrays as the solvers return them and plain lists
@@ -49,7 +56,7 @@ def test_history_csv_matches_per_row_formula(tmp_path):
                 ref.append(f"{strategy},{int(trial)},{int(sweep)},{repr(float(err))},"
                            f"{repr(float(res))}")
     assert out.read_text() == "\n".join(ref) + "\n"
-    assert [r[3] for r in read_history_csv(out)] == extremes + [4.0, 0.5, 5e-324]
+    assert _history_bytes(read_history_csv(out)) == _history_bytes(histories)
 
 
 def test_history_csv_reuses_rows_of_byte_equal_trials(tmp_path):
@@ -76,6 +83,60 @@ def test_history_csv_reuses_rows_of_byte_equal_trials(tmp_path):
                 ref.append(f"{strategy},{trial},{sweep},{repr(float(err))},{repr(float(res_))}")
     assert out.read_text() == "\n".join(ref) + "\n"
     assert "shuffled,1,2,-0.0,1e-300" in ref and "shuffled,0,2,0.0,1e-300" in ref
+
+
+def test_read_history_csv_returns_the_histories_written(tmp_path):
+    # the reader is the writer's inverse, bit for bit: signed zeros, the
+    # smallest subnormal, huge values and trials of unequal length
+    histories = {
+        "shuffled": [IterationHistory(np.array([1e300, 0.5, -0.0]), np.array([5e-324, 0.0, 1e300]),
+                                      None),
+                     IterationHistory(np.array([2.0]), np.array([-0.0]), None)],
+        "cyclic": [IterationHistory(np.array([1.0 / 3.0, 5e-324]), np.array([0.1, 2.0]), None)],
+    }
+    out = tmp_path / "h.csv"
+    write_history_csv(out, histories)
+    back = read_history_csv(out)
+    assert list(back) == ["shuffled", "cyclic"]
+    assert _history_bytes(back) == _history_bytes(histories)
+    assert all(h.final_iterate is None for trials in back.values() for h in trials)
+
+
+def test_read_history_csv_groups_interleaved_trials(tmp_path):
+    # rows group by (strategy, trial) in order of first appearance, whatever
+    # the trial numbers; written back, each trial is numbered from 0
+    csv = tmp_path / "h.csv"
+    csv.write_text("\n".join([CSV_HEADER, "b,3,0,4.0,1.0", "a,7,0,1.0,0.5", "b,5,0,3.0,2.0",
+                              "b,3,1,-0.0,5e-324", "a,7,1,1e300,0.0", "b,5,1,2.0,1.0",
+                              "b,3,2,0.25,0.5"]) + "\n")
+    back = read_history_csv(csv)
+    assert {k: [(h.errors_sq.tolist(), h.residuals.tolist()) for h in hs]
+            for k, hs in back.items()} == {
+        "b": [([4.0, -0.0, 0.25], [1.0, 5e-324, 0.5]), ([3.0, 2.0], [2.0, 1.0])],
+        "a": [([1.0, 1e300], [0.5, 0.0])],
+    }
+    assert list(back) == ["b", "a"] and np.signbit(back["b"][0].errors_sq[1])
+    write_history_csv(tmp_path / "w.csv", back)
+    assert _history_bytes(read_history_csv(tmp_path / "w.csv")) == _history_bytes(back)
+
+
+def test_read_history_csv_allocates_little_per_row(tmp_path):
+    # 30,000 rows: float64 buffers take 16 B a row, where a tuple a row with
+    # its own floats and strategy string took about 195 B
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    histories = {kind: [IterationHistory(rng.random(100), rng.random(100), None)
+                        for _ in range(100)] for kind in ("cyclic", "shuffled", "preshuffled")}
+    csv = tmp_path / "h.csv"
+    write_history_csv(csv, histories)
+    tracemalloc.start()
+    try:
+        back = read_history_csv(csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 30_000
+    assert _history_bytes(back) == _history_bytes(histories)
 
 
 # ---------------------------------------------------------------- generate
@@ -133,8 +194,8 @@ def test_solve_fan_cyclic_rate(fan_dir, tmp_path, capsys):
     printed = capsys.readouterr().out
     rate = float([l for l in printed.splitlines() if l.startswith("empirical_rate:")][0].split()[1])
     assert rate == pytest.approx(np.cos(np.pi / 8) ** 16, rel=1e-3)
-    rows = read_history_csv(out)
-    assert len(rows) == 21
+    (h,), = read_history_csv(out).values()
+    assert len(h.errors_sq) == len(h.residuals) == 21
     assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
@@ -143,9 +204,9 @@ def test_solve_identity_converges_at_first_sweep(identity_dir, tmp_path):
     assert run_cli("solve", "--matrix", identity_dir / "B.mtx",
                    "--rhs", identity_dir / "b.mtx", "--ybar", identity_dir / "ybar.mtx",
                    "--strategy", "cyclic", "--out", out) == 0
-    rows = read_history_csv(out)
-    assert rows[1][3] == 0.0  # error_sq hits 0 at sweep 1
-    assert len(rows) == 2
+    (h,), = read_history_csv(out).values()
+    assert h.errors_sq[1] == 0.0  # error_sq hits 0 at sweep 1
+    assert len(h.errors_sq) == len(h.residuals) == 2
 
 
 def test_solve_preshuffled_requires_sigma_or_seed(fan_dir, tmp_path):
@@ -333,8 +394,8 @@ def test_solve_custom_start_vector(fan_dir, tmp_path):
     assert run_cli("solve", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
                    "--ybar", fan_dir / "ybar.mtx", "--y0", tmp_path / "y0.mtx",
                    "--strategy", "cyclic", "--sweeps", "5", "--out", out) == 0
-    rows = read_history_csv(out)
-    assert rows[0][3] == pytest.approx(1.0)  # |e2|_B^2 = B[2,2] = 1
+    (h,), = read_history_csv(out).values()
+    assert h.errors_sq[0] == pytest.approx(1.0)  # |e2|_B^2 = B[2,2] = 1
 
 
 def test_solve_unknown_strategy(fan_dir, tmp_path):
@@ -423,7 +484,9 @@ def test_compare_summary_and_trial0_matches_solve(fan_dir, tmp_path, capsys):
             "--ybar", fan_dir / "ybar.mtx", "--strategy", "shuffled",
             "--sweeps", "10", "--seed", "5", "--out", solve_csv)
     capsys.readouterr()
-    solve_rows = read_history_csv(solve_csv)
+    solved = read_history_csv(solve_csv)
+    assert list(solved) == ["shuffled"]
+    solve, = solved["shuffled"]
     for trials in (3, 32):
         cmp_csv = tmp_path / f"cmp{trials}.csv"
         code = run_cli("compare", "--matrix", fan_dir / "B.mtx", "--rhs", fan_dir / "b.mtx",
@@ -435,9 +498,11 @@ def test_compare_summary_and_trial0_matches_solve(fan_dir, tmp_path, capsys):
         assert "rate_shuffled: 0.84" in printed
         assert "empirical_rate[cyclic]:" in printed
         assert "mean_error_sq per sweep:" in printed
-        rows = read_history_csv(cmp_csv)
-        shuffled_trial0 = [r for r in rows if r[0] == "shuffled" and r[1] == 0]
-        assert shuffled_trial0 == solve_rows
+        histories = read_history_csv(cmp_csv)
+        assert [len(histories[kind]) for kind in ("cyclic", "shuffled")] == [trials, trials]
+        trial0 = histories["shuffled"][0]
+        assert trial0.errors_sq.tobytes() == solve.errors_sq.tobytes()
+        assert trial0.residuals.tobytes() == solve.residuals.tobytes()
 
 
 def test_compare_rejects_bad_omega(fan_dir, tmp_path):
@@ -752,6 +817,18 @@ def test_plot_per_trial_redraws_compare_svg(fan_dir, tmp_path):
         text = svg.read_text()
         assert text.count("<polyline") == polylines
         assert text == cmp_svg.read_text()
+
+
+def test_plot_escapes_title_and_strategy_labels(tmp_path):
+    # a title outside ASCII and a strategy with XML markup characters both
+    # give a well-formed SVG whose text reads back as given
+    from xml.etree import ElementTree
+    csv, svg = tmp_path / "h.csv", tmp_path / "p.svg"
+    csv.write_text(f"{CSV_HEADER}\na<b & c,0,0,1.0,1.0\na<b & c,0,1,0.5,0.5\n")
+    assert run_cli("plot", "--csv", csv, "--out", svg, "--title", "\u03c9=1.2 & <x>") == 0
+    texts = [t.text for t in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "\u03c9=1.2 & <x>" in texts and "a<b & c" in texts
+    assert svg.read_bytes().isascii()
 
 
 def test_plot_wrong_csv_header_fails(tmp_path, capsys):
@@ -1072,7 +1149,8 @@ def test_one_sweep_rate_is_the_one_ratio(random_dir, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     assert run_cli("solve", *_system_args(random_dir), "--strategy", "cyclic",
                    "--sweeps", "1", "--out", csv) == 0
-    e0, e1 = (row[3] for row in read_history_csv(csv))
+    (h,), = read_history_csv(csv).values()
+    e0, e1 = h.errors_sq.tolist()
     _check_lines(capsys.readouterr().out.splitlines()[3:4], [("empirical_rate", e1 / e0)])
     assert e1 / e0 > 0
     assert run_cli("compare", *_system_args(random_dir), "--strategies", "cyclic",

@@ -340,7 +340,10 @@ def test_energy_seminorm_cases():
     ones = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert energy_seminorm_sq(ones, np.array([1.0, -1.0])) == pytest.approx(0.0, abs=1e-15)
     assert energy_seminorm_sq(ones, np.array([1.0, 1.0])) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
+    for y in ([np.nan, 0.0], [0.0, -np.inf]):  # the one vector check, not a NaN result
+        with pytest.raises(ValueError, match="y contains NaN or Inf entries"):
+            energy_seminorm_sq(np.eye(2), np.array(y))
+    with pytest.raises(ValueError, match=r"y has shape \(3,\), expected \(2,\)"):
         energy_seminorm_sq(np.eye(2), np.ones(3))
 
 

@@ -16,10 +16,14 @@ def test_single_series_single_polyline():
 
 
 def test_title_markup_characters_are_escaped():
+    # in the legend labels too, and characters outside ASCII become
+    # character references, so the SVG is ASCII and well-formed
     from xml.etree import ElementTree
-    svg = render_semilog([("cyclic", [1.0, 0.5])], title="L<sub & B>")
+    svg = render_semilog([("a<b & c", [1.0, 0.5]), ("\u03c3 > \u00e9", [1.0, 0.25])],
+                         title="L<sub & B> \u03c9=1.2")
+    assert svg.isascii() and "&#969;=1.2" in svg
     texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-    assert "L<sub & B>" in texts
+    assert {"L<sub & B> \u03c9=1.2", "a<b & c", "\u03c3 > \u00e9"} <= set(texts)
 
 
 def test_deterministic_output():
