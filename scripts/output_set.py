@@ -37,7 +37,9 @@ TABLES script. The report counts the identical files and, for each file that
 differs, gives the largest relative difference of each CSV column, each
 summary key and each column of a table, with where it occurs, the trials
 whose length changed and the table rows found in one set only.
-Exit status: 0 when every file is identical, 1 when some differ.
+Exit status: 0 when every file is identical, 1 when some differ, 2 when the
+comparison could not be made (an unknown REV, an OUT_DIR that cannot be
+created).
 """
 
 from __future__ import annotations
@@ -250,14 +252,15 @@ def compare_sets(a, b):
 
 
 def run_against(out_dir, rev):
-    """Run the set in out_dir and on an exported tree of rev; return the report."""
-    run_set(out_dir)
+    """Run the set in out_dir and on an exported tree of rev; return the report.
+    rev is exported first, so an unknown revision fails before any command runs."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp, "tree")
         tree.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True,
                                  check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        run_set(out_dir)
         run_set(Path(tmp, "out"), tree=tree)
         return compare_sets(out_dir, Path(tmp, "out"))
 
@@ -276,6 +279,9 @@ def main(argv=None):
     except subprocess.CalledProcessError as exc:
         print(f"error: {' '.join(exc.cmd)}: {(exc.stderr or b'').decode().strip()}",
               file=sys.stderr)
+        return 2
+    except OSError as exc:  # an uncaught one would exit 1, which means "some files differ"
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(report))
     return 0 if len(report) == 1 else 1

@@ -98,18 +98,31 @@ def write_history_csv(path, histories) -> None:
                 fh.write("".join(map(f"{strategy},{trial}".__add__, tails)))
 
 
+def _ascii_lines(path, fh):
+    """(line number, text) of each line of the binary file fh, decoded as
+    ASCII; ValueError names the line and column of a byte outside ASCII."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: byte {raw[exc.start]:#04x} at column "
+                             f"{exc.start + 1} is not ASCII") from None
+
+
 def read_history_csv(path):
     """The {strategy: [IterationHistory(errors_sq, residuals, None)]} that
     :func:`write_history_csv` wrote, bit for bit, strategies and trials in
     order of first appearance; each trial's sweeps must run 0, 1, ... in
-    order. ValueError names the file and line of the first bad row."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    order. ValueError names the file and line of the first bad row, a byte
+    outside ASCII included."""
+    with open(path, "rb") as fh:
+        lines = _ascii_lines(path, fh)
+        header = next(lines, (1, ""))[1].strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: line 1: unexpected CSV header {header!r}, "
                              f"expected {CSV_HEADER!r}")
         buffers = {}  # (strategy, trial): its errors and residuals so far
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue

@@ -253,10 +253,11 @@ def sweep_order(strategy: OrderingStrategy, n: int,
         raise ValueError(f"{strategy.kind} ordering needs an rng")
     k = 1 if sweeps is None else sweeps
     if strategy.kind == "shuffled":
-        orders = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        orders = np.empty((k, n), dtype=np.intp)
+        orders[:] = np.arange(n)
+        rng.permuted(orders, axis=1, out=orders)
     else:  # single_step_random
-        orders = rng.integers(0, n, size=(k, n))
-    orders = orders.astype(np.intp, copy=False)
+        orders = rng.integers(0, n, size=(k, n)).astype(np.intp, copy=False)
     return orders[0] if sweeps is None else orders
 
 

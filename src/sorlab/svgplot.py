@@ -3,9 +3,13 @@
 No plotting dependency: elements are emitted directly with fixed coordinate
 formatting, so identical input always produces identical bytes. The y axis
 is log10 of the squared error with exactly 10 ticks; zero values are
-clipped to the plot floor. A curve's points are computed as float64 arrays;
-a per-trial curve whose float64 values are byte-equal to the previous
-curve of its strategy reuses that curve's polyline.
+clipped to the plot floor. The per-trial curves of a strategy go through
+one pixel map (one ``_Canvas.y`` call on their concatenation, which maps
+value by value, so each pixel is the one a call per curve gives); a
+per-trial curve whose float64 values are byte-equal to the previous curve
+of its strategy reuses that curve's polyline. Every polyline, per-trial or
+mean, formats its points in one ``%`` operation on a template of
+``"x,%.2f"`` points built once per plot.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ class _Canvas:
         return self.y0 + (self.y1 - self.y0) * (exps - self.lo) / (self.hi - self.lo)
 
 
-def _polyline(canvas, xs, ys, color, width, opacity=None):
-    """Polyline through (xs[k], canvas.y(ys)[k]), xs being formatted x coordinates."""
-    pts = " ".join(map("{},{:.2f}".format, xs, canvas.y(ys).tolist()))
+def _polyline(points, pixels, color, width, opacity=None):
+    """Polyline through the pixel y values, points[k] being the "x,%.2f"
+    template of the k-th point."""
+    pts = " ".join(points[:len(pixels)]) % tuple(pixels)
     op = f' stroke-opacity="{opacity}"' if opacity is not None else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{op} '
             f'points="{pts}"/>')
@@ -97,7 +102,7 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
         curves += [ys for trial_curves in per_trial.values() for ys in trial_curves]
     lo, hi, step = _axis_range(curves)
     cv = _Canvas(lo, hi, max(len(ys) - 1 for _, ys in series))
-    xs = [_fmt(cv.x(k)) for k in range(max(len(ys) for ys in curves))]
+    points = [f"{cv.x(k):.2f},%.2f" for k in range(max(len(ys) for ys in curves))]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -143,14 +148,19 @@ def render_semilog(series, title: str = "", per_trial=None) -> str:
     if per_trial:
         for idx, (label, _) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
-            last = None
-            for ys in per_trial.get(label, ()):
-                key = np.asarray(ys, dtype=np.float64).tobytes()
+            trials = [np.asarray(ys, dtype=np.float64) for ys in per_trial.get(label, ())]
+            pixels = cv.y(np.concatenate(trials)).tolist() if trials else []
+            start, last = 0, None
+            for ys in trials:
+                key = ys.tobytes()
                 if key != last:  # a curve byte-equal to the previous one reuses its line
-                    last, line = key, _polyline(cv, xs, ys, color, 1, opacity="0.25")
+                    last = key
+                    line = _polyline(points, pixels[start:start + len(ys)], color, 1,
+                                     opacity="0.25")
                 parts.append(line)
+                start += len(ys)
     for idx, (label, ys) in enumerate(series):
-        parts.append(_polyline(cv, xs, ys, PALETTE[idx % len(PALETTE)], 2))
+        parts.append(_polyline(points, cv.y(ys).tolist(), PALETTE[idx % len(PALETTE)], 2))
 
     # legend, top right
     lx = cv.x1 - 230

@@ -867,6 +867,20 @@ def test_plot_malformed_csv_row_names_file_and_line(tmp_path, capsys, row):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("lines, where", [
+    # UTF-8 omega is cf 89, e acute c3 a9: the first byte is reported
+    ([CSV_HEADER, "cyclic,0,0,2.0,1.0", "\u03c9,0,0,1.0,1.0"], "line 3: byte 0xcf at column 1"),
+    (["strategy,trial,sweep,error_sq,r\u00e9sidual", "cyclic,0,0,2.0,1.0"],
+     "line 1: byte 0xc3 at column 32"),
+])
+def test_plot_non_ascii_csv_byte_names_file_and_line(tmp_path, capsys, lines, where):
+    csv = tmp_path / "h.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("plot", "--csv", csv, "--out", tmp_path / "p.svg") == 1
+    assert capsys.readouterr().err == f"error: {csv}: {where} is not ASCII\n"
+    assert not (tmp_path / "p.svg").exists()
+
+
 @pytest.mark.parametrize("row", [
     "cyclic,0,1,inf,1.0", "cyclic,0,1,nan,1.0", "cyclic,0,1,-1e-3,1.0",
     "cyclic,0,1,0.5,inf", "cyclic,0,1,0.5,nan", "cyclic,0,1,0.5,-1e-3",

@@ -92,3 +92,15 @@ def test_output_set_reports_table_columns_and_rows(tmp_path):
                       "  min: largest relative difference 0.00254 at n 10",
                       "  bound shuffled: largest relative difference 0.0588 at n 10",
                       "  n 128: only in the second set"]
+
+
+def test_output_set_against_exits_2_when_it_cannot_compare(tmp_path, capsys):
+    # exit 1 means "some files differ", so a failure to compare must not give 1;
+    # an unknown revision fails before any command of the set runs
+    output_set = load_script("output_set")
+    out = tmp_path / "out"
+    assert output_set.main([str(out), "--against", "no-such-revision"]) == 2
+    assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+    (tmp_path / "file").write_text("")
+    assert output_set.main([str(tmp_path / "file"), "--against", "HEAD"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -100,6 +100,13 @@ EXTREMES = [1e300, 1e-300, 0.0, 5e-324, 0.1, 1.0 / 3.0]
     ([("a", [0.0, 0.0])], {"a": [[0.0], [0.0, 0.0, 0.0]]}),
     # the top tick sits at 1e+309, above the largest float
     ([("a", [1.5e308, 1.0])], None),
+    # per-trial curves of alternating lengths 2, 8, 2, 5, 8 in one pixel map;
+    # the repeat of the 8-point curve, which follows a 2-point one, reuses
+    # its line, and the 2-point curve drawn again after it does not
+    ([("a", [1.0, 0.5, 0.25, 0.125, 0.0625]), ("b", [1.0, 1e-3])],
+     {"a": [[1.0, 0.3], EXTREMES + [2e-5, 0.0], EXTREMES + [2e-5, 0.0], [1.0, 0.3],
+            [0.9, 0.0, 5e-324, 1e-3, 1e-4], EXTREMES[::-1] + [7.0, 1e-310]],
+      "b": [[1.0, 1e-3], [2.0, 1e-4, 0.5, 0.0, 1e-9, 1e-12, 3.0, 1e-6], [1.0, 1e-3]]}),
 ])
 def test_polylines_match_per_point_formulas(series, per_trial, as_array):
     conv = np.array if as_array else list
@@ -138,9 +145,21 @@ def test_repeated_per_trial_curves_match_per_point_formulas():
 
 
 def test_polyline_clips_at_floor_and_ceiling():
+    # the point templates run past the curve, as they do for a shorter curve
     canvas = svgplot._Canvas(-2, 1, 4)
     ys = [1e300, 10.0, 0.5, 1e-300, 0.0]
-    xs = [svgplot._fmt(canvas.x(k)) for k in range(len(ys))]
+    points = [f"{svgplot._fmt(canvas.x(k))},%.2f" for k in range(len(ys) + 3)]
     for conv in (list, np.array):
-        line = svgplot._polyline(canvas, xs, conv(ys), "black", 1)
+        line = svgplot._polyline(points, canvas.y(conv(ys)).tolist(), "black", 1)
         assert f'points="{_ref_points(ys, -2, 1, 4)}"' in line
+
+
+@pytest.mark.parametrize("lo, hi", [(-2, 1), (-320, 0), (-9, 300)])
+def test_canvas_y_of_a_concatenation_equals_the_calls_per_curve(lo, hi):
+    # _Canvas.y maps value by value, so one call on the per-trial curves of a
+    # strategy gives each curve the pixels of a call of its own, bit for bit
+    canvas = svgplot._Canvas(lo, hi, 7)
+    curves = [EXTREMES, [5e-324, 2.2250738585072014e-308, 1e-310, 4e-320], [0.0, -0.0, 0.0],
+              [10.0 ** (hi + 1), 1.5e308, 10.0 ** hi * 3.0], [], [0.5]]
+    whole = canvas.y(np.concatenate(curves)).tobytes()
+    assert whole == b"".join(canvas.y(ys).tobytes() for ys in curves)
